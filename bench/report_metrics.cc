@@ -83,13 +83,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   stats.lock_stats.conversion_deadlocks),
               static_cast<unsigned long long>(stats.lock_stats.timeouts));
-  std::printf("tx lock cache: %llu hits, %llu misses (%.1f%% hit rate), "
-              "%llu invalidations\n",
+  std::printf("lock set: %llu requests answered without a table round "
+              "trip (%.1f%% of requests)\n",
               static_cast<unsigned long long>(stats.lock_cache_hits()),
-              static_cast<unsigned long long>(stats.lock_cache_misses()),
-              100.0 * stats.lock_cache_hit_rate(),
-              static_cast<unsigned long long>(
-                  stats.lock_cache_invalidations()));
+              100.0 * stats.lock_cache_hit_rate());
 
   std::printf("\nbuffer pool: %llu hits, %llu misses, io in-flight hwm %llu, "
               "%llu coalesced fetches,\n  %llu eviction write-backs "

@@ -1,8 +1,8 @@
 #include "lock/lock_table.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
+#include <numeric>
 
 #include "util/check.h"
 
@@ -10,17 +10,10 @@ namespace xtc {
 
 namespace {
 
-bool ResolveTxLockCache(TxLockCache mode) {
-  switch (mode) {
-    case TxLockCache::kEnabled:
-      return true;
-    case TxLockCache::kDisabled:
-      return false;
-    case TxLockCache::kAuto:
-      break;
-  }
-  const char* env = std::getenv("XTC_TX_LOCK_CACHE");
-  return env == nullptr || std::string_view(env) != "0";
+/// Converting `held` by `mode` changes nothing and owes no child locks.
+bool IsNoOp(const ModeTable& modes, ModeId held, ModeId mode) {
+  const Conversion conv = modes.Convert(held, mode);
+  return conv.result == held && conv.children_mode == kNoMode;
 }
 
 }  // namespace
@@ -29,23 +22,22 @@ LockTable::LockTable(const ModeTable* modes, LockTableOptions options)
     : modes_(modes), options_(options) {
   if (options_.shards == 0) options_.shards = 1;
   shards_.reserve(options_.shards);
+  tx_shards_.reserve(options_.shards);
   for (uint32_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-  }
-  cache_enabled_ = ResolveTxLockCache(options_.tx_lock_cache);
-  if (cache_enabled_) {
-    cache_shards_.reserve(options_.shards);
-    for (uint32_t i = 0; i < options_.shards; ++i) {
-      cache_shards_.push_back(std::make_unique<CacheShard>());
-    }
+    tx_shards_.push_back(std::make_unique<TxShard>());
   }
 }
 
 LockTable::~LockTable() = default;
 
-LockTable::Shard& LockTable::ShardFor(std::string_view resource) const {
-  size_t h = std::hash<std::string_view>{}(resource);
-  return *shards_[h % shards_.size()];
+uint32_t LockTable::ShardIndex(std::string_view resource) const {
+  return static_cast<uint32_t>(std::hash<std::string_view>{}(resource) %
+                               shards_.size());
+}
+
+LockTable::TxShard& LockTable::TxShardFor(uint64_t tx) const {
+  return *tx_shards_[std::hash<uint64_t>{}(tx) % tx_shards_.size()];
 }
 
 LockTable::Resource* LockTable::GetOrCreate(Shard* shard,
@@ -104,15 +96,13 @@ void LockTable::EraseResourceIfIdle(Shard* shard, Resource* r) {
   }
 }
 
-const LockTable::Held* LockTable::GrantLocked(Shard* shard, Resource* r,
-                                              uint64_t tx, ModeId request,
-                                              ModeId target,
-                                              LockDuration duration) {
+LockTable::Held* LockTable::GrantLocked(Resource* r, uint64_t tx,
+                                        ModeId request, ModeId target,
+                                        LockDuration duration) {
   Held* held = FindHeld(r, tx);
   if (held == nullptr) {
     r->granted.push_back({tx, Held{}});
     held = &r->granted.back().second;
-    shard->tx_locks[tx].push_back(r);
   }
   if (duration == LockDuration::kCommit) {
     held->long_mode = modes_->Convert(held->long_mode, request).result;
@@ -125,45 +115,69 @@ const LockTable::Held* LockTable::GrantLocked(Shard* shard, Resource* r,
 
 LockOutcome LockTable::Lock(uint64_t tx, std::string_view resource,
                             ModeId mode, LockDuration duration) {
-  // Cancellation outranks the cache: a cancelled transaction must see
-  // kCancelled on its next request even when the cache could serve it.
+  // Cancellation outranks the lock set: a cancelled transaction must see
+  // kCancelled on its next request even when its set could answer it.
   // The check is one acquire load (plus a counter load) in normal
   // operation; cancel_mu_ is only touched while sessions are actually
   // being torn down.
   if (IsCancelled(tx)) {
     stat_requests_.fetch_add(1, std::memory_order_relaxed);
     stat_cancelled_.fetch_add(1, std::memory_order_relaxed);
-    if (cache_enabled_) CacheInvalidate(tx);
     return {Status::Cancelled(), kNoMode, kNoMode};
   }
-  if (cache_enabled_) {
-    LockOutcome out;
-    // A hit is an immediately granted request served without touching
-    // the resource shards (and thus without fault-injection points,
-    // which model denials of real table requests). TryCacheHit does the
-    // hit/miss accounting shard-locally; GetStats folds hits into
-    // requests + immediate_grants.
-    if (TryCacheHit(tx, resource, mode, duration, &out)) {
-      return out;
+  // No-op fast path: the conversion matrix proves the request changes
+  // nothing the transaction holds — the table's own "already strong
+  // enough" early exit. kCommit requests also need the long component to
+  // cover the mode, or EndOperation would drop a lock the caller was
+  // promised until commit; with that, the duration bookkeeping the early
+  // exit does is moot (a kOperation request is covered at least until
+  // the next EndOperation).
+  // A hit touches no resource shard and no fault-injection point (those
+  // model denials of real table requests); GetStats folds the tx-shard
+  // hit counters into requests + immediate_grants.
+  TxShard& ts = TxShardFor(tx);
+  ModeId hit = kNoMode;
+  {
+    MutexLock guard(ts.mu);
+    auto it = ts.sets.find(tx);
+    if (it != ts.sets.end()) {
+      auto e = it->second.find(resource);
+      if (e != it->second.end()) {
+        const LockSetEntry& entry = e->second;
+        if (IsNoOp(*modes_, entry.effective, mode) &&
+            (duration != LockDuration::kCommit ||
+             IsNoOp(*modes_, entry.long_mode, mode))) {
+          ++ts.hits;
+          hit = entry.effective;
+        }
+      }
     }
   }
+  if (hit != kNoMode) {
+    if (options_.nonblocking) OnNonblockingGrant(tx, resource, hit, hit,
+                                                 duration);
+    return {Status::OK(), hit, kNoMode};
+  }
+
   stat_requests_.fetch_add(1, std::memory_order_relaxed);
-  LockOutcome out = LockSlow(tx, resource, mode, duration);
-  if (cache_enabled_) {
-    if (out.status.ok()) {
-      CacheStore(tx, resource, out);
-    } else {
-      // Denied request: the caller is expected to abort, but nothing
-      // forces it to — drop the whole cache so a transaction that limps
-      // on can never act on state the table may since have changed.
-      CacheInvalidate(tx);
-    }
+  LockSetEntry granted;
+  LockOutcome out = LockSlow(tx, resource, mode, duration, &granted);
+  // A denied request changed nothing in the table, so the set stays too.
+  if (!out.status.ok()) return out;
+  MutexLock guard(ts.mu);
+  LockSet& set = ts.sets[tx];
+  auto e = set.find(resource);
+  if (e == set.end()) {
+    set.emplace(std::string(resource), granted);
+  } else {
+    e->second = granted;
   }
   return out;
 }
 
 LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
-                                ModeId mode, LockDuration duration) {
+                                ModeId mode, LockDuration duration,
+                                LockSetEntry* granted) {
   if (options_.fault_injector != nullptr) {
     // Injection happens before any table state changes: the request is
     // denied exactly as a real timeout/victim denial would be, and the
@@ -189,10 +203,15 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
       return {Status::Deadlock("injected deadlock victim"), kNoMode, kNoMode};
     }
   }
-  Shard& shard = ShardFor(resource);
+  const uint32_t shard_index = ShardIndex(resource);
+  Shard& shard = *shards_[shard_index];
   MutexLock guard(shard.mu);
 
   Resource* r = GetOrCreate(&shard, resource);
+  auto grant = [&](const Held& h) {
+    *granted = {r, shard_index, h.long_mode, h.effective,
+                h.short_mode != kNoMode};
+  };
   Held* held = FindHeld(r, tx);
 
   ModeId target = mode;
@@ -216,7 +235,8 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
       stat_immediate_.fetch_add(1, std::memory_order_relaxed);
       if (options_.nonblocking) OnNonblockingGrant(tx, resource, target, target,
                                                   duration);
-      return {Status::OK(), held->effective, children_mode, held->long_mode};
+      grant(*held);
+      return {Status::OK(), held->effective, children_mode};
     }
     stat_conversions_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -225,11 +245,11 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
   if ((is_conversion || r->queue.empty()) &&
       CompatibleWithHolders(*r, tx, target)) {
     const ModeId previous = is_conversion ? held->effective : kNoMode;
-    const Held* h = GrantLocked(&shard, r, tx, mode, target, duration);
+    grant(*GrantLocked(r, tx, mode, target, duration));
     stat_immediate_.fetch_add(1, std::memory_order_relaxed);
     if (options_.nonblocking) OnNonblockingGrant(tx, resource, previous,
                                                  target, duration);
-    return {Status::OK(), target, children_mode, h->long_mode};
+    return {Status::OK(), target, children_mode};
   }
 
   // Nonblocking (model-checker) path: never enqueue or sleep. Register
@@ -284,7 +304,7 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
   stat_waits_.fetch_add(1, std::memory_order_relaxed);
   Waiter waiter{tx, target, is_conversion};
   if (is_conversion) {
-    r->queue.push_front(&waiter);  // conversions jump the queue
+    r->queue.insert(r->queue.begin(), &waiter);  // conversions jump the queue
   } else {
     r->queue.push_back(&waiter);
   }
@@ -309,14 +329,14 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
     std::vector<uint64_t> blockers =
         BlockersOf(*r, tx, target, is_conversion, &waiter);
     if (blockers.empty()) {
-      const Held* h = GrantLocked(&shard, r, tx, mode, target, duration);
+      grant(*GrantLocked(r, tx, mode, target, duration));
       RemoveWaiter(r, &waiter);
       {
         MutexLock g(graph_mu_);
         detector_.ClearEdges(tx);
       }
       shard.cv.notify_all();  // our dequeue may unblock fairness-waiters
-      return {Status::OK(), target, children_mode, h->long_mode};
+      return {Status::OK(), target, children_mode};
     }
 
     {
@@ -416,182 +436,91 @@ void LockTable::OnNonblockingGrant(uint64_t tx, std::string_view resource,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Transaction-private cache.
-//
-// Correctness invariant: while an entry for (tx, resource) exists, it
-// equals the table's (long_mode, effective) for that hold.
-//  * Entries are only written from successful Lock() outcomes, which
-//    carry the post-grant components (resulting_mode / resulting_long).
-//  * A hit requires Convert(effective, mode) == {effective, kNoMode}
-//    (and the same for long_mode on kCommit requests), which is exactly
-//    the table's "already strong enough" early-exit — the real call
-//    would change neither component, so skipping it preserves the
-//    mirror. In particular a conversion that would escalate the mode or
-//    demand Fig. 4 children locks can never hit.
-//  * EndOperation applies the same transition the table does
-//    (effective := long_mode, entry dropped when that is kNoMode); for
-//    entries whose table short component is empty this is a no-op
-//    because effective == long_mode already holds there.
-//  * ReleaseAll and failed requests drop the whole per-tx cache.
-// Because the invariant is unconditional, dropping entries at any point
-// is always safe — the next request merely misses and re-seeds from
-// table truth.
-// ---------------------------------------------------------------------------
+void LockTable::ReleaseInShards(
+    uint64_t tx, const std::vector<std::pair<uint32_t, Resource*>>& holds,
+    bool short_only) {
+  // Group the holds by shard with a counting sort: shard indexes are
+  // small, and a comparison sort's mispredicted branches on ~100 random
+  // keys cost about 4 of the 25 µs a CLUSTER1 commit's release takes
+  // (4-vCPU VM). Afterwards shard s's holds are grouped[end[s - 1] ..
+  // end[s]), with end[-1] taken as 0.
+  std::vector<uint32_t> end(shards_.size() + 1, 0);
+  for (const auto& h : holds) ++end[h.first + 1];
+  std::partial_sum(end.begin(), end.end(), end.begin());
+  std::vector<Resource*> grouped(holds.size());
+  for (const auto& [index, r] : holds) grouped[end[index]++] = r;
 
-LockTable::CacheShard& LockTable::CacheShardFor(uint64_t tx) const {
-  return *cache_shards_[std::hash<uint64_t>{}(tx) % cache_shards_.size()];
-}
-
-bool LockTable::TryCacheHit(uint64_t tx, std::string_view resource,
-                            ModeId mode, LockDuration duration,
-                            LockOutcome* out) const {
-  CacheShard& cs = CacheShardFor(tx);
-  MutexLock guard(cs.mu);
-  auto it = cs.tx.find(tx);
-  if (it == cs.tx.end()) {
-    ++cs.misses;
-    return false;
-  }
-  auto eit = it->second.find(resource);
-  if (eit == it->second.end()) {
-    ++cs.misses;
-    return false;
-  }
-  const CacheEntry& e = eit->second;
-  const Conversion conv = modes_->Convert(e.effective, mode);
-  if (conv.result != e.effective || conv.children_mode != kNoMode) {
-    ++cs.misses;
-    return false;
-  }
-  if (duration == LockDuration::kCommit) {
-    // The effective mode covering the request is not enough: if only the
-    // short component covers it, EndOperation would drop a lock the
-    // caller was promised until commit.
-    const Conversion long_conv = modes_->Convert(e.long_mode, mode);
-    if (long_conv.result != e.long_mode || long_conv.children_mode != kNoMode) {
-      ++cs.misses;
-      return false;
+  uint32_t begin = 0;
+  for (size_t s = 0; s < shards_.size(); begin = end[s], ++s) {
+    if (begin == end[s]) continue;
+    Shard& shard = *shards_[s];
+    MutexLock guard(shard.mu);
+    for (uint32_t i = begin; i < end[s]; ++i) {
+      Resource* r = grouped[i];
+      auto git = std::find_if(r->granted.begin(), r->granted.end(),
+                              [tx](const auto& p) { return p.first == tx; });
+      // The set and the holder lists change together; a miss means one
+      // side was updated without the other.
+      XTC_CHECK(git != r->granted.end(),
+                "lock set names a resource the transaction does not hold");
+      Held& h = git->second;
+      if (short_only && h.long_mode != kNoMode) {
+        h.short_mode = kNoMode;
+        h.effective = h.long_mode;
+      } else {
+        r->granted.erase(git);
+        EraseResourceIfIdle(&shard, r);
+      }
     }
+    shard.cv.notify_all();
   }
-  ++cs.hits;
-  *out = {Status::OK(), e.effective, kNoMode, e.long_mode};
-  return true;
-}
-
-void LockTable::CacheStore(uint64_t tx, std::string_view resource,
-                           const LockOutcome& out) {
-  CacheShard& cs = CacheShardFor(tx);
-  MutexLock guard(cs.mu);
-  auto& entries = cs.tx[tx];
-  auto it = entries.find(resource);
-  if (it == entries.end()) {
-    entries.emplace(std::string(resource),
-                    CacheEntry{out.resulting_long, out.resulting_mode});
-  } else {
-    it->second = CacheEntry{out.resulting_long, out.resulting_mode};
-  }
-}
-
-void LockTable::CacheEndOperation(uint64_t tx) {
-  CacheShard& cs = CacheShardFor(tx);
-  MutexLock guard(cs.mu);
-  auto it = cs.tx.find(tx);
-  if (it == cs.tx.end()) return;
-  auto& entries = it->second;
-  for (auto eit = entries.begin(); eit != entries.end();) {
-    if (eit->second.long_mode == kNoMode) {
-      eit = entries.erase(eit);
-    } else {
-      eit->second.effective = eit->second.long_mode;
-      ++eit;
-    }
-  }
-  if (entries.empty()) cs.tx.erase(it);
-}
-
-void LockTable::CacheInvalidate(uint64_t tx) {
-  CacheShard& cs = CacheShardFor(tx);
-  MutexLock guard(cs.mu);
-  auto it = cs.tx.find(tx);
-  if (it == cs.tx.end()) return;
-  cs.tx.erase(it);
-  stat_cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
-}
-
-ModeId LockTable::CachedMode(uint64_t tx, std::string_view resource) const {
-  if (!cache_enabled_) return kNoMode;
-  CacheShard& cs = CacheShardFor(tx);
-  MutexLock guard(cs.mu);
-  auto it = cs.tx.find(tx);
-  if (it == cs.tx.end()) return kNoMode;
-  auto eit = it->second.find(resource);
-  return eit == it->second.end() ? kNoMode : eit->second.effective;
-}
-
-size_t LockTable::CachedLocksFor(uint64_t tx) const {
-  if (!cache_enabled_) return 0;
-  CacheShard& cs = CacheShardFor(tx);
-  MutexLock guard(cs.mu);
-  auto it = cs.tx.find(tx);
-  return it == cs.tx.end() ? 0 : it->second.size();
 }
 
 void LockTable::EndOperation(uint64_t tx) {
-  if (cache_enabled_) CacheEndOperation(tx);
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    MutexLock guard(shard.mu);
-    auto it = shard.tx_locks.find(tx);
-    if (it == shard.tx_locks.end()) continue;
-    auto& list = it->second;
-    bool changed = false;
-    for (size_t i = 0; i < list.size();) {
-      Resource* r = list[i];
-      Held* h = FindHeld(r, tx);
-      // tx_locks and granted must stay in lockstep; a miss here means a
-      // release path forgot one side and downgrades would corrupt state.
-      XTC_CHECK(h != nullptr,
-                "tx_locks lists a resource the transaction no longer holds");
-      if (h->short_mode != kNoMode) {
-        h->short_mode = kNoMode;
-        h->effective = h->long_mode;
-        changed = true;
-        if (h->effective == kNoMode) {
-          auto git =
-              std::find_if(r->granted.begin(), r->granted.end(),
-                           [tx](const auto& p) { return p.first == tx; });
-          r->granted.erase(git);
-          EraseResourceIfIdle(&shard, r);
-          list[i] = list.back();
-          list.pop_back();
-          continue;
-        }
+  // The table's transition, applied to the set first: effective := long,
+  // pure-short holds dropped.
+  std::vector<std::pair<uint32_t, Resource*>> shorts;
+  {
+    TxShard& ts = TxShardFor(tx);
+    MutexLock guard(ts.mu);
+    auto it = ts.sets.find(tx);
+    if (it == ts.sets.end()) return;
+    LockSet& set = it->second;
+    for (auto e = set.begin(); e != set.end();) {
+      LockSetEntry& entry = e->second;
+      if (!entry.has_short) {
+        ++e;
+        continue;
       }
-      ++i;
+      shorts.emplace_back(entry.shard, entry.resource);
+      if (entry.long_mode == kNoMode) {
+        e = set.erase(e);
+        continue;
+      }
+      entry.effective = entry.long_mode;
+      entry.has_short = false;
+      ++e;
     }
-    if (list.empty()) shard.tx_locks.erase(it);
-    if (changed) shard.cv.notify_all();
+    if (set.empty()) ts.sets.erase(it);
   }
+  ReleaseInShards(tx, shorts, /*short_only=*/true);
 }
 
 void LockTable::ReleaseAll(uint64_t tx) {
-  // Cache first: it must never claim a lock the table has let go.
-  if (cache_enabled_) CacheInvalidate(tx);
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    MutexLock guard(shard.mu);
-    auto it = shard.tx_locks.find(tx);
-    if (it == shard.tx_locks.end()) continue;
-    for (Resource* r : it->second) {
-      auto git = std::find_if(r->granted.begin(), r->granted.end(),
-                              [tx](const auto& p) { return p.first == tx; });
-      if (git != r->granted.end()) r->granted.erase(git);
-      EraseResourceIfIdle(&shard, r);
+  std::vector<std::pair<uint32_t, Resource*>> holds;
+  {
+    TxShard& ts = TxShardFor(tx);
+    MutexLock guard(ts.mu);
+    auto it = ts.sets.find(tx);
+    if (it != ts.sets.end()) {
+      holds.reserve(it->second.size());
+      for (const auto& [name, entry] : it->second) {
+        holds.emplace_back(entry.shard, entry.resource);
+      }
+      ts.sets.erase(it);
     }
-    shard.tx_locks.erase(it);
-    shard.cv.notify_all();
   }
+  ReleaseInShards(tx, holds, /*short_only=*/false);
   {
     MutexLock g(graph_mu_);
     detector_.ClearEdges(tx);
@@ -651,13 +580,10 @@ size_t LockTable::NumWaitingTransactions() const {
 }
 
 size_t LockTable::LocksHeldBy(uint64_t tx) const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock guard(shard->mu);
-    auto it = shard->tx_locks.find(tx);
-    if (it != shard->tx_locks.end()) total += it->second.size();
-  }
-  return total;
+  TxShard& ts = TxShardFor(tx);
+  MutexLock guard(ts.mu);
+  auto it = ts.sets.find(tx);
+  return it == ts.sets.end() ? 0 : it->second.size();
 }
 
 LockTableStats LockTable::GetStats() const {
@@ -671,15 +597,12 @@ LockTableStats LockTable::GetStats() const {
   s.timeouts = stat_timeouts_.load(std::memory_order_relaxed);
   s.conversions = stat_conversions_.load(std::memory_order_relaxed);
   s.cancelled = stat_cancelled_.load(std::memory_order_relaxed);
-  s.cache_invalidations =
-      stat_cache_invalidations_.load(std::memory_order_relaxed);
-  for (const auto& cs : cache_shards_) {
-    MutexLock guard(cs->mu);
-    s.cache_hits += cs->hits;
-    s.cache_misses += cs->misses;
+  for (const auto& ts : tx_shards_) {
+    MutexLock guard(ts->mu);
+    s.cache_hits += ts->hits;
   }
-  // A cache hit is an immediately granted request that never reached the
-  // global counters.
+  // A lock-set hit is an immediately granted request that never reached
+  // the global counters.
   s.requests += s.cache_hits;
   s.immediate_grants += s.cache_hits;
   return s;
@@ -700,11 +623,9 @@ void LockTable::ResetStats() {
   stat_timeouts_.store(0, std::memory_order_relaxed);
   stat_conversions_.store(0, std::memory_order_relaxed);
   stat_cancelled_.store(0, std::memory_order_relaxed);
-  stat_cache_invalidations_.store(0, std::memory_order_relaxed);
-  for (const auto& cs : cache_shards_) {
-    MutexLock guard(cs->mu);
-    cs->hits = 0;
-    cs->misses = 0;
+  for (const auto& ts : tx_shards_) {
+    MutexLock guard(ts->mu);
+    ts->hits = 0;
   }
 }
 

@@ -19,24 +19,24 @@
 // so deadlocks are detected immediately. The requester that closes a
 // cycle is the victim; it receives kDeadlock and must abort.
 //
-// Transaction-private lock cache: every DOM operation re-acquires the
-// whole ancestor path of intention locks (§3.2), so the vast majority of
-// requests ask for a mode the transaction already holds. With the cache
-// enabled (LockTableOptions::tx_lock_cache), LockTable keeps a per-tx
-// mirror of (long_mode, effective) for each held resource, sharded by
-// transaction id so cache lookups never touch the contended resource
-// shards. A request is served from the cache — skipping the resource
-// shard round trip entirely — only when the conversion matrix proves it
-// is a no-op: Convert(effective, mode) == {effective, kNoMode} (and, for
-// kCommit requests, the same for the long component, so a short hold is
-// never mistaken for commit-duration coverage). Because entries are only
-// ever written from Lock() outcomes (table truth), the mirror is exact
-// while it exists, and dropping it at any time is always safe. It is
-// dropped/downgraded coherently on EndOperation, ReleaseAll, and any
-// failed request (deadlock/timeout victimization, including fault-
-// injected victims). Conversions that would escalate the mode or demand
-// Fig. 4 children_mode side effects never match the hit condition, so
-// they always take the full table path.
+// Lock sets: every DOM operation re-acquires the whole ancestor path of
+// intention locks (§3.2), so most requests ask for a mode the transaction
+// already holds. LockTable keeps one lock set per transaction — resource
+// -> {Resource*, long_mode, effective, has_short} — as the only record of
+// what that transaction holds; the resource shards keep only the holder
+// lists. The sets are sharded by transaction id, and only the owning
+// transaction's Lock/EndOperation/ReleaseAll change its set, so the set
+// can never go stale and nothing has to invalidate it.
+//  * Lock() answers a request from the set alone when the conversion
+//    matrix proves it a no-op: Convert(effective, mode) == {effective,
+//    kNoMode}, and for kCommit requests the same for long_mode (a short
+//    hold never stands in for a commit lock). Every other request takes
+//    the resource shard; its grant writes the entry. A denied request
+//    changes neither the table nor the set.
+//  * EndOperation and ReleaseAll walk the transaction's own set and lock
+//    only the resource shards it names, each once: O(locks held).
+//  * Lock order: a tx-shard mutex and a resource-shard mutex are never
+//    held at the same time.
 //
 // Cancellation: a waiter parked on a shard CV sleeps toward wait_timeout
 // (10 s by default) — far too long for coordinator stop, server drain, or
@@ -73,9 +73,9 @@ namespace xtc {
 enum class LockDuration : uint8_t { kOperation = 0, kCommit = 1 };
 
 /// Observation hook for the protocol model checker (tools/protoverify).
-/// Callbacks fire from inside Lock() while the resource shard mutex is
-/// held, so implementations must not call back into the table. The
-/// threaded engine never installs one; see LockTableOptions::probe.
+/// Callbacks fire from inside Lock(), mostly while the resource shard
+/// mutex is held, so implementations must not call back into the table.
+/// The threaded engine never installs one; see LockTableOptions::probe.
 class LockEventProbe {
  public:
   virtual ~LockEventProbe() = default;
@@ -104,10 +104,6 @@ struct LockOutcome {
   /// Non-kNoMode when the conversion demands locks on all direct
   /// children (Fig. 4 subscripted rules); the protocol performs them.
   ModeId children_mode = kNoMode;
-  /// Commit-duration component of the hold after this grant (kNoMode for
-  /// a purely operation-duration hold). The tx-private cache seeds its
-  /// entries from this so cached state is always table truth.
-  ModeId resulting_long = kNoMode;
 };
 
 struct LockTableStats {
@@ -121,21 +117,11 @@ struct LockTableStats {
   /// Requests denied with kCancelled (coordinator stop, server drain, or
   /// a per-transaction cancel on client disconnect).
   uint64_t cancelled = 0;
-  /// Tx-private cache: requests served without a resource-shard round
-  /// trip (these still count as requests + immediate_grants).
+  /// Requests answered from the transaction's lock set without a
+  /// resource-shard round trip (these still count as requests +
+  /// immediate_grants).
   uint64_t cache_hits = 0;
-  /// Requests that consulted the cache but took the full table path.
-  uint64_t cache_misses = 0;
-  /// Times a transaction's whole cache was dropped (ReleaseAll or a
-  /// failed request — deadlock/timeout/injected victim).
-  uint64_t cache_invalidations = 0;
 };
-
-/// Tri-state toggle for the transaction-private lock cache. kAuto reads
-/// the XTC_TX_LOCK_CACHE environment variable at table construction
-/// ("0" disables) and defaults to enabled, so the whole test suite can
-/// run both ways without code changes.
-enum class TxLockCache : uint8_t { kAuto = 0, kEnabled = 1, kDisabled = 2 };
 
 struct LockTableOptions {
   Duration wait_timeout = std::chrono::seconds(10);
@@ -146,8 +132,6 @@ struct LockTableOptions {
   /// When set, Lock() evaluates the "lock.timeout" and "lock.deadlock"
   /// fault points on entry (spurious timeout / forced victim status).
   FaultInjector* fault_injector = nullptr;
-  /// Transaction-private lock cache (see file comment).
-  TxLockCache tx_lock_cache = TxLockCache::kAuto;
   /// Deterministic single-threaded mode for the protocol model checker:
   /// a request that would have to wait returns kWouldBlock immediately
   /// instead of blocking on the shard condition variable. The waiter's
@@ -238,15 +222,8 @@ class LockTable {
   std::vector<HoldSnapshot> SnapshotHolds() const;
   ModeId HeldMode(uint64_t tx, std::string_view resource) const;
   size_t NumLockedResources() const;
+  /// Size of the transaction's lock set: one tx-shard lookup.
   size_t LocksHeldBy(uint64_t tx) const;
-  /// Whether the tx-private cache is active (options resolved).
-  bool tx_cache_enabled() const { return cache_enabled_; }
-  /// Effective mode the cache remembers for (tx, resource); kNoMode when
-  /// no entry exists. While an entry exists it mirrors HeldMode exactly;
-  /// an absent entry says nothing (the cache is dropped conservatively).
-  ModeId CachedMode(uint64_t tx, std::string_view resource) const;
-  /// Number of resources the tx-private cache remembers for `tx`.
-  size_t CachedLocksFor(uint64_t tx) const;
   /// Residual wait-for-graph entries (must be 0 when the system is
   /// quiescent — every waiter clears its edges on grant/deadlock/timeout
   /// and ReleaseAll clears the rest).
@@ -273,7 +250,10 @@ class LockTable {
   struct Resource {
     std::string name;
     std::vector<std::pair<uint64_t, Held>> granted;
-    std::deque<Waiter*> queue;
+    /// FIFO waiters (conversions at the front). A vector, not a deque:
+    /// queues are short, and an empty std::deque still allocates, which
+    /// every resource pays on creation and release.
+    std::vector<Waiter*> queue;
   };
 
   /// Heterogeneous (string_view) lookup so the hot path never builds a
@@ -291,72 +271,59 @@ class LockTable {
     std::unordered_map<std::string, std::unique_ptr<Resource>, StringHash,
                        std::equal_to<>>
         resources XTC_GUARDED_BY(mu);
-    // Resources in this shard each transaction holds locks on.
-    std::unordered_map<uint64_t, std::vector<Resource*>>
-        tx_locks XTC_GUARDED_BY(mu);
   };
 
-  // --- Transaction-private cache (see file comment) ---
-
-  /// Mirror of the Held components the hit condition needs. The short
-  /// component is deliberately absent: EndOperation's transition
-  /// (effective := long, drop if long == kNoMode) is expressible without
-  /// it, and a hit never changes either component.
-  struct CacheEntry {
+  /// One lock-set entry: where the hold lives and the components the
+  /// hit condition and the release paths need. `resource` stays valid
+  /// while the entry exists, because a Resource is only erased once it
+  /// has no holders.
+  struct LockSetEntry {
+    Resource* resource = nullptr;
+    uint32_t shard = 0;
     ModeId long_mode = kNoMode;
     ModeId effective = kNoMode;
+    bool has_short = false;
   };
 
-  using TxCacheEntries =
-      std::unordered_map<std::string, CacheEntry, StringHash, std::equal_to<>>;
+  using LockSet = std::unordered_map<std::string, LockSetEntry, StringHash,
+                                     std::equal_to<>>;
 
-  /// Sharded by transaction id, not resource: a transaction's lookups all
+  /// Lock sets sharded by transaction id: a transaction's lookups all
   /// land on one shard that other transactions touch only by id-hash
-  /// collision, so the hot path is effectively contention-free. Hit/miss
-  /// counters live here too (plain fields under the shard mutex the hit
-  /// path already holds): global atomics would put two contended
-  /// cache-line bounces on every hit and erase most of the win. Aligned
-  /// so adjacent heap-allocated shards never share a cache line — every
-  /// probe writes the counters, and cross-shard false sharing would turn
-  /// those thread-private writes back into cross-core traffic.
-  struct alignas(128) CacheShard {
+  /// collision. The hit counter lives here too, under the mutex the hit
+  /// path already holds. Aligned so adjacent shards never share a cache
+  /// line.
+  struct alignas(128) TxShard {
     mutable Mutex mu;
-    std::unordered_map<uint64_t, TxCacheEntries> tx XTC_GUARDED_BY(mu);
+    std::unordered_map<uint64_t, LockSet> sets XTC_GUARDED_BY(mu);
     uint64_t hits XTC_GUARDED_BY(mu) = 0;
-    uint64_t misses XTC_GUARDED_BY(mu) = 0;
   };
 
-  CacheShard& CacheShardFor(uint64_t tx) const;
-  /// Serves the request from the cache when the conversion matrix proves
-  /// it is a no-op at the requested duration. Fills *out on hit and does
-  /// all hit/miss accounting (shard-local; a hit touches no global
-  /// atomic at all).
-  bool TryCacheHit(uint64_t tx, std::string_view resource, ModeId mode,
-                   LockDuration duration, LockOutcome* out) const;
-  /// Records a successful Lock() outcome (table truth) for (tx, resource).
-  void CacheStore(uint64_t tx, std::string_view resource,
-                  const LockOutcome& out);
-  /// EndOperation transition: effective := long, drop pure-short entries.
-  void CacheEndOperation(uint64_t tx);
-  /// Drops everything the cache knows about `tx` (ReleaseAll / any failed
-  /// request). Counts a cache_invalidation if entries existed.
-  void CacheInvalidate(uint64_t tx);
-
-  Shard& ShardFor(std::string_view resource) const;
+  TxShard& TxShardFor(uint64_t tx) const;
+  uint32_t ShardIndex(std::string_view resource) const;
+  Shard& ShardFor(std::string_view resource) const {
+    return *shards_[ShardIndex(resource)];
+  }
 
   /// True when CancelWaiters() fired or `tx` is individually cancelled.
   bool IsCancelled(uint64_t tx) const XTC_EXCLUDES(cancel_mu_);
   /// Wakes every shard CV so parked waiters re-check their cancel state.
   void WakeAllShards();
 
-  /// The full table path of Lock() (everything after the cache probe).
+  /// The resource-shard path of Lock() (everything after the lock-set
+  /// probe). On a grant, fills *granted with the new lock-set entry.
   LockOutcome LockSlow(uint64_t tx, std::string_view resource, ModeId mode,
-                       LockDuration duration);
+                       LockDuration duration, LockSetEntry* granted);
+  /// Drops the transaction's grant on each named resource — or, with
+  /// `short_only`, its short component — locking each shard once.
+  void ReleaseInShards(
+      uint64_t tx, const std::vector<std::pair<uint32_t, Resource*>>& holds,
+      bool short_only);
 
-  /// Nonblocking-mode bookkeeping for every successful grant: clears the
-  /// transaction's wait-for edges (its pending retry succeeded) and fires
-  /// the probe. Called with the resource shard mutex held; takes
-  /// graph_mu_, consistent with the shard-then-graph lock order.
+  /// Nonblocking-mode bookkeeping for every successful grant, lock-set
+  /// hits included: clears the transaction's wait-for edges (its pending
+  /// retry succeeded) and fires the probe. Takes graph_mu_, consistent
+  /// with the shard-then-graph lock order.
   void OnNonblockingGrant(uint64_t tx, std::string_view resource,
                           ModeId previous, ModeId effective,
                           LockDuration duration) XTC_EXCLUDES(graph_mu_);
@@ -375,17 +342,14 @@ class LockTable {
   static void RemoveWaiter(Resource* r, Waiter* w);
   static void EraseResourceIfIdle(Shard* shard, Resource* r)
       XTC_REQUIRES(shard->mu);
-  /// Applies the grant to the holder entry and returns it (so callers can
-  /// read the post-grant long component for the cache).
-  const Held* GrantLocked(Shard* shard, Resource* r, uint64_t tx,
-                          ModeId request, ModeId target, LockDuration duration)
-      XTC_REQUIRES(shard->mu);
+  /// Applies the grant to the holder entry and returns it.
+  Held* GrantLocked(Resource* r, uint64_t tx, ModeId request, ModeId target,
+                    LockDuration duration);
 
   const ModeTable* modes_;
   LockTableOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  bool cache_enabled_ = false;
-  std::vector<std::unique_ptr<CacheShard>> cache_shards_;
+  std::vector<std::unique_ptr<TxShard>> tx_shards_;
 
   // Wait-for graph; only touched when a request blocks. Ordering: a
   // thread may take graph_mu_ while holding a shard mutex (Lock's block
@@ -414,7 +378,6 @@ class LockTable {
   std::atomic<uint64_t> stat_timeouts_{0};
   std::atomic<uint64_t> stat_conversions_{0};
   std::atomic<uint64_t> stat_cancelled_{0};
-  std::atomic<uint64_t> stat_cache_invalidations_{0};
 };
 
 }  // namespace xtc

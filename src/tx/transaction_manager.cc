@@ -27,9 +27,8 @@ Status TransactionManager::Commit(Transaction& tx,
       tx.undo_log().clear();
       tx.set_state(TxState::kAborted);
       lock_manager_->ReleaseAll(tx.LockView());
-      XTC_CHECK(
-          lock_manager_->protocol().table().CachedLocksFor(tx.id()) == 0,
-          "tx lock cache survived ReleaseAll at failed commit");
+      XTC_CHECK(lock_manager_->protocol().table().LocksHeldBy(tx.id()) == 0,
+                "lock set survived ReleaseAll at failed commit");
       aborted_.fetch_add(1, std::memory_order_relaxed);
       {
         MutexLock guard(mu_);
@@ -42,11 +41,11 @@ Status TransactionManager::Commit(Transaction& tx,
   }
   tx.set_state(TxState::kCommitted);
   lock_manager_->ReleaseAll(tx.LockView());
-  // ReleaseAll must leave nothing behind in the tx-private lock cache: a
-  // stale entry would let a recycled transaction id "hold" a lock the
+  // ReleaseAll must leave nothing behind in the transaction's lock set: a
+  // surviving entry would let a recycled transaction id "hold" a lock the
   // table has long since granted to somebody else.
-  XTC_CHECK(lock_manager_->protocol().table().CachedLocksFor(tx.id()) == 0,
-            "tx lock cache survived ReleaseAll at commit");
+  XTC_CHECK(lock_manager_->protocol().table().LocksHeldBy(tx.id()) == 0,
+            "lock set survived ReleaseAll at commit");
   {
     MutexLock guard(mu_);
     active_.erase(tx.id());
@@ -89,10 +88,10 @@ Status TransactionManager::Abort(Transaction& tx) {
   if (wal_ != nullptr) wal_->AppendEnd(tx.id());
   tx.set_state(TxState::kAborted);
   lock_manager_->ReleaseAll(tx.LockView());
-  // Same invariant as at commit — and aborts are exactly where stale
-  // cache state would be most dangerous (deadlock victims retry).
-  XTC_CHECK(lock_manager_->protocol().table().CachedLocksFor(tx.id()) == 0,
-            "tx lock cache survived ReleaseAll at abort");
+  // Same invariant as at commit — and aborts are exactly where a leaked
+  // hold would be most dangerous (deadlock victims retry).
+  XTC_CHECK(lock_manager_->protocol().table().LocksHeldBy(tx.id()) == 0,
+            "lock set survived ReleaseAll at abort");
   aborted_.fetch_add(1, std::memory_order_relaxed);
   {
     MutexLock guard(mu_);

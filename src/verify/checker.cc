@@ -216,7 +216,6 @@ ConflictMatrix BuildConflictMatrix(std::string_view protocol) {
   LockTableOptions topt;
   topt.nonblocking = true;
   topt.probe = &probe;
-  topt.tx_lock_cache = TxLockCache::kDisabled;
   std::unique_ptr<XmlProtocol> proto = CreateProtocol(protocol, topt);
   if (proto == nullptr) {
     out.violations.push_back("unknown protocol: " + out.protocol);

@@ -324,9 +324,6 @@ EnumResult EnumerateSchedules(const Scenario& scenario,
   LockTableOptions topt;
   topt.nonblocking = true;
   topt.probe = &probe;
-  // The tx-private cache short-circuits no-op conversions before the
-  // probe sees them; keep every request observable.
-  topt.tx_lock_cache = TxLockCache::kDisabled;
   if (options.mutate_options) options.mutate_options(&topt);
 
   std::unique_ptr<XmlProtocol> proto = CreateProtocol(options.protocol, topt);

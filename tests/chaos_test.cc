@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -201,50 +202,96 @@ TEST(ChaosAbortTest, InjectedUndoFailuresDoNotStopTheRollback) {
       << st.ToString();
 }
 
-TEST(ChaosAbortTest, InjectedVictimWithWarmLockCacheObservesInvalidation) {
-  // A transaction whose tx-private lock cache is fully warmed gets
-  // victimized by an injected deadlock: the denial must drop its cache
-  // (the entries still mirror table state the victim is about to lose),
-  // the abort must pass the ReleaseAll cache invariant check, and a
-  // retry must rebuild everything from the table, not from stale hits.
-  FaultInjector faults(7);
-  LockTableOptions options;
-  options.fault_injector = &faults;
-  options.tx_lock_cache = TxLockCache::kEnabled;
-  auto protocol = CreateProtocol("taDOM3+", options);
-  LockManager lm(protocol.get());
-  TransactionManager tm(&lm, &faults);
-  LockTable& table = protocol->table();
+TEST(ChaosAbortTest, DeniedRequestLeavesTheLockSetIntact) {
+  // However a lock request is denied — timeout, real or injected
+  // deadlock, cancellation — it changed no holding, so the table and the
+  // transaction's lock set stay exactly as they were: a covered re-lock
+  // still succeeds (except once cancelled), and the abort's ReleaseAll
+  // empties the set (TransactionManager::Abort hard-checks it too).
+  enum class Denial {
+    kTimeout,
+    kInjectedTimeout,
+    kDeadlock,
+    kInjectedDeadlock,
+    kCancelled
+  };
+  for (Denial denial : {Denial::kTimeout, Denial::kInjectedTimeout,
+                        Denial::kDeadlock, Denial::kInjectedDeadlock,
+                        Denial::kCancelled}) {
+    SCOPED_TRACE("denial " + std::to_string(static_cast<int>(denial)));
+    FaultInjector faults(7);
+    LockTableOptions options;
+    options.fault_injector = &faults;
+    options.wait_timeout = Millis(100);
+    auto protocol = CreateProtocol("taDOM3+", options);
+    LockManager lm(protocol.get());
+    TransactionManager tm(&lm, &faults);
+    LockTable& table = protocol->table();
 
-  auto tx = tm.Begin(IsolationLevel::kRepeatable, 7);
-  const Splid node = *Splid::Parse("1.3.3");
-  ASSERT_TRUE(lm.NodeRead(tx->LockView(), node).ok());
-  ASSERT_TRUE(lm.NodeRead(tx->LockView(), node).ok());  // warm: pure hits
-  const LockTableStats warm = table.GetStats();
-  EXPECT_GT(warm.cache_hits, 0u);
-  EXPECT_GT(table.CachedLocksFor(tx->id()), 0u);
+    auto tx = tm.Begin(IsolationLevel::kRepeatable, 7);
+    auto rival = tm.Begin(IsolationLevel::kRepeatable, 7);
+    const Splid mine = *Splid::Parse("1.3.3");
+    const Splid theirs = *Splid::Parse("1.3.5");
+    ASSERT_TRUE(lm.NodeRead(tx->LockView(), mine).ok());
+    ASSERT_TRUE(lm.NodeWrite(rival->LockView(), theirs).ok());
+    const size_t held = table.LocksHeldBy(tx->id());
+    const ModeId mine_mode = table.HeldMode(tx->id(), NodeResource(mine));
+    ASSERT_GT(held, 0u);
 
-  faults.Arm(fault_points::kLockDeadlock, {.probability = 1.0});
-  Status st = lm.NodeWrite(tx->LockView(), node);
-  EXPECT_TRUE(st.IsDeadlock()) << st.ToString();
-  // Victimization dropped the whole per-tx cache immediately, before the
-  // transaction even aborts.
-  EXPECT_EQ(table.CachedLocksFor(tx->id()), 0u);
-  EXPECT_GE(table.GetStats().cache_invalidations, 1u);
-  ASSERT_TRUE(tm.Abort(*tx).ok());
-  EXPECT_EQ(table.LocksHeldBy(tx->id()), 0u);
-  faults.Disarm(fault_points::kLockDeadlock);
+    // For the real deadlock: the rival parks on the tx's read lock, so
+    // the tx's own wait on the rival's write lock closes the cycle.
+    Status rival_wait = Status::OK();
+    std::thread parked;
+    Status st;
+    switch (denial) {
+      case Denial::kTimeout:
+        st = lm.NodeRead(tx->LockView(), theirs);
+        EXPECT_EQ(st.code(), StatusCode::kLockTimeout) << st.ToString();
+        break;
+      case Denial::kInjectedTimeout:
+        faults.Arm(fault_points::kLockTimeout, {.probability = 1.0});
+        st = lm.NodeWrite(tx->LockView(), mine);
+        faults.Disarm(fault_points::kLockTimeout);
+        EXPECT_EQ(st.code(), StatusCode::kLockTimeout) << st.ToString();
+        break;
+      case Denial::kDeadlock:
+        parked = std::thread([&] {
+          rival_wait = lm.NodeWrite(rival->LockView(), mine);
+        });
+        while (table.NumWaitingTransactions() < 1) SleepFor(Millis(1));
+        st = lm.NodeRead(tx->LockView(), theirs);
+        EXPECT_TRUE(st.IsDeadlock()) << st.ToString();
+        break;
+      case Denial::kInjectedDeadlock:
+        faults.Arm(fault_points::kLockDeadlock, {.probability = 1.0});
+        st = lm.NodeWrite(tx->LockView(), mine);
+        faults.Disarm(fault_points::kLockDeadlock);
+        EXPECT_TRUE(st.IsDeadlock()) << st.ToString();
+        break;
+      case Denial::kCancelled:
+        table.CancelTx(tx->id());
+        st = lm.NodeRead(tx->LockView(), mine);
+        EXPECT_TRUE(st.IsCancelled()) << st.ToString();
+        break;
+    }
+    EXPECT_EQ(table.LocksHeldBy(tx->id()), held);
+    EXPECT_EQ(table.HeldMode(tx->id(), NodeResource(mine)), mine_mode);
+    if (denial == Denial::kCancelled) {
+      EXPECT_TRUE(lm.NodeRead(tx->LockView(), mine).IsCancelled());
+    } else {
+      const uint64_t hits = table.GetStats().cache_hits;
+      EXPECT_TRUE(lm.NodeRead(tx->LockView(), mine).ok());
+      EXPECT_GT(table.GetStats().cache_hits, hits);
+    }
 
-  // Recovery: the retry re-acquires through the table (misses first,
-  // hits after) and commits cleanly.
-  const uint64_t misses_before = table.GetStats().cache_misses;
-  auto retry = tm.Begin(IsolationLevel::kRepeatable, 7);
-  ASSERT_TRUE(lm.NodeWrite(retry->LockView(), node).ok());
-  EXPECT_GT(table.GetStats().cache_misses, misses_before);
-  ASSERT_TRUE(lm.NodeWrite(retry->LockView(), node).ok());
-  ASSERT_TRUE(tm.Commit(*retry).ok());
-  EXPECT_EQ(table.CachedLocksFor(retry->id()), 0u);
-  EXPECT_EQ(table.LocksHeldBy(retry->id()), 0u);
+    ASSERT_TRUE(tm.Abort(*tx).ok());
+    EXPECT_EQ(table.LocksHeldBy(tx->id()), 0u);
+    if (parked.joinable()) parked.join();
+    EXPECT_TRUE(rival_wait.ok()) << rival_wait.ToString();
+    ASSERT_TRUE(tm.Commit(*rival).ok());
+    EXPECT_EQ(table.NumLockedResources(), 0u);
+    EXPECT_EQ(table.NumWaitingTransactions(), 0u);
+  }
 }
 
 // --- Invariant helpers -------------------------------------------------------

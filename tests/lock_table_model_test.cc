@@ -1,7 +1,8 @@
 // Model-based randomized testing of the lock table: a reference model of
 // granted modes is maintained alongside; after every step the invariants
 // must hold — pairwise compatibility of granted locks, single lock per
-// (tx, resource), conversion monotonicity, and exact release semantics.
+// (tx, resource), conversion monotonicity, exact release semantics, and
+// each transaction's lock set matching the holds the model lists for it.
 
 #include <gtest/gtest.h>
 
@@ -99,6 +100,12 @@ TEST_F(LockTableModelTest, RandomSingleThreadedOpsMatchModel) {
         }
       }
     }
+    for (uint64_t t = 1; t <= 6; ++t) {
+      size_t holds = 0;
+      for (const auto& [r, holders] : model) holds += holders.count(t);
+      ASSERT_EQ(table_->LocksHeldBy(t), holds)
+          << "step " << step << " tx " << t;
+    }
   }
   // Drain and verify emptiness.
   for (uint64_t tx = 1; tx <= 6; ++tx) table_->ReleaseAll(tx);
@@ -126,10 +133,13 @@ TEST_F(LockTableModelTest, ShortLocksModeledSeparately) {
                         : modes_.Convert(long_mode, mode).result;
       }
     }
+    ASSERT_EQ(table_->LocksHeldBy(1), 1u);
     table_->EndOperation(1);
     ASSERT_EQ(table_->HeldMode(1, "res"), long_mode) << "round " << round;
+    ASSERT_EQ(table_->LocksHeldBy(1), long_mode == kNoMode ? 0u : 1u);
     table_->ReleaseAll(1);
     ASSERT_EQ(table_->HeldMode(1, "res"), kNoMode);
+    ASSERT_EQ(table_->LocksHeldBy(1), 0u);
   }
 }
 

@@ -289,41 +289,30 @@ TEST_F(LockTableTest, InjectedLockFaultsShortCircuitRequests) {
   EXPECT_EQ(events[0].victim, 2u);
 }
 
-/// Fixture whose table has the tx-private lock cache explicitly enabled,
-/// so these tests assert the same behaviour regardless of the
-/// XTC_TX_LOCK_CACHE environment the suite runs under.
-class LockCacheTest : public LockTableTest {
- protected:
-  LockCacheTest() {
-    LockTableOptions options;
-    options.wait_timeout = Millis(300);
-    options.tx_lock_cache = TxLockCache::kEnabled;
-    table_ = std::make_unique<LockTable>(&modes_, options);
-  }
-};
+/// The per-transaction lock set: requests the conversion matrix proves
+/// to be no-ops are answered from it without a resource-shard round trip.
+class LockSetTest : public LockTableTest {};
 
-TEST_F(LockCacheTest, RepeatLocksAreServedFromTheCache) {
+TEST_F(LockSetTest, RepeatLocksAreAnsweredFromTheSet) {
   ASSERT_TRUE(table_->Lock(1, "r", x_, LockDuration::kCommit).status.ok());
-  // Re-lock at the same and at covered weaker modes: all cache hits.
+  // Re-lock at the same and at covered weaker modes: all hits.
   EXPECT_TRUE(table_->Lock(1, "r", x_, LockDuration::kCommit).status.ok());
   EXPECT_TRUE(table_->Lock(1, "r", s_, LockDuration::kCommit).status.ok());
   EXPECT_TRUE(table_->Lock(1, "r", is_, LockDuration::kOperation).status.ok());
   LockTableStats stats = table_->GetStats();
   EXPECT_EQ(stats.cache_hits, 3u);
-  EXPECT_EQ(stats.cache_misses, 1u);
-  // Hits still count as (immediately granted) requests, so the existing
-  // request accounting stays comparable across cache on/off runs.
+  // Hits still count as (immediately granted) requests.
   EXPECT_EQ(stats.requests, 4u);
   EXPECT_EQ(stats.immediate_grants, 4u);
   EXPECT_EQ(stats.conversions, 0u);
   EXPECT_EQ(table_->LocksHeldBy(1), 1u);
 }
 
-TEST_F(LockCacheTest, OperationDurationDoesNotMasqueradeAsCommit) {
+TEST_F(LockSetTest, OperationDurationDoesNotMasqueradeAsCommit) {
   // Held only for the operation: the effective mode covers S, but the
   // long component is empty, so a kCommit request must take the table
-  // round trip (which upgrades the long component) — a cache hit here
-  // would let EndOperation drop a lock promised until commit.
+  // round trip (which upgrades the long component) — a hit here would
+  // let EndOperation drop a lock promised until commit.
   ASSERT_TRUE(table_->Lock(1, "r", s_, LockDuration::kOperation).status.ok());
   ASSERT_TRUE(table_->Lock(1, "r", s_, LockDuration::kCommit).status.ok());
   EXPECT_EQ(table_->GetStats().cache_hits, 0u);
@@ -334,111 +323,62 @@ TEST_F(LockCacheTest, OperationDurationDoesNotMasqueradeAsCommit) {
   EXPECT_EQ(table_->HeldMode(1, "r"), s_);  // survived: it is a commit lock
 }
 
-TEST_F(LockCacheTest, EndOperationDropsPureShortEntries) {
+TEST_F(LockSetTest, EndOperationDropsPureShortHoldsAndKeepsCommitHolds) {
   ASSERT_TRUE(table_->Lock(1, "s", s_, LockDuration::kOperation).status.ok());
   ASSERT_TRUE(table_->Lock(1, "l", s_, LockDuration::kCommit).status.ok());
-  EXPECT_EQ(table_->CachedLocksFor(1), 2u);
+  ASSERT_TRUE(table_->Lock(1, "m", is_, LockDuration::kCommit).status.ok());
+  ASSERT_TRUE(table_->Lock(1, "m", x_, LockDuration::kOperation).status.ok());
+  EXPECT_EQ(table_->LocksHeldBy(1), 3u);
   table_->EndOperation(1);
-  // The short lock is gone from table and cache; the commit lock stays
-  // cached and the next re-lock is a hit.
-  EXPECT_EQ(table_->CachedLocksFor(1), 1u);
-  EXPECT_EQ(table_->CachedMode(1, "s"), kNoMode);
+  // The pure-short hold is gone, the mixed one fell back to its long
+  // component, and the commit hold is untouched.
+  EXPECT_EQ(table_->LocksHeldBy(1), 2u);
   EXPECT_EQ(table_->HeldMode(1, "s"), kNoMode);
+  EXPECT_EQ(table_->HeldMode(1, "m"), is_);
+  EXPECT_EQ(table_->HeldMode(1, "l"), s_);
+  // Another transaction can now take X on the released resource.
+  EXPECT_TRUE(table_->Lock(2, "s", x_, LockDuration::kCommit).status.ok());
+  const uint64_t hits = table_->GetStats().cache_hits;
   ASSERT_TRUE(table_->Lock(1, "l", s_, LockDuration::kCommit).status.ok());
-  EXPECT_EQ(table_->GetStats().cache_hits, 1u);
+  ASSERT_TRUE(table_->Lock(1, "m", is_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(table_->GetStats().cache_hits, hits + 2);
+  // The downgraded entry no longer covers X: that request takes the table.
+  ASSERT_TRUE(table_->Lock(1, "m", x_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(table_->GetStats().cache_hits, hits + 2);
 }
 
-TEST_F(LockCacheTest, ReleaseAllInvalidatesTheCache) {
+TEST_F(LockSetTest, ReleaseAllEmptiesTheSet) {
   ASSERT_TRUE(table_->Lock(1, "a", s_, LockDuration::kCommit).status.ok());
   ASSERT_TRUE(table_->Lock(1, "b", x_, LockDuration::kCommit).status.ok());
-  EXPECT_EQ(table_->CachedLocksFor(1), 2u);
+  EXPECT_EQ(table_->LocksHeldBy(1), 2u);
   table_->ReleaseAll(1);
-  EXPECT_EQ(table_->CachedLocksFor(1), 0u);
-  EXPECT_GE(table_->GetStats().cache_invalidations, 1u);
-  // A fresh acquisition is a miss, not a stale hit.
+  EXPECT_EQ(table_->LocksHeldBy(1), 0u);
+  EXPECT_EQ(table_->NumLockedResources(), 0u);
+  // A fresh acquisition goes through the table, not a leftover entry.
   ASSERT_TRUE(table_->Lock(1, "a", s_, LockDuration::kCommit).status.ok());
   EXPECT_EQ(table_->GetStats().cache_hits, 0u);
 }
 
-TEST_F(LockCacheTest, DeniedRequestInvalidatesWarmCache) {
-  // Warm the cache, then get denied on another resource: the whole
-  // per-tx cache must go, because the caller is expected to abort and a
-  // transaction that limps on must re-validate everything.
-  ASSERT_TRUE(table_->Lock(1, "warm", s_, LockDuration::kCommit).status.ok());
-  ASSERT_TRUE(table_->Lock(2, "rx", x_, LockDuration::kCommit).status.ok());
-  ASSERT_EQ(table_->CachedLocksFor(1), 1u);
-  auto out = table_->Lock(1, "rx", x_, LockDuration::kCommit);
-  EXPECT_EQ(out.status.code(), StatusCode::kLockTimeout);
-  EXPECT_EQ(table_->CachedLocksFor(1), 0u);
-  EXPECT_GE(table_->GetStats().cache_invalidations, 1u);
-}
-
-TEST_F(LockCacheTest, IntrospectionAgreesWithTableWhileEntriesExist) {
+TEST_F(LockSetTest, ConversionsUpdateTheEntry) {
   ASSERT_TRUE(table_->Lock(1, "r", is_, LockDuration::kCommit).status.ok());
-  EXPECT_EQ(table_->CachedMode(1, "r"), table_->HeldMode(1, "r"));
-  // A conversion through the table keeps the mirror exact.
   ASSERT_TRUE(table_->Lock(1, "r", x_, LockDuration::kCommit).status.ok());
-  EXPECT_EQ(table_->CachedMode(1, "r"), x_);
-  EXPECT_EQ(table_->CachedMode(1, "r"), table_->HeldMode(1, "r"));
-  EXPECT_EQ(table_->CachedLocksFor(1), table_->LocksHeldBy(1));
+  EXPECT_EQ(table_->HeldMode(1, "r"), x_);
+  EXPECT_EQ(table_->LocksHeldBy(1), 1u);
+  // The converted entry covers S.
+  ASSERT_TRUE(table_->Lock(1, "r", s_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(table_->GetStats().cache_hits, 1u);
 }
 
-TEST_F(LockCacheTest, ResetStatsClearsCacheCounters) {
+TEST_F(LockSetTest, ResetStatsClearsHitCounter) {
   ASSERT_TRUE(table_->Lock(1, "r", s_, LockDuration::kCommit).status.ok());
   ASSERT_TRUE(table_->Lock(1, "r", s_, LockDuration::kCommit).status.ok());
   table_->ReleaseAll(1);
   LockTableStats stats = table_->GetStats();
-  EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
-  EXPECT_GE(stats.cache_invalidations, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
   table_->ResetStats();
   stats = table_->GetStats();
   EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
-  EXPECT_EQ(stats.cache_invalidations, 0u);
   EXPECT_EQ(stats.requests, 0u);
-}
-
-TEST_F(LockCacheTest, DisabledTableReportsNoCacheActivity) {
-  LockTableOptions options;
-  options.tx_lock_cache = TxLockCache::kDisabled;
-  LockTable t(&modes_, options);
-  EXPECT_FALSE(t.tx_cache_enabled());
-  ASSERT_TRUE(t.Lock(1, "r", s_, LockDuration::kCommit).status.ok());
-  ASSERT_TRUE(t.Lock(1, "r", s_, LockDuration::kCommit).status.ok());
-  EXPECT_EQ(t.CachedMode(1, "r"), kNoMode);
-  EXPECT_EQ(t.CachedLocksFor(1), 0u);
-  LockTableStats stats = t.GetStats();
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.immediate_grants, 2u);
-}
-
-TEST_F(LockCacheTest, InjectedVictimDeniesAndInvalidates) {
-  FaultInjector faults(33);
-  LockTableOptions options;
-  options.fault_injector = &faults;
-  options.tx_lock_cache = TxLockCache::kEnabled;
-  LockTable t(&modes_, options);
-  ASSERT_TRUE(t.Lock(1, "warm", s_, LockDuration::kCommit).status.ok());
-  ASSERT_TRUE(t.Lock(1, "warm", s_, LockDuration::kCommit).status.ok());
-  ASSERT_EQ(t.CachedLocksFor(1), 1u);
-
-  faults.Arm(fault_points::kLockDeadlock, {.probability = 1.0});
-  auto out = t.Lock(1, "other", x_, LockDuration::kCommit);
-  EXPECT_EQ(out.status.code(), StatusCode::kDeadlock);
-  // Victimization drops the whole per-tx cache even though the table
-  // still holds "warm" — the caller must abort, and until it does the
-  // cache may not answer for it.
-  EXPECT_EQ(t.CachedLocksFor(1), 0u);
-  EXPECT_GE(t.GetStats().cache_invalidations, 1u);
-  faults.Disarm(fault_points::kLockDeadlock);
-
-  // The injected denial must not have been short-circuited around by the
-  // warm entry for the *same* resource either: a re-request of "warm"
-  // misses (cache dropped) and goes back through the table.
-  ASSERT_TRUE(t.Lock(1, "warm", s_, LockDuration::kCommit).status.ok());
-  EXPECT_EQ(t.HeldMode(1, "warm"), s_);
 }
 
 TEST_F(LockTableTest, AsymmetricCompatibilityRespected) {

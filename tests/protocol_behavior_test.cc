@@ -44,12 +44,11 @@ SubtreeSpec Bib() {
 
 class Stack {
  public:
-  explicit Stack(std::string_view protocol_name, Duration timeout = Millis(150),
-                 TxLockCache cache = TxLockCache::kAuto) {
+  explicit Stack(std::string_view protocol_name,
+                 Duration timeout = Millis(150)) {
     EXPECT_TRUE(doc.BuildFromSpec(Bib()).ok());
     LockTableOptions options;
     options.wait_timeout = timeout;
-    options.tx_lock_cache = cache;
     protocol = CreateProtocol(protocol_name, options);
     EXPECT_NE(protocol, nullptr);
     lm = std::make_unique<LockManager>(protocol.get());
@@ -391,16 +390,16 @@ TEST(ConversionSideEffects, ChildLockSideEffectWithoutAccessorIsAnError) {
   lm.ReleaseAll(tx);
 }
 
-// A warm tx-private lock cache must not short-circuit around the side
-// effect either: the LR -> CX conversion changes the held mode, which
-// the cache can never serve, so the request reaches the table and the
-// per-child NR locks really appear.
-TEST(ConversionSideEffects, WarmCacheNeverSkipsChildLockSideEffect) {
-  Stack s("taDOM2", Millis(150), TxLockCache::kEnabled);
+// A warm lock set must not short-circuit around the side effect either:
+// the LR -> CX conversion changes the held mode, which the set can never
+// answer, so the request reaches the table and the per-child NR locks
+// really appear.
+TEST(ConversionSideEffects, WarmLockSetNeverSkipsChildLockSideEffect) {
+  Stack s("taDOM2", Millis(150));
   auto tx = s.Begin();
   Splid book = s.ById(*tx, "b0");
   ASSERT_TRUE(s.nm->GetChildNodes(*tx, book).ok());  // LR on book
-  // Warm the cache on the whole path with a repeat of the same request.
+  // Warm the set on the whole path with a repeat of the same request.
   ASSERT_TRUE(s.nm->GetChildNodes(*tx, book).ok());
   EXPECT_GT(s.protocol->table().GetStats().cache_hits, 0u);
 
@@ -418,8 +417,7 @@ TEST(ConversionSideEffects, WarmCacheNeverSkipsChildLockSideEffect) {
             "NR");
   EXPECT_GT(s.protocol->table().LocksHeldBy(tx->id()), before);
   ASSERT_TRUE(s.tm->Commit(*tx).ok());
-  // Commit's ReleaseAll emptied cache and table alike.
-  EXPECT_EQ(s.protocol->table().CachedLocksFor(tx->id()), 0u);
+  // Commit's ReleaseAll emptied the lock set.
   EXPECT_EQ(s.protocol->table().LocksHeldBy(tx->id()), 0u);
 }
 
