@@ -2,11 +2,8 @@
 
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "tamix/invariants.h"
 #include "util/clock.h"
-#include "wal/crash_harness.h"
 
 namespace xtc {
 
@@ -150,134 +147,6 @@ ReplicationStats PairReplicationObserver::Stats() const {
 Status PairReplicationObserver::background_status() const {
   MutexLock guard(mu_);
   return background_status_;
-}
-
-RunConfig DefaultPairRunConfig(uint64_t seed) {
-  RunConfig c = DefaultCrashRunConfig(seed);
-  c.faults.points.clear();
-  const std::vector<std::string_view> points = AllCrashPoints();
-  const std::string_view kill_point = points[seed % points.size()];
-  if (kill_point != fault_points::kCrashApply) {
-    FaultPointConfig kill;
-    kill.probability = 1.0;
-    kill.one_shot = true;
-    kill.skip_first = 3 + (seed / points.size()) % 40;
-    c.faults.points.emplace_back(std::string(kill_point), kill);
-  }
-  // crash.apply seeds leave the primary's plan empty; the harness arms
-  // the kill inside the follower's own injector instead.
-  return c;
-}
-
-bool PairSeedKillsFollower(uint64_t seed) {
-  const std::vector<std::string_view> points = AllCrashPoints();
-  return points[seed % points.size()] == fault_points::kCrashApply;
-}
-
-namespace {
-
-Status CompareCommitSets(const std::string& tag, const char* who,
-                         const std::vector<CommittedTx>& observed,
-                         const std::vector<CommittedTx>& found) {
-  if (found.size() != observed.size()) {
-    return Status::Internal(tag + "workers observed " +
-                            std::to_string(observed.size()) + " commits but " +
-                            who + " holds " + std::to_string(found.size()));
-  }
-  for (size_t i = 0; i < found.size(); ++i) {
-    if (observed[i].seq != found[i].seq ||
-        observed[i].type != found[i].type ||
-        observed[i].body_seed != found[i].body_seed) {
-      return Status::Internal(tag + std::string(who) +
-                              " commit mismatch at position " +
-                              std::to_string(i) + ": workers saw seq " +
-                              std::to_string(observed[i].seq) + ", " + who +
-                              " holds seq " + std::to_string(found[i].seq));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-StatusOr<PairFuzzOutcome> RunReplicatedCrashRestart(
-    const PairFuzzConfig& config) {
-  const std::string tag = "pair seed " + std::to_string(config.seed) + ": ";
-
-  PairReplicationObserver::Options obs;
-  obs.seed = config.seed;
-  obs.follower_kill_skip =
-      config.kill_follower
-          ? static_cast<int64_t>(8 + (config.seed / 5) % 80)
-          : -1;
-  PairReplicationObserver observer(obs);
-
-  RunConfig run = config.run;
-  run.replication = &observer;
-  ChaosReport report;
-  auto stats = RunCluster1(run, &report);
-  if (!stats.ok()) return stats.status().Annotate(tag + "paired run failed");
-  XTC_RETURN_IF_ERROR(
-      observer.background_status().Annotate(tag + "replication machinery"));
-
-  PairFuzzOutcome out;
-  out.primary_crashed = report.crashed;
-  out.follower_killed = observer.follower_was_killed();
-  out.follower_restarts = observer.follower_restarts();
-  out.committed = report.committed.size();
-  out.repl = observer.Stats();
-  Follower* follower = observer.follower();
-  if (follower == nullptr) {
-    return Status::Internal(tag + "observer holds no follower after the run");
-  }
-
-  // --- Pair contract: exact commit-set equality ------------------------
-  // Workers only record a commit once its record is durable on the
-  // primary, and the drain ships the full durable prefix — so after the
-  // dust settles the follower must hold exactly the observed commits,
-  // seq for seq, no matter which side was killed or when.
-  XTC_ASSIGN_OR_RETURN(std::vector<CommittedTx> follower_commits,
-                       DecodeCommitPayloads(follower->committed()));
-  out.follower_commits = follower_commits.size();
-  XTC_RETURN_IF_ERROR(CompareCommitSets(tag, "the follower", report.committed,
-                                        follower_commits));
-
-  // --- Promote and verify the new primary ------------------------------
-  StorageOptions clean = config.run.storage;
-  clean.fault_injector = nullptr;
-  clean.crash_switch = nullptr;
-  RecoveryOptions recovery;
-  recovery.redo_workers = config.promote_redo_workers;
-  XTC_ASSIGN_OR_RETURN(OpenResult promoted,
-                       follower->Promote(clean, WalOptions{}, recovery));
-  out.promote_recovery = promoted.stats;
-  XTC_ASSIGN_OR_RETURN(std::vector<CommittedTx> promoted_commits,
-                       DecodeCommitPayloads(promoted.committed));
-  XTC_RETURN_IF_ERROR(CompareCommitSets(tag, "the promoted database",
-                                        report.committed, promoted_commits));
-
-  // The promoted document must equal a single-threaded replay of the
-  // committed transactions (zero lost commits, zero loser leakage).
-  XTC_RETURN_IF_ERROR(
-      CheckCommittedReplay(config.run, promoted_commits, *promoted.doc)
-          .Annotate(tag + "promoted document diverges from replay"));
-  const size_t pinned = promoted.doc->buffer().PinnedFrames();
-  if (pinned != 0) {
-    return Status::Internal(tag + std::to_string(pinned) +
-                            " buffer frames left pinned after promotion");
-  }
-  if (!report.crashed) {
-    // Clean shutdown: the pair must agree byte-for-byte on content.
-    XTC_ASSIGN_OR_RETURN(uint64_t fingerprint,
-                         DocumentFingerprint(*promoted.doc));
-    if (fingerprint != report.document_fingerprint) {
-      return Status::Internal(
-          tag + "promoted document fingerprint diverges from the primary's "
-                "after a clean run");
-    }
-  }
-  out.promoted = std::move(promoted);
-  return out;
 }
 
 }  // namespace xtc

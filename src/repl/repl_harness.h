@@ -1,13 +1,10 @@
-// Paired crash-restart fuzz harness for replication (docs/robustness.md):
-// runs TaMix on a primary with a live log-shipping follower attached,
-// kills *either side* at a seeded point (the kill site rotates over
-// AllCrashPoints(): the three primary kills, the mid-shipment kill, and
-// the follower-side apply kill), then verifies that the pair agrees on
-// exactly the same committed transactions — seq for seq — and that
-// promoting the follower yields a database equal to a single-threaded
-// replay of those commits. A follower killed mid-run is restarted from
-// its own crash artifacts and resumes tailing where its durable state
-// left off.
+// The replication half of the paired fuzz injury (tamix/fuzz.h,
+// docs/robustness.md): a ReplicationObserver that attaches a
+// log-shipping follower to a TaMix primary, keeps it tailing while the
+// workload runs, restarts it from its own crash artifacts when a seeded
+// crash.apply kill takes it down, and drains the surviving durable log
+// into it once the primary stops — crashed or not — so the follower can
+// be checked and promoted.
 
 #ifndef XTC_REPL_REPL_HARNESS_H_
 #define XTC_REPL_REPL_HARNESS_H_
@@ -22,7 +19,6 @@
 #include "tamix/coordinator.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
-#include "wal/recovery.h"
 
 namespace xtc {
 
@@ -30,8 +26,8 @@ namespace xtc {
 /// primary's base images, tails the durable log from a background
 /// shipping thread, restarts the follower when crash.apply kills it,
 /// and — once the primary stops — drains the surviving durable log so
-/// the follower holds every durable record. Reusable outside the fuzz
-/// wrapper (tools/failover_demo drives it directly).
+/// the follower holds every durable record. Also driven directly by
+/// tools/failover_demo, bench/report_metrics and replication_test.
 class PairReplicationObserver : public ReplicationObserver {
  public:
   struct Options {
@@ -54,7 +50,7 @@ class PairReplicationObserver : public ReplicationObserver {
   /// OnPrimaryReady never ran or bootstrap failed.
   Follower* follower() { return follower_.get(); }
   /// First failure of the shipping/restart machinery (drain errors
-  /// included); the fuzz wrapper turns this into a test failure.
+  /// included); the fuzz harness turns this into a failure.
   Status background_status() const XTC_EXCLUDES(mu_);
   uint64_t follower_restarts() const { return restarts_; }
   bool follower_was_killed() const { return follower_killed_; }
@@ -87,42 +83,6 @@ class PairReplicationObserver : public ReplicationObserver {
   mutable Mutex mu_;
   Status background_status_ XTC_GUARDED_BY(mu_);
 };
-
-struct PairFuzzConfig {
-  uint64_t seed = 1;
-  /// The run to kill; start from DefaultPairRunConfig(seed).
-  RunConfig run;
-  /// Whether this seed kills the follower (crash.apply) instead of the
-  /// primary; DefaultPairRunConfig sets it via PairSeedKillsFollower.
-  bool kill_follower = false;
-  /// Redo pool size for the promotion recovery.
-  int promote_redo_workers = 1;
-};
-
-struct PairFuzzOutcome {
-  bool primary_crashed = false;
-  bool follower_killed = false;    // crash.apply fired at least once
-  uint64_t follower_restarts = 0;
-  uint64_t committed = 0;          // commits workers observed
-  uint64_t follower_commits = 0;   // commits the follower applied
-  ReplicationStats repl;
-  RecoveryStats promote_recovery;
-  /// The promoted database (valid, recovered, replay-checked).
-  OpenResult promoted;
-};
-
-/// Like DefaultCrashRunConfig but the kill site rotates over all five
-/// crash points. For the crash.apply seed residue the primary's fault
-/// plan stays empty — the kill arms inside the follower instead.
-RunConfig DefaultPairRunConfig(uint64_t seed);
-/// True when `seed` selects the follower-side kill (crash.apply).
-bool PairSeedKillsFollower(uint64_t seed);
-
-/// One paired round trip: run + kill + drain + promote + verify. Errors
-/// mean a broken pair contract (commit sets diverged, promotion lost or
-/// invented a commit, replay mismatch), not an expected outcome.
-StatusOr<PairFuzzOutcome> RunReplicatedCrashRestart(
-    const PairFuzzConfig& config);
 
 }  // namespace xtc
 

@@ -168,6 +168,7 @@ StatusOr<PageGuard> BufferManager::New() {
 
 void BufferManager::Free(PageId id) {
   MutexLock guard(mu_);
+  capture_.erase(id);  // a freed page has no after-image to log
   for (;;) {
     auto it = table_.find(id);
     if (it == table_.end()) break;

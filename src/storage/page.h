@@ -90,6 +90,15 @@ struct StorageOptions {
   CrashSwitch* crash_switch = nullptr;
 };
 
+/// `options` with the fault injector and the crash switch detached: the
+/// storage a recovery, promotion or replay runs on when it must not be
+/// injured itself.
+inline StorageOptions FaultFreeStorage(StorageOptions options) {
+  options.fault_injector = nullptr;
+  options.crash_switch = nullptr;
+  return options;
+}
+
 }  // namespace xtc
 
 #endif  // XTC_STORAGE_PAGE_H_

@@ -155,17 +155,6 @@ struct CommitLog {
   }
 };
 
-/// Commit-record payload: everything the replay check needs to re-run
-/// the transaction — {u32 TxType, u64 body_seed}, little-endian. What
-/// the commit log records in memory, the WAL makes durable.
-std::string EncodeCommitPayload(TxType type, uint64_t body_seed) {
-  std::string payload(12, '\0');
-  const uint32_t t = static_cast<uint32_t>(type);
-  std::memcpy(payload.data(), &t, sizeof(t));
-  std::memcpy(payload.data() + 4, &body_seed, sizeof(body_seed));
-  return payload;
-}
-
 void WorkerLoop(const RunConfig& config, Testbed* bed, TaMixRunner* runner,
                 MetricsCollector* metrics, TxType type, uint64_t worker_index,
                 const std::atomic<bool>* stop, CommitLog* commit_log) {
@@ -359,6 +348,38 @@ void ClientWorkerLoop(const RunConfig& config, uint16_t port,
 }
 
 }  // namespace
+
+std::string EncodeCommitPayload(TxType type, uint64_t body_seed) {
+  std::string payload(12, '\0');
+  const uint32_t t = static_cast<uint32_t>(type);
+  std::memcpy(payload.data(), &t, sizeof(t));
+  std::memcpy(payload.data() + 4, &body_seed, sizeof(body_seed));
+  return payload;
+}
+
+StatusOr<std::vector<CommittedTx>> DecodeCommitPayloads(
+    const std::vector<RecoveredCommit>& durable) {
+  std::vector<CommittedTx> out;
+  out.reserve(durable.size());
+  for (const RecoveredCommit& c : durable) {
+    if (c.payload.size() != 12) {
+      return Status::DataLoss("commit record of tx " + std::to_string(c.tx) +
+                              " carries a malformed payload (" +
+                              std::to_string(c.payload.size()) + " bytes)");
+    }
+    uint32_t type = 0;
+    uint64_t body_seed = 0;
+    std::memcpy(&type, c.payload.data(), sizeof(type));
+    std::memcpy(&body_seed, c.payload.data() + 4, sizeof(body_seed));
+    if (type >= kNumTxTypes) {
+      return Status::DataLoss("commit record of tx " + std::to_string(c.tx) +
+                              " names unknown transaction type " +
+                              std::to_string(type));
+    }
+    out.push_back(CommittedTx{c.seq, static_cast<TxType>(type), body_seed});
+  }
+  return out;
+}
 
 StatusOr<RunStats> RunCluster1(const RunConfig& config, ChaosReport* report) {
   XTC_ASSIGN_OR_RETURN(std::unique_ptr<Testbed> bed, BuildTestbed(config));
@@ -578,7 +599,7 @@ StatusOr<RunStats> RunCluster1(const RunConfig& config, ChaosReport* report) {
         report->injected_faults = bed->faults->total_injections();
         report->injection_log = bed->faults->InjectionLog();
       }
-      // The durable log of the *surviving* run, so callers (netfuzz) can
+      // The durable log of the *surviving* run, so callers (tamix/fuzz) can
       // check client-observed outcomes against WAL truth without a crash.
       if (bed->wal != nullptr) report->log_image = bed->wal->DurableImage();
     }

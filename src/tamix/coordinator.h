@@ -21,6 +21,7 @@
 #include "tamix/metrics.h"
 #include "util/clock.h"
 #include "util/fault_injector.h"
+#include "wal/recovery.h"
 #include "wal/wal.h"
 
 namespace xtc {
@@ -194,6 +195,16 @@ struct CommittedTx {
   TxType type = TxType::kQueryBook;
   uint64_t body_seed = 0;
 };
+
+/// Commit-record payload: everything the replay check needs to re-run
+/// the transaction — {u32 TxType, u64 body_seed}, little-endian. What
+/// the commit log records in memory, the WAL makes durable.
+std::string EncodeCommitPayload(TxType type, uint64_t body_seed);
+
+/// Decodes durable commit payloads (EncodeCommitPayload) back into
+/// replayable transactions, in the order given.
+StatusOr<std::vector<CommittedTx>> DecodeCommitPayloads(
+    const std::vector<RecoveredCommit>& durable);
 
 /// What a chaos run reports on top of RunStats (see docs/robustness.md).
 struct ChaosReport {

@@ -112,9 +112,7 @@ Status CheckCommittedReplay(const RunConfig& config,
                             const Document& surviving) {
   // Fresh single-threaded stack: same bib document, same protocol, no
   // faults, no think times.
-  StorageOptions storage = config.storage;
-  storage.fault_injector = nullptr;
-  Document doc(storage);
+  Document doc(FaultFreeStorage(config.storage));
   auto info = GenerateBib(&doc, config.bib);
   if (!info.ok()) return info.status();
   LockTableOptions lock_options;

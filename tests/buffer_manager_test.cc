@@ -209,6 +209,34 @@ TEST(BufferManagerDeathTest, FreeOfPinnedPageFailsLoudly) {
   EXPECT_DEATH(bm.Free(g->id()), "XTC_CHECK failed.*Free of a pinned page");
 }
 
+TEST(BufferManagerTest, FreedPageLeavesTheCaptureSet) {
+  // Regression: a page dirtied and then freed inside one capture scope
+  // (a B+-tree delete that empties and unchains a leaf) stayed captured,
+  // so the end of the scope fetched a page that no longer existed.
+  StorageOptions options = SmallPool();
+  PageFile file(options);
+  BufferManager bm(&file, options);
+  PageId kept = kInvalidPageId;
+  PageId freed = kInvalidPageId;
+  {
+    auto a = bm.New();
+    auto b = bm.New();
+    ASSERT_TRUE(a.ok() && b.ok());
+    kept = a->id();
+    freed = b->id();
+  }
+  ASSERT_TRUE(bm.FlushAll().ok());
+  bm.BeginCapture();
+  for (PageId id : {kept, freed}) {
+    auto g = bm.Fetch(id);
+    ASSERT_TRUE(g.ok());
+    g->MarkDirty();
+  }
+  bm.Free(freed);
+  EXPECT_EQ(bm.CapturedPages(), std::vector<PageId>{kept});
+  bm.EndCapture();
+}
+
 TEST(BufferManagerTest, ConcurrentMissesOnSamePageCoalesceToOneRead) {
   StorageOptions options = SmallPool();
   options.io_latency_us = 200;  // widen the in-flight window

@@ -1,7 +1,7 @@
 // Anti-drift check for the hard-kill catalogue: AllCrashPoints() must
 // be exactly the "crash."-prefixed subset of AllFaultPoints(), every
 // kill point must be documented in docs/robustness.md, and the paired
-// harness's seed rotation must cover each one. Adding a kill site to
+// fuzz injury's seed rotation must cover each one. Adding a kill site to
 // the code without wiring it into the docs and the rotation (or vice
 // versa) fails here.
 
@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "repl/repl_harness.h"
+#include "tamix/fuzz.h"
 #include "util/fault_injector.h"
 
 namespace xtc {
@@ -75,11 +75,10 @@ TEST(CrashPointsTest, PairRotationCoversEveryCrashPoint) {
   std::set<std::string> armed;
   size_t follower_kills = 0;
   for (uint64_t seed = 0; seed < points.size(); ++seed) {
-    const RunConfig config = DefaultPairRunConfig(seed);
-    if (PairSeedKillsFollower(seed)) {
+    const RunConfig config = FuzzRunConfig(Injury::kPair, seed);
+    if (config.faults.points.empty()) {
+      // The follower-kill seed: crash.apply arms inside the follower.
       ++follower_kills;
-      EXPECT_TRUE(config.faults.points.empty())
-          << "follower-kill seeds must leave the primary's plan empty";
       continue;
     }
     ASSERT_EQ(config.faults.points.size(), 1u) << "seed " << seed;

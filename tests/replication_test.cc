@@ -1,7 +1,7 @@
 // Replication tests (DESIGN.md §7): follower bootstrap and tailing,
 // replica reads with bounded staleness, torn-chunk resync, promotion,
-// follower restart from its own artifacts, and paired crash-restart
-// round trips over every kill site.
+// and follower restart from its own artifacts. The paired crash-restart
+// round trips over every kill site run in fuzz_test.
 
 #include <memory>
 #include <string>
@@ -14,10 +14,10 @@
 #include "repl/repl_harness.h"
 #include "tamix/bib_generator.h"
 #include "tamix/coordinator.h"
+#include "tamix/fuzz.h"
 #include "tamix/invariants.h"
 #include "util/crash_switch.h"
 #include "util/fault_injector.h"
-#include "wal/crash_harness.h"
 #include "wal/wal.h"
 
 namespace xtc {
@@ -307,35 +307,9 @@ TEST(ReplicationTest, FollowerRestartsFromItsOwnArtifacts) {
   EXPECT_EQ(*reborn_fp, *primary_fp);
 }
 
-// --- Paired crash-restart round trips over every kill site --------------
-
-class PairedKillTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(PairedKillTest, PairAgreesOnCommitsAndPromotes) {
-  const uint64_t seed = GetParam();
-  PairFuzzConfig config;
-  config.seed = seed;
-  config.run = DefaultPairRunConfig(seed);
-  config.kill_follower = PairSeedKillsFollower(seed);
-  config.promote_redo_workers = 1 + static_cast<int>(seed % 4);
-  auto outcome = RunReplicatedCrashRestart(config);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  EXPECT_EQ(outcome->follower_commits, outcome->committed);
-  if (config.kill_follower && outcome->follower_killed) {
-    EXPECT_GE(outcome->follower_restarts, 1u);
-  }
-  ASSERT_NE(outcome->promoted.doc, nullptr);
-  EXPECT_TRUE(outcome->promoted.doc->Validate().ok());
-}
-
-// Seeds 0..4 rotate through crash.wal, crash.page, crash.commit,
-// crash.ship and crash.apply exactly once each.
-INSTANTIATE_TEST_SUITE_P(AllKillSites, PairedKillTest,
-                         ::testing::Values(0, 1, 2, 3, 4));
-
 TEST(ReplicationTest, RunStatsCarryReplicationCounters) {
   // A clean run (no kill armed): at shutdown the drain leaves zero lag.
-  RunConfig run = DefaultPairRunConfig(9);
+  RunConfig run = FuzzRunConfig(Injury::kPair, 9);
   run.faults.points.clear();
   PairReplicationObserver::Options obs;
   obs.seed = 9;
@@ -354,7 +328,7 @@ TEST(ReplicationTest, RunStatsCarryReplicationCounters) {
 TEST(ReplicationTest, ReplicationWithoutWalIsRejected) {
   PairReplicationObserver::Options obs;
   PairReplicationObserver observer(obs);
-  RunConfig run = DefaultPairRunConfig(1);
+  RunConfig run = FuzzRunConfig(Injury::kPair, 1);
   run.wal = WalMode::kDisabled;
   run.replication = &observer;
   auto stats = RunCluster1(run, nullptr);

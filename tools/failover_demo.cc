@@ -1,6 +1,6 @@
 // failover_demo: kill → replica reads → promote → resume, end to end.
 //
-// Drives the paired replication harness (docs/robustness.md) through one
+// Drives the paired fuzz injury's pieces (docs/robustness.md) through one
 // full failover: a serializable TaMix workload runs on a WAL-attached
 // primary while a log-shipping follower tails the durable log; a seeded
 // crash.commit kill freezes the primary mid-run; the surviving durable
@@ -8,9 +8,10 @@
 // (with its applied-LSN watermark shown), is then promoted — torn tail
 // truncated, losers rolled back — and finally accepts new committed
 // writes as the replacement primary. Every step is checked, not just
-// printed: the pair must agree on the committed transactions, the
-// promoted document must equal a single-threaded replay of them, and
-// the resumed writes must commit and validate.
+// printed: the follower and then the promoted database must pass the
+// fuzz contract (exactly the worker-observed commits, a document equal
+// to a single-threaded replay of them), and the resumed writes must
+// commit and validate.
 //
 // Usage: failover_demo [--seed S]   (default seed 2: crash.commit)
 
@@ -21,8 +22,7 @@
 
 #include "repl/repl_harness.h"
 #include "tamix/bib_generator.h"
-#include "tamix/invariants.h"
-#include "wal/crash_harness.h"
+#include "tamix/fuzz.h"
 #include "wal/wal.h"
 
 namespace xtc {
@@ -33,8 +33,8 @@ void Step(const char* what) { std::printf("\n== %s\n", what); }
 Status RunDemo(uint64_t seed) {
   // --- 1. Primary under load, follower tailing -------------------------
   Step("primary: serializable TaMix run with a tailing follower");
-  RunConfig run = DefaultPairRunConfig(seed);
-  if (PairSeedKillsFollower(seed)) {
+  RunConfig run = FuzzRunConfig(Injury::kPair, seed);
+  if (run.faults.points.empty()) {
     return Status::InvalidArgument(
         "seed " + std::to_string(seed) +
         " selects the follower-side kill; pick a primary-kill seed "
@@ -48,8 +48,7 @@ Status RunDemo(uint64_t seed) {
   XTC_ASSIGN_OR_RETURN(RunStats stats, RunCluster1(run, &report));
   XTC_RETURN_IF_ERROR(observer.background_status());
   std::printf("   kill point %s: primary %s after %llu commit(s)\n",
-              run.faults.points.empty() ? "(none)"
-                                        : run.faults.points[0].first.c_str(),
+              run.faults.points[0].first.c_str(),
               report.crashed ? "froze" : "shut down cleanly",
               static_cast<unsigned long long>(report.committed.size()));
   std::printf("   shipped %llu byte(s) in %llu chunk(s) while it ran\n",
@@ -96,39 +95,32 @@ Status RunDemo(uint64_t seed) {
 
   // --- 3. Pair contract ------------------------------------------------
   Step("contract: follower commit set == worker-observed commit set");
-  XTC_ASSIGN_OR_RETURN(std::vector<CommittedTx> follower_commits,
-                       DecodeCommitPayloads(follower->committed()));
-  if (follower_commits.size() != report.committed.size()) {
-    return Status::Internal("commit sets diverge");
-  }
-  for (size_t i = 0; i < follower_commits.size(); ++i) {
-    if (follower_commits[i].seq != report.committed[i].seq) {
-      return Status::Internal("commit order diverges at position " +
-                              std::to_string(i));
-    }
-  }
-  std::printf("   %zu commit(s), seq for seq — zero lost\n",
-              follower_commits.size());
+  XTC_RETURN_IF_ERROR(CheckFuzzContract(run, report.committed,
+                                        follower->committed(), "the follower",
+                                        nullptr));
+  std::printf("   %zu commit(s), (seq, type, body seed) for each — zero "
+              "lost\n",
+              report.committed.size());
 
   // --- 4. Promote ------------------------------------------------------
   Step("promote: truncate torn tail, roll back losers, become primary");
-  StorageOptions clean = run.storage;
-  clean.fault_injector = nullptr;
-  clean.crash_switch = nullptr;
   RecoveryOptions recovery;
   recovery.redo_workers = 4;
   XTC_ASSIGN_OR_RETURN(OpenResult promoted,
-                       follower->Promote(clean, WalOptions{}, recovery));
+                       follower->Promote(FaultFreeStorage(run.storage),
+                                         WalOptions{}, recovery));
   std::printf("   scanned %llu record(s), redid %llu, undid %llu loser(s) "
               "(%d redo workers)\n",
               static_cast<unsigned long long>(promoted.stats.records_scanned),
               static_cast<unsigned long long>(promoted.stats.records_redone),
               static_cast<unsigned long long>(promoted.stats.losers_undone),
               recovery.redo_workers);
-  XTC_RETURN_IF_ERROR(
-      CheckCommittedReplay(run, follower_commits, *promoted.doc)
-          .Annotate("promoted document diverges from replay"));
-  std::printf("   promoted document equals the single-threaded replay\n");
+  XTC_RETURN_IF_ERROR(CheckFuzzContract(run, report.committed,
+                                        promoted.committed,
+                                        "the promoted database",
+                                        promoted.doc.get()));
+  std::printf("   promoted database holds the same commits and equals the "
+              "single-threaded replay\n");
   // Replica reads run at isolation NONE over raw redo state, so before
   // promotion they can see effects of in-flight transactions that the
   // undo pass rolls back. Ids the losers never touched must agree.
@@ -157,8 +149,8 @@ Status RunDemo(uint64_t seed) {
   Step("resume: new committed writes on the promoted primary");
   Document& doc = *promoted.doc;
   uint64_t tx = 1u << 20;  // clear of every workload tx id
-  uint64_t seq = follower_commits.empty() ? 1
-                                          : follower_commits.back().seq + 1;
+  uint64_t seq = report.committed.empty() ? 1
+                                          : report.committed.back().seq + 1;
   const NameSurrogate renamed = doc.vocabulary().Intern("failover-demo");
   const NameSurrogate original = doc.vocabulary().Intern("title");
   for (int i = 0; i < 4; ++i) {
