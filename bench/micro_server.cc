@@ -15,7 +15,6 @@
 //   ./bench/micro_server --json     machine-readable results
 //                                   (committed as BENCH_server.json)
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -34,12 +33,10 @@ using namespace xtc;
 
 namespace {
 
-/// Paper CLUSTER1 mix proportions (9:5:2:8), spread across the level's
-/// workers so every connection count runs the same blend (index/total
-/// maps onto the 24-slot mix wheel).
-TxType MixType(int index, int total) {
-  const int slot = static_cast<int>(
-      (static_cast<int64_t>(index % 24) * 24) / std::min(total, 24));
+/// Paper CLUSTER1 mix proportions (9:5:2:8), drawn per transaction from
+/// the worker's seeded Rng so every connection count runs the same blend.
+TxType DrawMixType(Rng& rng) {
+  const uint64_t slot = rng.Uniform(24);
   if (slot < 9) return TxType::kQueryBook;
   if (slot < 14) return TxType::kChapter;
   if (slot < 16) return TxType::kRenameTopic;
@@ -64,19 +61,19 @@ struct WorkerResult {
 };
 
 void ClosedLoopWorker(uint16_t port, const BibInfo* info, int index,
-                      int total, uint64_t seed, const std::atomic<bool>* stop,
+                      uint64_t seed, const std::atomic<bool>* stop,
                       WorkerResult* out) {
   Rng rng(seed * 1000003 + static_cast<uint64_t>(index));
   net::Client client;
   net::RemoteDom dom(&client);
   TaMixBodyRunner bodies(info, Duration::zero());
-  const TxType type = MixType(index, total);
   while (!stop->load(std::memory_order_relaxed)) {
     if (!client.connected() &&
         !client.Connect("127.0.0.1", port).ok()) {
       SleepFor(Millis(10));
       continue;
     }
+    const TxType type = DrawMixType(rng);
     auto begin = client.Begin(IsolationLevel::kRepeatable, 7, type);
     if (!begin.ok()) {
       SleepFor(Millis(2));  // admission pushback or transport hiccup
@@ -123,7 +120,7 @@ LevelResult RunFixedLevel(const net::ServerOptions& options, int n,
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    workers.emplace_back(ClosedLoopWorker, server.port(), &*info, i, n,
+    workers.emplace_back(ClosedLoopWorker, server.port(), &*info, i,
                          static_cast<uint64_t>(31 + n), &stop,
                          &worker_results[static_cast<size_t>(i)]);
   }
@@ -206,7 +203,7 @@ int main(int argc, char** argv) {
     std::vector<std::thread> workers;
     workers.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
-      workers.emplace_back(ClosedLoopWorker, server.port(), &*info, i, n,
+      workers.emplace_back(ClosedLoopWorker, server.port(), &*info, i,
                            static_cast<uint64_t>(7 + n), &stop,
                            &worker_results[static_cast<size_t>(i)]);
     }

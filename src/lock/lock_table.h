@@ -121,6 +121,21 @@ struct LockTableStats {
   /// resource-shard round trip (these still count as requests +
   /// immediate_grants).
   uint64_t cache_hits = 0;
+
+  /// Calls f(name, unit, field) for every field, const or mutable as `s`
+  /// — the one place a field's name is written (tamix/metrics.cc).
+  template <typename S, typename F>
+  static void ForEachField(S& s, F&& f) {
+    f("requests", "count", s.requests);
+    f("immediate_grants", "count", s.immediate_grants);
+    f("waits", "count", s.waits);
+    f("deadlocks", "count", s.deadlocks);
+    f("conversion_deadlocks", "count", s.conversion_deadlocks);
+    f("timeouts", "count", s.timeouts);
+    f("conversions", "count", s.conversions);
+    f("cancelled", "count", s.cancelled);
+    f("cache_hits", "count", s.cache_hits);
+  }
 };
 
 struct LockTableOptions {

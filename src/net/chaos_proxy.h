@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/net_stats.h"
 #include "util/clock.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -64,19 +65,6 @@ struct ChaosPlan {
   /// Which accepted connection (0-based) the cut/stall rules apply to;
   /// -1 = every connection.
   int64_t shape_conn_index = 0;
-};
-
-struct ChaosProxyStats {
-  uint64_t connections = 0;
-  uint64_t chunks = 0;
-  uint64_t drops = 0;
-  uint64_t truncations = 0;
-  uint64_t delays = 0;
-  uint64_t duplicates = 0;
-  uint64_t cuts = 0;
-  uint64_t stalls = 0;  // swallowed chunks past a stall point
-  uint64_t bytes_client_to_server = 0;
-  uint64_t bytes_server_to_client = 0;
 };
 
 class ChaosProxy {

@@ -405,13 +405,15 @@ Status Client::Abort() {
   return RoundTrip(MsgType::kAbort, {}).status();
 }
 
-StatusOr<WireStats> Client::Stats() {
+StatusOr<MetricSet> Client::Stats() {
   auto resp = RoundTrip(MsgType::kStats, {});
   if (!resp.ok()) return resp.status();
   WireReader r(*resp);
-  WireStats stats;
-  if (!GetStats(&r, &stats)) return Status::DataLoss("broken stats response");
-  return stats;
+  MetricSet metrics;
+  if (!GetMetrics(&r, &metrics)) {
+    return Status::DataLoss("broken stats response");
+  }
+  return metrics;
 }
 
 StatusOr<BibInfo> Client::WorkloadInfo() {

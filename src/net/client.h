@@ -34,6 +34,7 @@
 #include <string_view>
 
 #include "lock/lock_manager.h"
+#include "net/net_stats.h"
 #include "net/wire.h"
 #include "tamix/bib_generator.h"
 #include "tamix/dom_api.h"
@@ -65,16 +66,6 @@ struct ClientOptions {
   FaultInjector* faults = nullptr;
 };
 
-/// Client-side resilience counters (all monotonic).
-struct ClientNetStats {
-  uint64_t reconnects = 0;        // successful re-handshakes
-  uint64_t resumes = 0;           // successful kResume adoptions
-  uint64_t lease_expired = 0;     // kResume answered kNotFound
-  uint64_t retried_requests = 0;  // requests re-sent after reconnect
-  uint64_t unknown_commits = 0;   // commits resolved kUnknown
-  uint64_t io_timeouts = 0;       // poll deadlines that fired
-};
-
 class Client {
  public:
   Client() = default;
@@ -104,7 +95,9 @@ class Client {
   StatusOr<uint64_t> Commit(std::string_view wal_payload = {});
   Status Abort();
 
-  StatusOr<WireStats> Stats();
+  /// The server's live metrics (kStats): CollectRunMetrics over its
+  /// per-type, lock, WAL and server counters.
+  StatusOr<MetricSet> Stats();
   StatusOr<BibInfo> WorkloadInfo();
 
   /// One framed request–response exchange. On OK the returned string is

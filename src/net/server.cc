@@ -1003,34 +1003,18 @@ std::string Server::HandleDomOp(const SessionPtr& s, const Frame& frame,
   return std::move(w.str());
 }
 
+MetricSet Server::Metrics() const {
+  RunStats run = metrics_.Snapshot();
+  run.lock_stats = deps_.table->GetStats();
+  if (deps_.wal != nullptr) run.wal = deps_.wal->stats();
+  run.net_server = stats();
+  return CollectRunMetrics(run);
+}
+
 std::string Server::HandleStats() {
-  const RunStats run = metrics_.Snapshot();
-  WireStats out;
-  out.run_duration_ms = run.run_duration_ms;
-  {
-    MutexLock guard(sessions_mu_);
-    out.active_sessions = sessions_.size();
-  }
-  out.active_tx = active_tx_.load(std::memory_order_acquire);
-  out.admission_rejected =
-      stat_admission_rejected_.load(std::memory_order_relaxed) +
-      stat_deadline_rejected_.load(std::memory_order_relaxed);
-  out.cancelled_waits = deps_.table->GetStats().cancelled;
-  out.per_type.resize(kNumTxTypes);
-  for (int t = 0; t < kNumTxTypes; ++t) {
-    const TxTypeStats& s = run.per_type[static_cast<size_t>(t)];
-    WireTypeStats& row = out.per_type[static_cast<size_t>(t)];
-    row.committed = s.committed;
-    row.aborted = s.aborted;
-    row.retries = s.retries;
-    row.avg_us = static_cast<int64_t>(s.avg_duration_ms() * 1000.0);
-    row.p50_us = s.latency.PercentileUs(0.50);
-    row.p95_us = s.latency.PercentileUs(0.95);
-    row.p99_us = s.latency.PercentileUs(0.99);
-  }
   WireWriter w;
   PutStatus(&w, Status::OK());
-  PutStats(&w, out);
+  PutMetrics(&w, Metrics());
   return std::move(w.str());
 }
 

@@ -63,6 +63,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/net_stats.h"
 #include "net/wire.h"
 #include "node/node_manager.h"
 #include "tamix/bib_generator.h"
@@ -106,29 +107,6 @@ struct ServerOptions {
   size_t outcome_record_max_bytes = 4096;
 };
 
-struct ServerStats {
-  uint64_t sessions_opened = 0;
-  uint64_t sessions_closed = 0;
-  uint64_t sessions_rejected = 0;  // over max_sessions
-  uint64_t frames_received = 0;
-  uint64_t responses_sent = 0;
-  uint64_t protocol_errors = 0;  // framing/decode failures -> disconnect
-  uint64_t admission_rejected = 0;  // tx cap + queue cap
-  uint64_t deadline_rejected = 0;
-  uint64_t idle_reaped = 0;
-  uint64_t tx_begun = 0;
-  uint64_t tx_committed = 0;
-  uint64_t tx_aborted = 0;
-  uint64_t sessions_parked = 0;   // disconnected under an active lease
-  uint64_t sessions_resumed = 0;  // successful kResume adoptions
-  uint64_t leases_expired = 0;    // parked cores that aged out (aborted)
-  uint64_t dedup_hits = 0;        // retried requests answered from table
-  // Gauges.
-  uint64_t active_sessions = 0;
-  uint64_t active_tx = 0;
-  uint64_t parked_sessions = 0;
-};
-
 class Server {
  public:
   /// Borrowed engine handles; all must outlive the server. `wal` may be
@@ -163,9 +141,9 @@ class Server {
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
   ServerStats stats() const;
-  /// Server-side workload metrics (per-type commit latency percentiles;
-  /// what the kStats request reports).
-  RunStats MetricsSnapshot() const { return metrics_.Snapshot(); }
+  /// What the kStats request answers: CollectRunMetrics over the
+  /// server's own per-type, lock, WAL and server counters.
+  MetricSet Metrics() const;
 
  private:
   struct Frame {

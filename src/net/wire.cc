@@ -1,6 +1,8 @@
 #include "net/wire.h"
 
+#include <bit>
 #include <cstring>
+#include <utility>
 
 #include "util/crc32.h"
 
@@ -273,41 +275,27 @@ bool GetStatus(WireReader* r, Status* st) {
   return false;  // unknown status code: treat as malformed
 }
 
-void PutStats(WireWriter* w, const WireStats& s) {
-  w->I64(s.run_duration_ms);
-  w->U64(s.active_sessions);
-  w->U64(s.active_tx);
-  w->U64(s.admission_rejected);
-  w->U64(s.cancelled_waits);
-  w->U32(static_cast<uint32_t>(s.per_type.size()));
-  for (const WireTypeStats& t : s.per_type) {
-    w->U64(t.committed);
-    w->U64(t.aborted);
-    w->U64(t.retries);
-    w->I64(t.avg_us);
-    w->I64(t.p50_us);
-    w->I64(t.p95_us);
-    w->I64(t.p99_us);
+void PutMetrics(WireWriter* w, const MetricSet& metrics) {
+  w->U32(static_cast<uint32_t>(metrics.size()));
+  for (const Metric& m : metrics) {
+    w->Str(m.name);
+    w->Str(m.unit);
+    w->U64(std::bit_cast<uint64_t>(m.value));
   }
 }
 
-bool GetStats(WireReader* r, WireStats* s) {
+bool GetMetrics(WireReader* r, MetricSet* metrics) {
+  constexpr size_t kMinEntryBytes = 4 + 4 + 8;  // two empty strings + value
   uint32_t n;
-  if (!r->I64(&s->run_duration_ms) || !r->U64(&s->active_sessions) ||
-      !r->U64(&s->active_tx) || !r->U64(&s->admission_rejected) ||
-      !r->U64(&s->cancelled_waits) || !r->U32(&n)) {
-    return false;
-  }
-  if (n > kMaxPayload / 56) return false;  // 7 u64 fields per row
-  s->per_type.clear();
+  if (!r->U32(&n) || n > r->remaining() / kMinEntryBytes) return false;
+  metrics->clear();
+  metrics->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    WireTypeStats t;
-    if (!r->U64(&t.committed) || !r->U64(&t.aborted) || !r->U64(&t.retries) ||
-        !r->I64(&t.avg_us) || !r->I64(&t.p50_us) || !r->I64(&t.p95_us) ||
-        !r->I64(&t.p99_us)) {
-      return false;
-    }
-    s->per_type.push_back(t);
+    Metric m;
+    uint64_t bits;
+    if (!r->Str(&m.name) || !r->Str(&m.unit) || !r->U64(&bits)) return false;
+    m.value = std::bit_cast<double>(bits);
+    metrics->push_back(std::move(m));
   }
   return true;
 }

@@ -40,12 +40,13 @@
 #include "node/document.h"
 #include "node/node.h"
 #include "splid/splid.h"
+#include "tamix/metrics.h"
 #include "util/status.h"
 
 namespace xtc {
 namespace net {
 
-inline constexpr uint8_t kWireVersion = 1;
+inline constexpr uint8_t kWireVersion = 2;
 inline constexpr size_t kHeaderSize = 20;
 inline constexpr uint32_t kMaxPayload = 1u << 20;  // 1 MiB
 /// Set on the type byte of every response frame.
@@ -145,6 +146,8 @@ class WireReader {
   bool AtEnd() const { return ok_ && pos_ == data_.size(); }
   /// Cursor position (bytes consumed so far).
   size_t pos() const { return pos_; }
+  /// Bytes left after the cursor (bounds a declared element count).
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   bool SpecBounded(SubtreeSpec* v, int depth);
@@ -174,29 +177,11 @@ bool GetNode(WireReader* r, WireNode* n);
 void PutStatus(WireWriter* w, const Status& st);
 bool GetStatus(WireReader* r, Status* st);
 
-/// Per-type stats row of the kStats response (fixed-width, µs units).
-struct WireTypeStats {
-  uint64_t committed = 0;
-  uint64_t aborted = 0;
-  uint64_t retries = 0;
-  int64_t avg_us = 0;
-  int64_t p50_us = 0;
-  int64_t p95_us = 0;
-  int64_t p99_us = 0;
-};
-
-/// kStats response body.
-struct WireStats {
-  int64_t run_duration_ms = 0;
-  uint64_t active_sessions = 0;
-  uint64_t active_tx = 0;
-  uint64_t admission_rejected = 0;
-  uint64_t cancelled_waits = 0;
-  std::vector<WireTypeStats> per_type;
-};
-
-void PutStats(WireWriter* w, const WireStats& s);
-bool GetStats(WireReader* r, WireStats* s);
+/// kStats response body: u32 count, then per metric Str name, Str unit
+/// and the value as u64 IEEE-754 bits. The decoder rejects a count the
+/// remaining payload cannot hold (each entry is at least 16 bytes).
+void PutMetrics(WireWriter* w, const MetricSet& metrics);
+bool GetMetrics(WireReader* r, MetricSet* metrics);
 
 }  // namespace net
 }  // namespace xtc

@@ -37,6 +37,25 @@ struct ReplicationStats {
     return source_durable_lsn > applied_lsn ? source_durable_lsn - applied_lsn
                                             : 0;
   }
+
+  /// Calls f(name, unit, field) for every field, const or mutable as `s`
+  /// — the one place a field's name is written (tamix/metrics.cc).
+  template <typename S, typename F>
+  static void ForEachField(S& s, F&& f) {
+    f("shipped_bytes", "B", s.shipped_bytes);
+    f("shipped_chunks", "count", s.shipped_chunks);
+    f("ship_rounds", "count", s.ship_rounds);
+    f("records_applied", "count", s.records_applied);
+    f("pages_applied", "count", s.pages_applied);
+    f("commits_applied", "count", s.commits_applied);
+    f("checkpoints_applied", "count", s.checkpoints_applied);
+    f("reattaches", "count", s.reattaches);
+    f("resyncs", "count", s.resyncs);
+    f("follower_restarts", "count", s.follower_restarts);
+    f("applied_lsn", "B", s.applied_lsn);
+    f("received_lsn", "B", s.received_lsn);
+    f("source_durable_lsn", "B", s.source_durable_lsn);
+  }
 };
 
 }  // namespace xtc

@@ -98,6 +98,17 @@ struct BufferPoolStats {
   /// Evictions cancelled because a fetch arrived for the victim while its
   /// write-back was in flight (the frame stayed resident, now clean).
   uint64_t cancelled_evictions = 0;
+
+  /// Calls f(name, unit, field) for every field, const or mutable as `s`
+  /// — the one place a field's name is written (tamix/metrics.cc).
+  template <typename S, typename F>
+  static void ForEachField(S& s, F&& f) {
+    f("io_in_flight_hwm", "count", s.io_in_flight_hwm);
+    f("coalesced_fetches", "count", s.coalesced_fetches);
+    f("eviction_writebacks", "count", s.eviction_writebacks);
+    f("failed_writebacks", "count", s.failed_writebacks);
+    f("cancelled_evictions", "count", s.cancelled_evictions);
+  }
 };
 
 class BufferManager {

@@ -238,12 +238,7 @@ struct ClientNetAgg {
 
   void Add(const net::ClientNetStats& s) {
     std::lock_guard<std::mutex> guard(mu);
-    sum.reconnects += s.reconnects;
-    sum.resumes += s.resumes;
-    sum.lease_expired += s.lease_expired;
-    sum.retried_requests += s.retried_requests;
-    sum.unknown_commits += s.unknown_commits;
-    sum.io_timeouts += s.io_timeouts;
+    SumFields(&sum, s);
   }
 };
 
@@ -520,36 +515,12 @@ StatusOr<RunStats> RunCluster1(const RunConfig& config, ChaosReport* report) {
     stats.repl = config.replication->Stats();
   }
   if (server != nullptr) {
-    const net::ServerStats ss = server->stats();
-    stats.net.enabled = true;
-    stats.net.sessions_accepted = ss.sessions_opened;
-    stats.net.sessions_parked = ss.sessions_parked;
-    stats.net.sessions_resumed = ss.sessions_resumed;
-    stats.net.leases_expired = ss.leases_expired;
-    stats.net.dedup_hits = ss.dedup_hits;
-    // Post-Stop gauges: anything nonzero here is a session leak.
-    stats.net.sessions_active_end = ss.active_sessions;
-    stats.net.sessions_parked_end = ss.parked_sessions;
-    {
-      std::lock_guard<std::mutex> guard(net_agg.mu);
-      stats.net.reconnects = net_agg.sum.reconnects;
-      stats.net.resumes = net_agg.sum.resumes;
-      stats.net.lease_expired = net_agg.sum.lease_expired;
-      stats.net.retried_requests = net_agg.sum.retried_requests;
-      stats.net.unknown_commits = net_agg.sum.unknown_commits;
-      stats.net.io_timeouts = net_agg.sum.io_timeouts;
-    }
-    if (chaos_proxy != nullptr) {
-      const net::ChaosProxyStats cs = chaos_proxy->stats();
-      stats.net.chaos_connections = cs.connections;
-      stats.net.chaos_drops = cs.drops;
-      stats.net.chaos_truncations = cs.truncations;
-      stats.net.chaos_delays = cs.delays;
-      stats.net.chaos_duplicates = cs.duplicates;
-      stats.net.chaos_cuts = cs.cuts;
-      stats.net.chaos_stalls = cs.stalls;
-    }
+    // Read after Stop: nonzero session gauges are a leak.
+    stats.net_server = server->stats();
+    std::lock_guard<std::mutex> guard(net_agg.mu);
+    stats.net_client = net_agg.sum;
   }
+  if (chaos_proxy != nullptr) stats.net_chaos = chaos_proxy->stats();
   stats.run_duration_ms = elapsed_ms;
 
   if (bed->faults != nullptr) {

@@ -234,10 +234,11 @@ Status RunNet(uint64_t seed, const RunConfig& base, FuzzOutcome* out) {
   }
   ChaosReport report;
   XTC_ASSIGN_OR_RETURN(RunStats stats, RunCluster1(run, &report));
-  const NetRunStats& net = stats.net;
-  if (!net.enabled) {
+  if (!stats.net_server || !stats.net_client) {
     return Status::Internal("run did not use the socket frontend");
   }
+  const net::ServerStats& server = *stats.net_server;
+  const net::ClientNetStats& clients = *stats.net_client;
   if (report.log_image.empty()) {
     return Status::Internal("run produced no durable log image");
   }
@@ -260,27 +261,29 @@ Status RunNet(uint64_t seed, const RunConfig& base, FuzzOutcome* out) {
                                         "the WAL", nullptr));
   // The server was alive the whole time and the lease outlives the run:
   // every torn commit must have been resolved exactly-once.
-  if (net.unknown_commits != 0) {
-    return Status::Internal(std::to_string(net.unknown_commits) +
+  if (clients.unknown_commits != 0) {
+    return Status::Internal(std::to_string(clients.unknown_commits) +
                             " commit(s) ended kUnknown with a live server");
   }
-  if (net.sessions_active_end != 0 || net.sessions_parked_end != 0) {
+  if (server.active_sessions != 0 || server.parked_sessions != 0) {
     return Status::Internal(
-        "session leak after drain: " + std::to_string(net.sessions_active_end) +
-        " active, " + std::to_string(net.sessions_parked_end) + " parked");
+        "session leak after drain: " + std::to_string(server.active_sessions) +
+        " active, " + std::to_string(server.parked_sessions) + " parked");
   }
+  const net::ChaosProxyStats chaos =
+      stats.net_chaos.value_or(net::ChaosProxyStats{});
   out->commits = report.committed.size();
-  out->injuries = net.chaos_drops + net.chaos_truncations + net.chaos_delays +
-                  net.chaos_duplicates + net.chaos_cuts + net.chaos_stalls +
+  out->injuries = chaos.drops + chaos.truncations + chaos.delays +
+                  chaos.duplicates + chaos.cuts + chaos.stalls +
                   report.injected_faults;
   out->fired = out->injuries > 0;
   out->detail = std::string(mode.name) + " " +
                 Counters({{"commits", out->commits},
                           {"injuries", out->injuries},
-                          {"reconnects", net.reconnects},
-                          {"resumes", net.sessions_resumed},
-                          {"dedup", net.dedup_hits},
-                          {"parked", net.sessions_parked}});
+                          {"reconnects", clients.reconnects},
+                          {"resumes", server.sessions_resumed},
+                          {"dedup", server.dedup_hits},
+                          {"parked", server.sessions_parked}});
   return Status::OK();
 }
 

@@ -6,10 +6,12 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "lock/lock_table.h"
+#include "net/net_stats.h"
 #include "repl/repl_stats.h"
 #include "storage/buffer_manager.h"
 #include "tamix/transactions.h"
@@ -26,13 +28,17 @@ namespace xtc {
 /// most 1/4 of its magnitude — percentile estimates carry ≤ 25 % relative
 /// error, plenty for the saturation bench's p99 while keeping the whole
 /// histogram at a fixed 1.3 kB (mergeable across types/workers by plain
-/// addition, no allocation on the record path).
+/// addition, no allocation on the record path). Exact sum, min and max
+/// ride along for the mean and the maximum.
 struct LatencyHistogram {
   static constexpr int kSubBits = 2;
   static constexpr int kSub = 1 << kSubBits;  // sub-buckets per octave
   static constexpr int kBuckets = 40 * kSub;  // covers > 150 hours in µs
   std::array<uint64_t, kBuckets> counts{};
   uint64_t total = 0;
+  int64_t sum_us = 0;
+  int64_t min_us = 0;  // 0 when empty
+  int64_t max_us = 0;
 
   static int BucketFor(int64_t us);
   /// Upper bound (µs) of the bucket, the value Percentile reports.
@@ -41,7 +47,7 @@ struct LatencyHistogram {
   void Record(int64_t us);
   void Merge(const LatencyHistogram& other);
   /// Smallest recorded-bucket upper bound covering fraction `p` (0..1]
-  /// of the samples; 0 when empty.
+  /// of the samples, clamped to the observed maximum; 0 when empty.
   int64_t PercentileUs(double p) const;
 };
 
@@ -54,55 +60,30 @@ struct TxTypeStats {
   uint64_t retries = 0;
   /// Aborts in which at least one undo action reported failure.
   uint64_t undo_failures = 0;
-  int64_t total_duration_us = 0;  // committed transactions only
-  int64_t min_duration_us = 0;
-  int64_t max_duration_us = 0;
-  /// Commit-latency distribution (committed transactions only, like the
-  /// duration aggregates above).
+  /// Commit-latency distribution (committed transactions only).
   LatencyHistogram latency;
 
   double avg_duration_ms() const {
-    return committed == 0
-               ? 0.0
-               : static_cast<double>(total_duration_us) / 1000.0 /
-                     static_cast<double>(committed);
+    return latency.total == 0 ? 0.0
+                              : static_cast<double>(latency.sum_us) / 1000.0 /
+                                    static_cast<double>(latency.total);
   }
   double p50_ms() const { return latency.PercentileUs(0.50) / 1000.0; }
   double p95_ms() const { return latency.PercentileUs(0.95) / 1000.0; }
   double p99_ms() const { return latency.PercentileUs(0.99) / 1000.0; }
-};
+  double max_ms() const { return latency.max_us / 1000.0; }
 
-/// Socket-frontend resilience counters for one run (enabled=false when
-/// the run used the in-process frontend). Server-side numbers come from
-/// the embedded net::Server, client-side numbers are summed over every
-/// worker's net::Client, chaos numbers from the interposed proxy (all
-/// zero without one).
-struct NetRunStats {
-  bool enabled = false;
-  // Server side.
-  uint64_t sessions_accepted = 0;
-  uint64_t sessions_parked = 0;   // disconnects parked under a lease
-  uint64_t sessions_resumed = 0;  // successful kResume adoptions
-  uint64_t leases_expired = 0;    // parked cores that aged out
-  uint64_t dedup_hits = 0;        // retried requests answered from table
-  // Post-drain gauges (leak check: both must be zero after Stop).
-  uint64_t sessions_active_end = 0;
-  uint64_t sessions_parked_end = 0;
-  // Client side (summed over workers).
-  uint64_t reconnects = 0;
-  uint64_t resumes = 0;
-  uint64_t lease_expired = 0;
-  uint64_t retried_requests = 0;
-  uint64_t unknown_commits = 0;
-  uint64_t io_timeouts = 0;
-  // Chaos proxy.
-  uint64_t chaos_connections = 0;
-  uint64_t chaos_drops = 0;
-  uint64_t chaos_truncations = 0;
-  uint64_t chaos_delays = 0;
-  uint64_t chaos_duplicates = 0;
-  uint64_t chaos_cuts = 0;
-  uint64_t chaos_stalls = 0;
+  /// Calls f(name, unit, field) for every counter, const or mutable as
+  /// `s`; the latency figures are derived in CollectRunMetrics.
+  template <typename S, typename F>
+  static void ForEachField(S& s, F&& f) {
+    f("committed", "count", s.committed);
+    f("aborted", "count", s.aborted);
+    f("deadlock_aborts", "count", s.deadlock_aborts);
+    f("timeout_aborts", "count", s.timeout_aborts);
+    f("retries", "count", s.retries);
+    f("undo_failures", "count", s.undo_failures);
+  }
 };
 
 struct RunStats {
@@ -121,47 +102,21 @@ struct RunStats {
   /// Log-shipping replication counters (enabled=false when the run had
   /// no replication observer attached).
   ReplicationStats repl;
-  /// Socket-frontend resilience counters (enabled=false when the run
-  /// used the in-process frontend).
-  NetRunStats net;
+  /// Socket-frontend counters, each present only when the run had that
+  /// part: the server (read after Stop, so its session gauges are the
+  /// leak check), every worker's client summed, the chaos proxy.
+  std::optional<net::ServerStats> net_server;
+  std::optional<net::ClientNetStats> net_client;
+  std::optional<net::ChaosProxyStats> net_chaos;
   int64_t run_duration_ms = 0;
 
-  uint64_t total_committed() const {
-    uint64_t n = 0;
-    for (const auto& s : per_type) n += s.committed;
-    return n;
-  }
-  uint64_t total_aborted() const {
-    uint64_t n = 0;
-    for (const auto& s : per_type) n += s.aborted;
-    return n;
-  }
+  /// Every transaction type folded into one row (latency merged).
+  TxTypeStats all_types() const;
+  uint64_t total_committed() const { return all_types().committed; }
+  uint64_t total_aborted() const { return all_types().aborted; }
+  uint64_t total_retries() const { return all_types().retries; }
+  uint64_t total_undo_failures() const { return all_types().undo_failures; }
   uint64_t total_deadlocks() const { return lock_stats.deadlocks; }
-  /// Deadlocks closed by a lock-conversion wait — the paper's dominant
-  /// flavour; the gap to total_deadlocks() is fresh-request cycles.
-  uint64_t conversion_deadlocks() const {
-    return lock_stats.conversion_deadlocks;
-  }
-  /// Lock requests answered from the transaction's own lock set — a
-  /// resource-shard round trip skipped entirely. The rate is per request,
-  /// the same definition as perfbench's lock.cache_hit_ratio.
-  uint64_t lock_cache_hits() const { return lock_stats.cache_hits; }
-  double lock_cache_hit_rate() const {
-    return lock_stats.requests == 0
-               ? 0.0
-               : static_cast<double>(lock_stats.cache_hits) /
-                     static_cast<double>(lock_stats.requests);
-  }
-  uint64_t total_retries() const {
-    uint64_t n = 0;
-    for (const auto& s : per_type) n += s.retries;
-    return n;
-  }
-  uint64_t total_undo_failures() const {
-    uint64_t n = 0;
-    for (const auto& s : per_type) n += s.undo_failures;
-    return n;
-  }
 
   /// Committed transactions normalized to the paper's 5-minute runs.
   double throughput_per_5min() const {
@@ -172,15 +127,49 @@ struct RunStats {
 
   /// Commit-latency distribution across every transaction type (the
   /// saturation bench's view: one mixed-workload percentile).
-  LatencyHistogram merged_latency() const {
-    LatencyHistogram h;
-    for (const auto& s : per_type) h.Merge(s.latency);
-    return h;
-  }
-  double p50_ms() const { return merged_latency().PercentileUs(0.50) / 1000.0; }
-  double p95_ms() const { return merged_latency().PercentileUs(0.95) / 1000.0; }
-  double p99_ms() const { return merged_latency().PercentileUs(0.99) / 1000.0; }
+  LatencyHistogram merged_latency() const { return all_types().latency; }
+  double p50_ms() const { return all_types().p50_ms(); }
+  double p95_ms() const { return all_types().p95_ms(); }
+  double p99_ms() const { return all_types().p99_ms(); }
 };
+
+/// Adds every field of `from` into `into`, pairing fields by their
+/// position in S::ForEachField (a run's workers or transaction types
+/// summed into one row).
+template <typename S>
+void SumFields(S* into, const S& from) {
+  std::vector<uint64_t> add;
+  S::ForEachField(from, [&](const char*, const char*, uint64_t v) {
+    add.push_back(v);
+  });
+  size_t i = 0;
+  S::ForEachField(*into, [&](const char*, const char*, uint64_t& v) {
+    v += add[i++];
+  });
+}
+
+/// One named number of a report: `name` is layer-prefixed
+/// ("tx.TAqueryBook.p99_ms", "lock.waits", "net.server.dedup_hits").
+struct Metric {
+  std::string name;
+  std::string unit;
+  double value = 0;
+};
+/// A report in a fixed order: what the wire kStats reply carries and
+/// what the two exporters print.
+using MetricSet = std::vector<Metric>;
+
+/// Names every number of `stats`, layer by layer: tx.<type>.* per type
+/// that ran and tx.all.*, run.*, then lock.*, buffer.*, wal.*, repl.*,
+/// net.server.*, net.client.* and net.chaos.* for each layer the run
+/// had (a layer with zero activity — no lock requests, no buffer fixes,
+/// no log records, no replication observer, no socket part — is left out).
+MetricSet CollectRunMetrics(const RunStats& stats);
+
+/// One line per metric: name, value, unit.
+std::string ToText(const MetricSet& metrics);
+/// One JSON object keyed by name: {"name": {"value": v, "unit": "u"}}.
+std::string ToJson(const MetricSet& metrics);
 
 /// Thread-safe collector the workers report into.
 class MetricsCollector {

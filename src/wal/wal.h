@@ -157,6 +157,21 @@ struct WalStats {
   uint64_t records_redone = 0;
   uint64_t pages_redone = 0;
   uint64_t losers_undone = 0;
+
+  /// Calls f(name, unit, field) for every field, const or mutable as `s`
+  /// — the one place a field's name is written (tamix/metrics.cc).
+  template <typename S, typename F>
+  static void ForEachField(S& s, F&& f) {
+    f("records_appended", "count", s.records_appended);
+    f("bytes_appended", "B", s.bytes_appended);
+    f("syncs", "count", s.syncs);
+    f("flush_failures", "count", s.flush_failures);
+    f("commits_logged", "count", s.commits_logged);
+    f("checkpoints_taken", "count", s.checkpoints_taken);
+    f("records_redone", "count", s.records_redone);
+    f("pages_redone", "count", s.pages_redone);
+    f("losers_undone", "count", s.losers_undone);
+  }
 };
 
 struct WalOptions {

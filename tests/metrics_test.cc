@@ -1,10 +1,14 @@
-// Metrics tests: latency-histogram bucket math and percentiles, and the
+// Metrics tests: latency-histogram bucket math and percentiles, the
 // live-snapshot fix (Snapshot() must report real elapsed time mid-run,
-// not 0 — the server's stats request polls it).
+// not 0 — the server's stats request polls it), and the single metric
+// vocabulary (every stats field reaches CollectRunMetrics exactly once).
 
 #include "tamix/metrics.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 namespace xtc {
 namespace {
@@ -65,6 +69,30 @@ TEST(LatencyHistogramTest, MergeAddsCounts) {
   EXPECT_GE(a.PercentileUs(0.50), 50000);
 }
 
+TEST(LatencyHistogramTest, PercentileNeverExceedsTheMax) {
+  // Skewed: 90 fast samples and 10 at 56.4 ms, whose bucket's upper
+  // bound is 57.3 ms. The top ranks must report the observed maximum,
+  // not the bucket bound above it.
+  LatencyHistogram h;
+  for (int i = 0; i < 90; ++i) h.Record(1000);
+  for (int i = 0; i < 10; ++i) h.Record(56400);
+  EXPECT_GT(LatencyHistogram::BucketUpper(LatencyHistogram::BucketFor(56400)),
+            56400);
+  EXPECT_EQ(h.max_us, 56400);
+  EXPECT_EQ(h.min_us, 1000);
+  EXPECT_LE(h.PercentileUs(0.99), h.max_us);
+  EXPECT_EQ(h.PercentileUs(1.0), 56400);
+
+  MetricsCollector metrics;
+  for (int i = 0; i < 90; ++i) metrics.RecordCommit(TxType::kQueryBook, 1000);
+  for (int i = 0; i < 10; ++i) metrics.RecordCommit(TxType::kQueryBook, 56400);
+  const TxTypeStats qb =
+      metrics.Snapshot().per_type[static_cast<size_t>(TxType::kQueryBook)];
+  EXPECT_LE(qb.p99_ms(), qb.max_ms());
+  EXPECT_DOUBLE_EQ(qb.max_ms(), 56.4);
+  EXPECT_DOUBLE_EQ(qb.avg_duration_ms(), (90 * 1.0 + 10 * 56.4) / 100);
+}
+
 TEST(MetricsCollectorTest, SnapshotReportsLiveElapsedTimeMidRun) {
   MetricsCollector metrics;
   metrics.RecordCommit(TxType::kQueryBook, 1500);
@@ -91,6 +119,86 @@ TEST(MetricsCollectorTest, PerTypePercentilesFlowIntoSnapshot) {
   // The merged view sees the same samples.
   EXPECT_EQ(s.merged_latency().total, 100u);
   EXPECT_GE(s.p99_ms(), 2.0);
+}
+
+// Fills every field of `s` with the next distinct value.
+template <typename S>
+void FillDistinct(S* s, uint64_t* next) {
+  S::ForEachField(*s, [&](const char*, const char*, uint64_t& v) {
+    v = (*next)++;
+  });
+}
+
+// Expects every field of `s` in `by_name` under `prefix`, with its value.
+template <typename S>
+void ExpectFields(const std::map<std::string, double>& by_name,
+                  const std::string& prefix, const S& s) {
+  S::ForEachField(s, [&](const char* name, const char*, uint64_t v) {
+    auto it = by_name.find(prefix + name);
+    ASSERT_NE(it, by_name.end()) << prefix + name;
+    EXPECT_EQ(it->second, static_cast<double>(v)) << prefix + name;
+  });
+}
+
+TEST(MetricSetTest, EveryStatsFieldAppearsOnceWithItsValue) {
+  RunStats stats;
+  uint64_t next = 1000;
+  for (TxTypeStats& t : stats.per_type) {
+    FillDistinct(&t, &next);
+    t.latency.Record(static_cast<int64_t>(next++));
+  }
+  FillDistinct(&stats.lock_stats, &next);
+  stats.buffer_hits = next++;
+  stats.buffer_misses = next++;
+  FillDistinct(&stats.buffer_io, &next);
+  FillDistinct(&stats.wal, &next);
+  stats.repl.enabled = true;
+  FillDistinct(&stats.repl, &next);
+  stats.net_server.emplace();
+  FillDistinct(&*stats.net_server, &next);
+  stats.net_client.emplace();
+  FillDistinct(&*stats.net_client, &next);
+  stats.net_chaos.emplace();
+  FillDistinct(&*stats.net_chaos, &next);
+  stats.run_duration_ms = static_cast<int64_t>(next++);
+
+  const MetricSet metrics = CollectRunMetrics(stats);
+  std::map<std::string, double> by_name;
+  for (const Metric& m : metrics) {
+    EXPECT_TRUE(by_name.emplace(m.name, m.value).second)
+        << "duplicate metric " << m.name;
+    EXPECT_FALSE(m.unit.empty()) << m.name;
+  }
+  for (int t = 0; t < kNumTxTypes; ++t) {
+    const TxTypeStats& s = stats.per_type[static_cast<size_t>(t)];
+    const std::string prefix =
+        "tx." + std::string(TxTypeName(static_cast<TxType>(t))) + ".";
+    ExpectFields(by_name, prefix, s);
+    EXPECT_EQ(by_name.at(prefix + "max_ms"), s.max_ms());
+  }
+  ExpectFields(by_name, "tx.all.", stats.all_types());
+  ExpectFields(by_name, "lock.", stats.lock_stats);
+  EXPECT_EQ(by_name.at("buffer.hits"), static_cast<double>(stats.buffer_hits));
+  EXPECT_EQ(by_name.at("buffer.misses"),
+            static_cast<double>(stats.buffer_misses));
+  ExpectFields(by_name, "buffer.", stats.buffer_io);
+  ExpectFields(by_name, "wal.", stats.wal);
+  ExpectFields(by_name, "repl.", stats.repl);
+  ExpectFields(by_name, "net.server.", *stats.net_server);
+  ExpectFields(by_name, "net.client.", *stats.net_client);
+  ExpectFields(by_name, "net.chaos.", *stats.net_chaos);
+  EXPECT_EQ(by_name.at("run.duration_ms"),
+            static_cast<double>(stats.run_duration_ms));
+}
+
+TEST(MetricSetTest, JsonExportIsFixed) {
+  const MetricSet metrics = {{"tx.all.committed", "count", 12},
+                             {"tx.all.p99_ms", "ms", 2.5}};
+  EXPECT_EQ(ToJson(metrics),
+            "{\n"
+            "  \"tx.all.committed\": {\"value\": 12, \"unit\": \"count\"},\n"
+            "  \"tx.all.p99_ms\": {\"value\": 2.500, \"unit\": \"ms\"}\n"
+            "}\n");
 }
 
 }  // namespace

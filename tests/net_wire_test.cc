@@ -345,49 +345,43 @@ TEST(WireCompositeTest, UnknownStatusCodeRejected) {
 }
 
 TEST(WireCompositeTest, StatsRoundTrip) {
-  WireStats original;
-  original.run_duration_ms = 1234;
-  original.active_sessions = 72;
-  original.active_tx = 48;
-  original.admission_rejected = 9;
-  original.cancelled_waits = 3;
-  for (int t = 0; t < 5; ++t) {
-    WireTypeStats row;
-    row.committed = 100u + static_cast<uint64_t>(t);
-    row.aborted = static_cast<uint64_t>(t);
-    row.retries = 2;
-    row.avg_us = 1500;
-    row.p50_us = 1000;
-    row.p95_us = 4000;
-    row.p99_us = 9000;
-    original.per_type.push_back(row);
-  }
+  const MetricSet original = {
+      {"tx.TAqueryBook.committed", "count", 104},
+      {"tx.TAqueryBook.p99_ms", "ms", 9.125},
+      {"net.server.active_sessions", "count", 72},
+      {"", "", -0.5},  // empty strings and negative values survive too
+  };
   WireWriter w;
-  PutStats(&w, original);
+  PutMetrics(&w, original);
   WireReader r(w.str());
-  WireStats decoded;
-  ASSERT_TRUE(GetStats(&r, &decoded));
+  MetricSet decoded;
+  ASSERT_TRUE(GetMetrics(&r, &decoded));
   EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(decoded.run_duration_ms, 1234);
-  EXPECT_EQ(decoded.active_sessions, 72u);
-  ASSERT_EQ(decoded.per_type.size(), 5u);
-  EXPECT_EQ(decoded.per_type[4].committed, 104u);
-  EXPECT_EQ(decoded.per_type[4].p99_us, 9000);
+  ASSERT_EQ(decoded.size(), original.size());
+  for (size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(decoded[i].name, original[i].name);
+    EXPECT_EQ(decoded[i].unit, original[i].unit);
+    EXPECT_EQ(decoded[i].value, original[i].value);
+  }
 }
 
 TEST(WireCompositeTest, StatsLyingRowCountRejected) {
-  // A count field promising ~billions of rows must fail the bounds check
-  // instead of allocating.
+  // A count promising more entries than the remaining payload can hold
+  // (each is at least 16 bytes) must fail before any allocation.
+  WireWriter huge;
+  huge.U32(0xfffffff0u);
+  WireReader r(huge.str());
+  MetricSet decoded;
+  EXPECT_FALSE(GetMetrics(&r, &decoded));
+
+  // Off by one: two entries promised, one present.
   WireWriter w;
-  w.I64(0);   // run_duration_ms
-  w.U64(0);   // active_sessions
-  w.U64(0);   // active_tx
-  w.U64(0);   // admission_rejected
-  w.U64(0);   // cancelled_waits
-  w.U32(0xfffffff0u);  // per-type row count
-  WireReader r(w.str());
-  WireStats decoded;
-  EXPECT_FALSE(GetStats(&r, &decoded));
+  w.U32(2);
+  w.Str("a");
+  w.Str("count");
+  w.U64(0);
+  WireReader short_reader(w.str());
+  EXPECT_FALSE(GetMetrics(&short_reader, &decoded));
 }
 
 }  // namespace

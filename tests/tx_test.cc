@@ -157,8 +157,8 @@ TEST(MetricsTest, CollectorAggregatesPerType) {
   RunStats stats = metrics.Snapshot();
   const auto& qb = stats.per_type[static_cast<int>(TxType::kQueryBook)];
   EXPECT_EQ(qb.committed, 2u);
-  EXPECT_EQ(qb.min_duration_us, 1000);
-  EXPECT_EQ(qb.max_duration_us, 3000);
+  EXPECT_EQ(qb.latency.min_us, 1000);
+  EXPECT_EQ(qb.latency.max_us, 3000);
   EXPECT_DOUBLE_EQ(qb.avg_duration_ms(), 2.0);
   const auto& ch = stats.per_type[static_cast<int>(TxType::kChapter)];
   EXPECT_EQ(ch.aborted, 2u);

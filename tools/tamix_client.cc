@@ -4,7 +4,8 @@
 // fetches the workload catalog over the wire (kWorkloadInfo), spawns the
 // paper's CLUSTER1 client mix — each worker on its own connection, each
 // transaction begun/committed on the server — and reports committed /
-// aborted counts and latency percentiles per transaction type. This is
+// aborted counts and latency percentiles per transaction type
+// (CollectRunMetrics' tx.* and run.* metrics). This is
 // the paper's actual topology: TaMix clients were separate machines
 // driving the XTC server remotely.
 //
@@ -22,7 +23,7 @@
 //                 (default repeatable)
 // --lock-depth D  lock depth (default 7)
 // --seed S        workload seed (default 7)
-// --json          machine-readable report
+// --json          the same metrics as one JSON object (ToJson)
 
 #include <algorithm>
 #include <atomic>
@@ -227,56 +228,15 @@ int main(int argc, char** argv) {
   RunStats stats = metrics.Snapshot();
   stats.run_duration_ms = ToMillis(Now() - start);
 
+  const MetricSet report = CollectRunMetrics(stats);
   if (json) {
-    std::printf("{\n");
-    std::printf("  \"clients\": %d,\n", clients);
-    std::printf("  \"workers\": %llu,\n",
-                static_cast<unsigned long long>(worker_index));
-    std::printf("  \"seconds\": %lld,\n", static_cast<long long>(seconds));
-    std::printf("  \"committed\": %llu,\n",
-                static_cast<unsigned long long>(stats.total_committed()));
-    std::printf("  \"aborted\": %llu,\n",
-                static_cast<unsigned long long>(stats.total_aborted()));
-    std::printf("  \"committed_per_5min\": %.0f,\n",
-                stats.throughput_per_5min());
-    std::printf("  \"p50_ms\": %.2f,\n", stats.p50_ms());
-    std::printf("  \"p95_ms\": %.2f,\n", stats.p95_ms());
-    std::printf("  \"p99_ms\": %.2f,\n", stats.p99_ms());
-    std::printf("  \"per_type\": {\n");
-    for (int t = 0; t < kNumTxTypes; ++t) {
-      const TxTypeStats& s = stats.per_type[static_cast<size_t>(t)];
-      std::printf("    \"%.*s\": {\"committed\": %llu, \"aborted\": %llu, "
-                  "\"p99_ms\": %.2f}%s\n",
-                  static_cast<int>(TxTypeName(static_cast<TxType>(t)).size()),
-                  TxTypeName(static_cast<TxType>(t)).data(),
-                  static_cast<unsigned long long>(s.committed),
-                  static_cast<unsigned long long>(s.aborted), s.p99_ms(),
-                  t + 1 < kNumTxTypes ? "," : "");
-    }
-    std::printf("  }\n}\n");
+    std::fputs(ToJson(report).c_str(), stdout);
   } else {
     std::printf("# remote TaMix: %d clients x 24 workers, %llds over "
                 "%s:%u\n",
                 clients, static_cast<long long>(seconds), config.host.c_str(),
                 config.port);
-    std::printf("%-16s %10s %10s %10s %10s %10s\n", "type", "committed",
-                "aborted", "p50 ms", "p95 ms", "p99 ms");
-    for (int t = 0; t < kNumTxTypes; ++t) {
-      const TxTypeStats& s = stats.per_type[static_cast<size_t>(t)];
-      if (s.committed == 0 && s.aborted == 0) continue;
-      std::printf("%-16.*s %10llu %10llu %10.2f %10.2f %10.2f\n",
-                  static_cast<int>(TxTypeName(static_cast<TxType>(t)).size()),
-                  TxTypeName(static_cast<TxType>(t)).data(),
-                  static_cast<unsigned long long>(s.committed),
-                  static_cast<unsigned long long>(s.aborted), s.p50_ms(),
-                  s.p95_ms(), s.p99_ms());
-    }
-    std::printf("%-16s %10llu %10llu %10.2f %10.2f %10.2f\n", "all types",
-                static_cast<unsigned long long>(stats.total_committed()),
-                static_cast<unsigned long long>(stats.total_aborted()),
-                stats.p50_ms(), stats.p95_ms(), stats.p99_ms());
-    std::printf("throughput: %.0f committed / 5 paper-min\n",
-                stats.throughput_per_5min());
+    std::fputs(ToText(report).c_str(), stdout);
   }
   return stats.total_committed() > 0 ? 0 : 1;
 }

@@ -19,7 +19,7 @@
 // --workers N          request worker threads (default 32)
 // --max-tx N           admission cap on in-flight transactions (default 64)
 // --wait-timeout-ms N  lock wait timeout (default 3000)
-// --json               print final server stats as JSON
+// --json               print the final server metrics as JSON, not text
 
 #include <cstdio>
 #include <cstdlib>
@@ -122,38 +122,8 @@ int main(int argc, char** argv) {
   }
   server.Stop();
 
-  const net::ServerStats stats = server.stats();
-  if (json) {
-    std::printf("{\n");
-    std::printf("  \"sessions_opened\": %llu,\n",
-                static_cast<unsigned long long>(stats.sessions_opened));
-    std::printf("  \"frames_received\": %llu,\n",
-                static_cast<unsigned long long>(stats.frames_received));
-    std::printf("  \"responses_sent\": %llu,\n",
-                static_cast<unsigned long long>(stats.responses_sent));
-    std::printf("  \"protocol_errors\": %llu,\n",
-                static_cast<unsigned long long>(stats.protocol_errors));
-    std::printf("  \"admission_rejected\": %llu,\n",
-                static_cast<unsigned long long>(stats.admission_rejected));
-    std::printf("  \"tx_begun\": %llu,\n",
-                static_cast<unsigned long long>(stats.tx_begun));
-    std::printf("  \"tx_committed\": %llu,\n",
-                static_cast<unsigned long long>(stats.tx_committed));
-    std::printf("  \"tx_aborted\": %llu\n",
-                static_cast<unsigned long long>(stats.tx_aborted));
-    std::printf("}\n");
-  } else {
-    std::printf(
-        "served %llu sessions, %llu frames; %llu tx begun, %llu committed, "
-        "%llu aborted, %llu rejected by admission, %llu protocol errors\n",
-        static_cast<unsigned long long>(stats.sessions_opened),
-        static_cast<unsigned long long>(stats.frames_received),
-        static_cast<unsigned long long>(stats.tx_begun),
-        static_cast<unsigned long long>(stats.tx_committed),
-        static_cast<unsigned long long>(stats.tx_aborted),
-        static_cast<unsigned long long>(stats.admission_rejected),
-        static_cast<unsigned long long>(stats.protocol_errors));
-  }
+  const MetricSet metrics = server.Metrics();
+  std::fputs((json ? ToJson(metrics) : ToText(metrics)).c_str(), stdout);
   // A leaked transaction here means a session teardown path lost one.
   if (tx_manager.num_active() != 0) {
     std::fprintf(stderr, "FAIL: %zu transactions still active after stop\n",
