@@ -10,8 +10,10 @@
 //
 //   ./bench/micro_server            full sweep, human-readable table
 //   ./bench/micro_server --smoke    quick CI run; exits non-zero on
-//                                   leaked transactions, protocol errors
-//                                   or a level that commits nothing
+//                                   leaked transactions, protocol errors,
+//                                   a level that commits nothing, or a
+//                                   64-connection level the in-flight
+//                                   cap did not shed
 //   ./bench/micro_server --json     machine-readable results
 //                                   (committed as BENCH_server.json)
 
@@ -42,6 +44,10 @@ TxType DrawMixType(Rng& rng) {
   if (slot < 16) return TxType::kRenameTopic;
   return TxType::kLendAndReturn;
 }
+
+/// The sweep's admission cap: the top level pushes past it and must
+/// see Begins shed rather than queued.
+constexpr size_t kMaxInFlightTx = 48;
 
 struct LevelResult {
   int connections = 0;
@@ -152,8 +158,8 @@ int main(int argc, char** argv) {
   const bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
   const double level_seconds = smoke ? 0.4 : 1.5;
   const std::vector<int> levels =
-      smoke ? std::vector<int>{1, 4, 16} : std::vector<int>{1, 2, 4, 8, 16,
-                                                            32, 64};
+      smoke ? std::vector<int>{1, 4, 16, 64}
+            : std::vector<int>{1, 2, 4, 8, 16, 32, 64};
 
   Document doc;
   auto info = GenerateBib(&doc, BibConfig::Bench());
@@ -175,7 +181,7 @@ int main(int argc, char** argv) {
   options.max_sessions = 128;
   // The admission cap is part of what the sweep shows: the top levels
   // push past it and the rejected column grows instead of the p99.
-  options.max_in_flight_tx = 48;
+  options.max_in_flight_tx = kMaxInFlightTx;
   net::Server server(
       net::Server::Deps{&node_manager, &tx_manager, &protocol->table(),
                         &*info, nullptr},
@@ -281,7 +287,7 @@ int main(int argc, char** argv) {
     std::printf("  \"protocol\": \"taDOM3+\",\n");
     std::printf("  \"isolation\": \"repeatable\",\n");
     std::printf("  \"seconds_per_level\": %.1f,\n", level_seconds);
-    std::printf("  \"max_in_flight_tx\": 48,\n");
+    std::printf("  \"max_in_flight_tx\": %zu,\n", kMaxInFlightTx);
     std::printf("  \"levels\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
       const LevelResult& r = results[i];
@@ -316,6 +322,18 @@ int main(int argc, char** argv) {
       if (r.committed == 0) {
         std::fprintf(stderr, "FAIL: %d-connection level committed nothing\n",
                      r.connections);
+        ++failures;
+      }
+    }
+    // Load shedding: 64 connections against the 48-transaction cap must
+    // get kBegin answered kResourceExhausted, not queued.
+    for (const LevelResult& r : results) {
+      if (r.connections > static_cast<int>(kMaxInFlightTx) &&
+          r.admission_rejected == 0) {
+        std::fprintf(stderr,
+                     "FAIL: %d-connection level shed no load past the "
+                     "%zu-transaction cap\n",
+                     r.connections, kMaxInFlightTx);
         ++failures;
       }
     }

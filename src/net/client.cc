@@ -47,6 +47,9 @@ int RemainingMs(TimePoint deadline) {
   return static_cast<int>(ms < 1 ? 1 : ms);
 }
 
+/// Initial receive buffer; larger responses grow it once.
+constexpr size_t kRecvBufferBytes = 4096;
+
 }  // namespace
 
 Status Client::Connect(std::string_view host, uint16_t port) {
@@ -206,28 +209,39 @@ Status Client::SendAllDeadline(std::string_view bytes, TimePoint deadline) {
   return Status::OK();
 }
 
-Status Client::RecvExactlyDeadline(char* buf, size_t n, TimePoint deadline) {
+Status Client::RecvFrame(TimePoint deadline, FrameHeader* header) {
   if (options_.faults != nullptr &&
       options_.faults->ShouldFail(fault_points::kNetRecv)) {
     return Status::IoError("injected fault at net.recv");
   }
-  size_t off = 0;
-  while (off < n) {
-    const ssize_t got = ::recv(fd_, buf + off, n - off, 0);
-    if (got > 0) {
-      off += static_cast<size_t>(got);
-      continue;
+  // Wait first, then read: right after the send the response is almost
+  // never there yet, and one recv usually takes the whole frame.
+  if (rbuf_.size() < kRecvBufferBytes) rbuf_.resize(kRecvBufferBytes);
+  size_t have = 0;
+  size_t need = 0;  // frame length, known once the header is in
+  for (;;) {
+    XTC_RETURN_IF_ERROR(PollFd(POLLIN, deadline, "recv"));
+    const ssize_t got =
+        ::recv(fd_, rbuf_.data() + have, rbuf_.size() - have, 0);
+    if (got == 0) return Status::IoError("server closed the connection");
+    if (got < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
+      return ErrnoStatus("recv");
     }
-    if (got == 0) {
-      return Status::IoError("server closed the connection");
+    have += static_cast<size_t>(got);
+    if (need == 0 && have >= kHeaderSize) {
+      XTC_RETURN_IF_ERROR(
+          DecodeHeader(std::string_view(rbuf_.data(), kHeaderSize), header));
+      need = kHeaderSize + header->payload_len;
+      if (rbuf_.size() < need) rbuf_.resize(need);
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      Status st = PollFd(POLLIN, deadline, "recv");
-      if (!st.ok()) return st;
-      continue;
-    }
-    if (errno == EINTR) continue;
-    return ErrnoStatus("recv");
+    if (need != 0 && have >= need) break;
+  }
+  // The protocol is synchronous: the server never sends a byte the client
+  // did not ask for, so anything past the frame means the stream is out
+  // of step (e.g. a duplicated response).
+  if (have > need) {
+    return Status::DataLoss("bytes past the response frame");
   }
   return Status::OK();
 }
@@ -235,48 +249,28 @@ Status Client::RecvExactlyDeadline(char* buf, size_t n, TimePoint deadline) {
 StatusOr<std::string> Client::ExchangeOnce(MsgType type, uint32_t request_id,
                                            std::string_view frame) {
   const TimePoint deadline = Now() + options_.io_timeout;
-  Status st = SendAllDeadline(frame, deadline);
-  if (!st.ok()) {
-    Close();
-    return st;
-  }
-
-  char header_bytes[kHeaderSize];
-  st = RecvExactlyDeadline(header_bytes, kHeaderSize, deadline);
-  if (!st.ok()) {
-    Close();
-    return st;
-  }
   FrameHeader header;
-  st = DecodeHeader(std::string_view(header_bytes, kHeaderSize), &header);
+  Status st = SendAllDeadline(frame, deadline);
+  if (st.ok()) st = RecvFrame(deadline, &header);
+  std::string_view body;
+  if (st.ok()) {
+    body = std::string_view(rbuf_).substr(kHeaderSize, header.payload_len);
+    st = CheckPayload(header, body);
+  }
+  if (st.ok() && (header.type != (static_cast<uint8_t>(type) | kResponseBit) ||
+                  header.request_id != request_id)) {
+    st = Status::DataLoss("response does not match request");
+  }
   if (!st.ok()) {
     Close();
     return st;
-  }
-  std::string body(header.payload_len, '\0');
-  if (header.payload_len > 0) {
-    st = RecvExactlyDeadline(body.data(), body.size(), deadline);
-    if (!st.ok()) {
-      Close();
-      return st;
-    }
-  }
-  st = CheckPayload(header, body);
-  if (!st.ok()) {
-    Close();
-    return st;
-  }
-  if (header.type != (static_cast<uint8_t>(type) | kResponseBit) ||
-      header.request_id != request_id) {
-    Close();
-    return Status::DataLoss("response does not match request");
   }
 
   WireReader r(body);
   st = TakeStatus(&r);
   if (!st.ok()) return st;
   // Hand back only the result fields; the caller's reader starts there.
-  return body.substr(r.pos());
+  return std::string(body.substr(r.pos()));
 }
 
 Status Client::Reconnect(int* attempt, uint32_t request_id) {

@@ -48,8 +48,7 @@ namespace net {
 
 struct ClientOptions {
   Duration connect_timeout = std::chrono::seconds(5);
-  /// Per-attempt I/O budget: one send + one response (header and body
-  /// each get a fresh deadline from it).
+  /// Per-attempt I/O budget: one send + one response.
   Duration io_timeout = std::chrono::seconds(30);
   /// Reconnect + retry attempts after a transport failure inside a
   /// RoundTrip. 0 = fail fast on the first transport error (the
@@ -131,7 +130,8 @@ class Client {
   /// (definitive); kIoError = attempts exhausted.
   Status Reconnect(int* attempt, uint32_t request_id);
   Status SendAllDeadline(std::string_view bytes, TimePoint deadline);
-  Status RecvExactlyDeadline(char* buf, size_t n, TimePoint deadline);
+  /// Receives exactly one response frame into rbuf_ (header included).
+  Status RecvFrame(TimePoint deadline, FrameHeader* header);
   /// Remaining-ms poll helper; fails with kIoError once past deadline.
   Status PollFd(short events, TimePoint deadline, const char* what);
 
@@ -144,6 +144,7 @@ class Client {
   uint64_t token_secret_ = 0;
   uint32_t lease_ms_ = 0;
   bool resumed_tx_open_ = false;
+  std::string rbuf_;  // receive buffer, reused across round trips
   ClientNetStats net_stats_;
 };
 

@@ -19,8 +19,7 @@ struct ServerStats {
   uint64_t frames_received = 0;
   uint64_t responses_sent = 0;
   uint64_t protocol_errors = 0;  // framing/decode failures -> disconnect
-  uint64_t admission_rejected = 0;  // tx cap + queue cap
-  uint64_t deadline_rejected = 0;
+  uint64_t admission_rejected = 0;  // tx cap, draining
   uint64_t idle_reaped = 0;
   uint64_t tx_begun = 0;
   uint64_t tx_committed = 0;
@@ -44,7 +43,6 @@ struct ServerStats {
     f("responses_sent", "count", s.responses_sent);
     f("protocol_errors", "count", s.protocol_errors);
     f("admission_rejected", "count", s.admission_rejected);
-    f("deadline_rejected", "count", s.deadline_rejected);
     f("idle_reaped", "count", s.idle_reaped);
     f("tx_begun", "count", s.tx_begun);
     f("tx_committed", "count", s.tx_committed);

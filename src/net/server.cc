@@ -21,13 +21,15 @@ namespace net {
 namespace {
 
 /// How long the event loop sleeps in epoll_wait when nothing happens —
-/// the cadence of idle reaping and deferred-fd closing.
+/// the cadence of idle reaping, lease expiry and deferred-fd closing.
 constexpr int kLoopTickMs = 250;
 /// How long a worker waits for a stalled client to accept response bytes
 /// before declaring the session dead.
 constexpr int kSendTimeoutMs = 5000;
 /// Drain's poll cadence while waiting for in-flight work to finish.
 constexpr auto kDrainPollInterval = std::chrono::milliseconds(10);
+/// Epoll key of the workers' stop eventfd (session ids start at 1).
+constexpr uint64_t kStopKey = 0;
 
 Status ErrnoStatus(const char* what) {
   return Status::IoError(std::string(what) + ": " + std::strerror(errno));
@@ -89,8 +91,12 @@ Status Server::Start() {
 
   event_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (event_fd_ < 0) return ErrnoStatus("eventfd");
+  stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (stop_fd_ < 0) return ErrnoStatus("eventfd");
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) return ErrnoStatus("epoll_create1");
+  worker_epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (worker_epoll_fd_ < 0) return ErrnoStatus("epoll_create1");
 
   epoll_event ev{};
   ev.events = EPOLLIN;
@@ -101,6 +107,12 @@ Status Server::Start() {
   ev.data.fd = event_fd_;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev) < 0) {
     return ErrnoStatus("epoll_ctl(eventfd)");
+  }
+  // Level-triggered and never drained: once Stop() signals it, every
+  // worker's epoll_wait reports it.
+  ev.data.u64 = kStopKey;
+  if (::epoll_ctl(worker_epoll_fd_, EPOLL_CTL_ADD, stop_fd_, &ev) < 0) {
+    return ErrnoStatus("epoll_ctl(stop)");
   }
 
   metrics_.MarkRunStart();
@@ -123,8 +135,7 @@ void Server::WakeLoop() {
 // --- Event loop -----------------------------------------------------------
 
 void Server::EventLoop() {
-  constexpr int kMaxEvents = 64;
-  epoll_event events[kMaxEvents];
+  epoll_event events[2];
   bool listener_armed = true;
 
   while (!stopping_.load(std::memory_order_acquire)) {
@@ -133,35 +144,19 @@ void Server::EventLoop() {
       listener_armed = false;
     }
 
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, kLoopTickMs);
+    const int n = ::epoll_wait(epoll_fd_, events, 2, kLoopTickMs);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll set is gone; shutdown is in progress
     }
     for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == listen_fd_) {
+      if (events[i].data.fd == listen_fd_) {
         AcceptPending();
-        continue;
-      }
-      if (fd == event_fd_) {
+      } else {
         uint64_t drained;
         while (::read(event_fd_, &drained, sizeof(drained)) > 0) {
         }
-        continue;
       }
-      SessionPtr s;
-      {
-        MutexLock guard(sessions_mu_);
-        auto it = sessions_.find(fd);
-        if (it != sessions_.end()) s = it->second;
-      }
-      if (!s) continue;  // torn down after the event was queued
-      if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        BeginClose(s);
-        continue;
-      }
-      if (!ReadSession(s)) BeginClose(s);
     }
     CloseDeadFds();
     ReapIdle();
@@ -195,136 +190,20 @@ void Server::AcceptPending() {
 
     auto s = std::make_shared<Session>();
     s->fd = fd;
-    s->last_activity = Now();
+    s->last_activity.store(Now(), std::memory_order_relaxed);
     {
       MutexLock guard(sessions_mu_);
       s->id = next_session_id_++;
-      sessions_.emplace(fd, s);
+      sessions_.emplace(s->id, s);
     }
     epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    ev.events = EPOLLIN | EPOLLONESHOT;
+    ev.data.u64 = s->id;
+    if (::epoll_ctl(worker_epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
       BeginClose(s);
       continue;
     }
     stat_sessions_opened_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-bool Server::ReadSession(const SessionPtr& s) {
-  // An injected receive failure is indistinguishable from the peer
-  // resetting the connection: the session tears down (or parks).
-  if (deps_.faults != nullptr &&
-      deps_.faults->ShouldFail(fault_points::kNetRecv)) {
-    return false;
-  }
-  char buf[16 * 1024];
-  bool eof = false;
-  for (;;) {
-    const ssize_t n = ::read(s->fd, buf, sizeof(buf));
-    if (n > 0) {
-      s->rbuf.append(buf, static_cast<size_t>(n));
-      // A client streaming unbounded bytes that never frame (e.g. a
-      // well-formed header whose payload trickles in past any sane size
-      // is impossible — payload_len is capped — so this only fires on
-      // garbage that happened to pass no header check yet).
-      if (s->rbuf.size() > kHeaderSize + kMaxPayload) {
-        stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      continue;
-    }
-    // Orderly EOF often arrives in the same wakeup as the final frame's
-    // bytes. Fall through and extract those frames before honoring it:
-    // a request the peer fully delivered must be executed (and its
-    // outcome recorded) even though the response has nowhere to go —
-    // it is what a resumed client will retry for.
-    if (n == 0) {
-      eof = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    return false;
-  }
-  s->last_activity = Now();
-
-  // Extract every complete frame.
-  while (s->rbuf.size() >= kHeaderSize) {
-    FrameHeader header;
-    Status st = DecodeHeader(s->rbuf, &header);
-    if (!st.ok()) {
-      // Header-level corruption: the type and request_id bytes cannot be
-      // trusted and a length-prefixed stream cannot resynchronize, so
-      // there is nothing meaningful to answer — drop the connection.
-      stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (s->rbuf.size() < kHeaderSize + header.payload_len) break;  // partial
-    std::string_view payload(s->rbuf.data() + kHeaderSize, header.payload_len);
-    stat_frames_received_.fetch_add(1, std::memory_order_relaxed);
-
-    // The header framed correctly, so type/request_id are reliable and
-    // payload-level problems get a proper error response (then the
-    // session closes: the payload bytes still desynchronize nothing, but
-    // trust in the peer is gone).
-    Frame frame;
-    frame.type = header.type & static_cast<uint8_t>(~kResponseBit);
-    frame.request_id = header.request_id;
-    frame.enqueued = Now();
-    if ((header.type & kResponseBit) != 0) {
-      stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      frame.reject = Status::InvalidArgument("response frame sent to server");
-    } else if (Status pst = CheckPayload(header, payload); !pst.ok()) {
-      stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      frame.reject = std::move(pst);
-    } else {
-      frame.payload.assign(payload);
-      if (queued_frames_.load(std::memory_order_acquire) >=
-          options_.max_queue_depth) {
-        frame.overloaded = true;
-        frame.payload.clear();
-      }
-    }
-    const bool fatal = !frame.reject.ok();
-    s->rbuf.erase(0, kHeaderSize + header.payload_len);
-    EnqueueFrame(s, std::move(frame));
-    if (fatal) return true;  // teardown happens after the error response
-  }
-  if (eof) {
-    // Frames extracted above are already with a worker; it closes the
-    // session once the queue drains. A bare EOF closes right here.
-    MutexLock guard(s->mu);
-    s->eof_received = true;
-    return s->busy || !s->pending.empty();
-  }
-  return true;
-}
-
-void Server::EnqueueFrame(const SessionPtr& s, Frame frame) {
-  bool schedule = false;
-  {
-    MutexLock guard(s->mu);
-    if (s->closing) return;
-    if (s->pending.size() >= options_.max_session_pending) {
-      // Pipelining far past the response stream violates the protocol.
-      frame.payload.clear();
-      frame.overloaded = false;
-      frame.reject = Status::ResourceExhausted("session pipeline cap");
-      stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    }
-    s->pending.push_back(std::move(frame));
-    queued_frames_.fetch_add(1, std::memory_order_acq_rel);
-    if (!s->busy) {
-      s->busy = true;
-      schedule = true;
-    }
-  }
-  if (schedule) {
-    MutexLock guard(queue_mu_);
-    work_queue_.push_back(s);
-    queue_cv_.notify_one();
   }
 }
 
@@ -334,8 +213,6 @@ void Server::BeginClose(const SessionPtr& s) {
     MutexLock guard(s->mu);
     if (s->closing) return;
     s->closing = true;
-    queued_frames_.fetch_sub(s->pending.size(), std::memory_order_acq_rel);
-    s->pending.clear();
     teardown_now = !s->busy;
   }
   // A transaction parked in LockTable::Lock() must be woken or teardown
@@ -356,11 +233,13 @@ void Server::Teardown(const SessionPtr& s) {
   ParkOrAbort(s.get());
   {
     MutexLock guard(sessions_mu_);
-    sessions_.erase(s->fd);
+    sessions_.erase(s->id);
   }
-  // Only the event loop closes fds (a worker closing here could race a
-  // just-dispatched epoll event onto a reused descriptor). Shut the
-  // socket down now so any such event reads EOF, and let the loop close.
+  // Only the event loop closes fds: a descriptor number stays taken until
+  // no thread can still act on this session, so accept4 never hands it to
+  // a new connection early. Shut the socket down now so the peer sees the
+  // close at once.
+  ::epoll_ctl(worker_epoll_fd_, EPOLL_CTL_DEL, s->fd, nullptr);
   ::shutdown(s->fd, SHUT_RDWR);
   {
     MutexLock guard(dead_fds_mu_);
@@ -384,8 +263,11 @@ void Server::ReapIdle() {
   std::vector<SessionPtr> idle;
   {
     MutexLock guard(sessions_mu_);
-    for (const auto& [fd, s] : sessions_) {
-      if (now - s->last_activity > options_.idle_timeout) idle.push_back(s);
+    for (const auto& [id, s] : sessions_) {
+      if (now - s->last_activity.load(std::memory_order_relaxed) >
+          options_.idle_timeout) {
+        idle.push_back(s);
+      }
     }
   }
   for (const SessionPtr& s : idle) {
@@ -398,74 +280,147 @@ void Server::ReapIdle() {
 
 void Server::WorkerLoop() {
   for (;;) {
+    // One event per wait: a worker serves one session per wake-up, so a
+    // second readable session goes to another worker.
+    epoll_event ev;
+    const int n = ::epoll_wait(worker_epoll_fd_, &ev, 1, -1);
+    if (n < 0 && errno != EINTR) return;  // epoll set is gone
+    if (n <= 0) continue;
+    if (ev.data.u64 == kStopKey) return;
     SessionPtr s;
     {
-      MutexLock guard(queue_mu_);
-      queue_cv_.wait(guard.native(), [this]() XTC_REQUIRES(queue_mu_) {
-        return stopping_.load(std::memory_order_acquire) ||
-               !work_queue_.empty();
-      });
-      if (work_queue_.empty()) return;  // stopping
-      s = std::move(work_queue_.front());
-      work_queue_.pop_front();
+      MutexLock guard(sessions_mu_);
+      auto it = sessions_.find(ev.data.u64);
+      if (it != sessions_.end()) s = it->second;
     }
-
-    for (;;) {
-      Frame frame;
-      bool have_frame = false;
-      bool teardown = false;
-      {
-        MutexLock guard(s->mu);
-        if (s->closing) {
-          queued_frames_.fetch_sub(s->pending.size(),
-                                   std::memory_order_acq_rel);
-          s->pending.clear();
-          s->busy = false;
-          teardown = true;
-        } else if (s->pending.empty()) {
-          s->busy = false;
-          if (s->eof_received) {
-            // The peer hung up while we drained its last frames; no new
-            // ones can arrive. Close now that the queue is empty.
-            s->closing = true;
-            teardown = true;
-          }
-        } else {
-          frame = std::move(s->pending.front());
-          s->pending.pop_front();
-          queued_frames_.fetch_sub(1, std::memory_order_acq_rel);
-          have_frame = true;
-        }
-      }
-      if (teardown) {
-        Teardown(s);
-        break;
-      }
-      if (!have_frame) break;
-      if (!Process(s, frame)) {
-        bool teardown_now = false;
-        {
-          MutexLock guard(s->mu);
-          if (!s->closing) {
-            s->closing = true;
-            teardown_now = true;
-          }
-          queued_frames_.fetch_sub(s->pending.size(),
-                                   std::memory_order_acq_rel);
-          s->pending.clear();
-          s->busy = false;
-        }
-        // If BeginClose() marked it first, it saw busy==true and left
-        // teardown to us either way.
-        Teardown(s);
-        (void)teardown_now;
-        break;
-      }
+    if (s == nullptr) continue;  // torn down after the event fired
+    {
+      MutexLock guard(s->mu);
+      if (s->closing || s->busy) continue;
+      s->busy = true;
     }
+    ServeSession(s, ev.events);
   }
 }
 
-bool Server::Process(const SessionPtr& s, Frame& frame) {
+void Server::ServeSession(const SessionPtr& s, uint32_t events) {
+  std::vector<Frame> batch;
+  size_t consumed = 0;
+  bool eof = false;
+  bool keep = (events & (EPOLLHUP | EPOLLERR)) == 0 &&
+              ReadFrames(s, &batch, &consumed, &eof);
+  if (keep) {
+    for (const Frame& frame : batch) {
+      {
+        MutexLock guard(s->mu);
+        if (s->closing) break;
+      }
+      if (!Process(s, frame)) {
+        keep = false;
+        break;
+      }
+    }
+    s->rbuf.erase(0, consumed);
+  }
+  // An orderly EOF closes only after the frames that preceded it ran:
+  // the peer may be gone, but under a lease those are the outcomes a
+  // resumed client retries for.
+  if (eof) keep = false;
+
+  bool teardown;
+  {
+    MutexLock guard(s->mu);
+    s->busy = false;
+    if (!keep) s->closing = true;
+    teardown = s->closing;
+    if (!teardown) {
+      // Re-arm under mu, after clearing busy: BeginClose cannot slip in
+      // between, and the worker the re-armed event wakes finds the
+      // session free. Bytes that arrived meanwhile fire it at once.
+      epoll_event ev{};
+      ev.events = EPOLLIN | EPOLLONESHOT;
+      ev.data.u64 = s->id;
+      if (::epoll_ctl(worker_epoll_fd_, EPOLL_CTL_MOD, s->fd, &ev) < 0) {
+        s->closing = true;
+        teardown = true;
+      }
+    }
+  }
+  // If BeginClose() marked the session while we owned it, it saw
+  // busy == true and left the teardown to us.
+  if (teardown) Teardown(s);
+}
+
+bool Server::ReadFrames(const SessionPtr& s, std::vector<Frame>* batch,
+                        size_t* consumed, bool* eof) {
+  // An injected receive failure is indistinguishable from the peer
+  // resetting the connection: the session tears down (or parks).
+  if (deps_.faults != nullptr &&
+      deps_.faults->ShouldFail(fault_points::kNetRecv)) {
+    return false;
+  }
+  // One read per wake-up: bytes left in the socket re-fire the ONESHOT
+  // event once the fd is re-armed.
+  char buf[16 * 1024];
+  const ssize_t n = ::read(s->fd, buf, sizeof(buf));
+  if (n > 0) {
+    s->rbuf.append(buf, static_cast<size_t>(n));
+    // A well-formed frame never exceeds this (payload_len is capped), so
+    // only garbage that passed no header check yet can grow past it.
+    if (s->rbuf.size() > kHeaderSize + kMaxPayload) {
+      stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+  } else if (n == 0) {
+    *eof = true;
+  } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+    return false;
+  }
+  s->last_activity.store(Now(), std::memory_order_relaxed);
+
+  // Extract every complete frame.
+  size_t off = 0;
+  while (s->rbuf.size() - off >= kHeaderSize) {
+    const std::string_view rest = std::string_view(s->rbuf).substr(off);
+    FrameHeader header;
+    Status st = DecodeHeader(rest, &header);
+    if (!st.ok()) {
+      // Header-level corruption: the type and request_id bytes cannot be
+      // trusted and a length-prefixed stream cannot resynchronize, so
+      // there is nothing meaningful to answer — drop the connection.
+      stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    if (rest.size() < kHeaderSize + header.payload_len) break;  // partial
+    off += kHeaderSize + header.payload_len;
+    stat_frames_received_.fetch_add(1, std::memory_order_relaxed);
+
+    // The header framed correctly, so type/request_id are reliable and
+    // payload-level problems get a proper error response (then the
+    // session closes: the payload bytes still desynchronize nothing, but
+    // trust in the peer is gone).
+    Frame frame;
+    frame.type = header.type & static_cast<uint8_t>(~kResponseBit);
+    frame.request_id = header.request_id;
+    frame.payload = rest.substr(kHeaderSize, header.payload_len);
+    if ((header.type & kResponseBit) != 0) {
+      frame.reject = Status::InvalidArgument("response frame sent to server");
+    } else if (Status pst = CheckPayload(header, frame.payload); !pst.ok()) {
+      frame.reject = std::move(pst);
+    } else if (batch->size() >= options_.max_session_pending) {
+      // Pipelining far past the response stream violates the protocol.
+      frame.reject = Status::ResourceExhausted("session pipeline cap");
+    }
+    const bool fatal = !frame.reject.ok();
+    if (fatal) stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    batch->push_back(std::move(frame));
+    if (fatal) break;  // teardown happens after the error response
+  }
+  *consumed = off;
+  return true;
+}
+
+bool Server::Process(const SessionPtr& s, const Frame& frame) {
   if (deps_.faults != nullptr) {
     if (deps_.faults->ShouldFail(fault_points::kNetDelay)) SleepFor(Millis(2));
     // An injected close looks like the kernel dropping the connection
@@ -480,22 +435,11 @@ bool Server::Process(const SessionPtr& s, Frame& frame) {
   if (!frame.reject.ok()) {
     payload = StatusOnlyPayload(frame.reject);
     close_after = true;
-  } else if (frame.overloaded) {
-    stat_admission_rejected_.fetch_add(1, std::memory_order_relaxed);
-    payload = StatusOnlyPayload(
-        Status::ResourceExhausted("server request queue full"));
   } else if (dedupable && DedupLookup(*s->core, frame.request_id, frame.type,
                                       &payload)) {
     // The client retried a request whose response it never saw; answer
     // with the recorded outcome, never re-execute (exactly-once).
     stat_dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-  } else if (Now() - frame.enqueued > options_.request_deadline &&
-             frame.type != static_cast<uint8_t>(MsgType::kAbort)) {
-    // Stale work is not worth doing — the client gave up long ago. Abort
-    // is exempt: it is how transactions stop holding locks.
-    stat_deadline_rejected_.fetch_add(1, std::memory_order_relaxed);
-    payload =
-        StatusOnlyPayload(Status::ResourceExhausted("request deadline passed"));
   } else {
     payload = HandleRequest(s, frame, &close_after);
     executed = true;
@@ -1077,7 +1021,7 @@ void Server::Drain() {
   std::vector<SessionPtr> remaining;
   {
     MutexLock guard(sessions_mu_);
-    for (const auto& [fd, s] : sessions_) remaining.push_back(s);
+    for (const auto& [id, s] : sessions_) remaining.push_back(s);
   }
   for (const SessionPtr& s : remaining) BeginClose(s);
   const TimePoint hard_deadline = Now() + options_.drain_timeout;
@@ -1097,10 +1041,8 @@ void Server::Stop() {
   if (!started_.load(std::memory_order_acquire)) return;
   Drain();
   if (stopping_.exchange(true)) return;
-  {
-    MutexLock guard(queue_mu_);
-    queue_cv_.notify_all();
-  }
+  uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(stop_fd_, &one, sizeof(one));
   WakeLoop();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
@@ -1111,7 +1053,7 @@ void Server::Stop() {
   std::vector<SessionPtr> remaining;
   {
     MutexLock guard(sessions_mu_);
-    for (const auto& [fd, s] : sessions_) remaining.push_back(s);
+    for (const auto& [id, s] : sessions_) remaining.push_back(s);
     sessions_.clear();
   }
   for (const SessionPtr& s : remaining) {
@@ -1125,10 +1067,11 @@ void Server::Stop() {
     live_tokens_.clear();
   }
   CloseDeadFds();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (event_fd_ >= 0) ::close(event_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  listen_fd_ = event_fd_ = epoll_fd_ = -1;
+  for (int fd :
+       {listen_fd_, event_fd_, epoll_fd_, stop_fd_, worker_epoll_fd_}) {
+    if (fd >= 0) ::close(fd);
+  }
+  listen_fd_ = event_fd_ = epoll_fd_ = stop_fd_ = worker_epoll_fd_ = -1;
 }
 
 ServerStats Server::stats() const {
@@ -1142,8 +1085,6 @@ ServerStats Server::stats() const {
   s.protocol_errors = stat_protocol_errors_.load(std::memory_order_relaxed);
   s.admission_rejected =
       stat_admission_rejected_.load(std::memory_order_relaxed);
-  s.deadline_rejected =
-      stat_deadline_rejected_.load(std::memory_order_relaxed);
   s.idle_reaped = stat_idle_reaped_.load(std::memory_order_relaxed);
   s.tx_begun = stat_tx_begun_.load(std::memory_order_relaxed);
   s.tx_committed = stat_tx_committed_.load(std::memory_order_relaxed);

@@ -1,35 +1,38 @@
-// Socket front-end of the XDBMS (DESIGN.md §8): an epoll event loop plus
-// a bounded worker pool that multiplexes many client connections onto the
-// existing TransactionManager/LockManager/Document stack. The paper ran
-// TaMix from remote client machines against the XTC server; this is that
-// boundary, over loopback or a real NIC.
+// Socket front-end of the XDBMS (DESIGN.md §8): a bounded worker pool
+// that waits on the client sockets through epoll and multiplexes them
+// onto the existing TransactionManager/LockManager/Document stack. The
+// paper ran TaMix from remote client machines against the XTC server;
+// this is that boundary, over loopback or a real NIC.
 //
 // Threading model
-//   * One event-loop thread owns the listener, the epoll set, all reads,
-//     frame extraction, and idle-session reaping. It never executes a
-//     request and never blocks on a lock, so accept/read latency is
-//     independent of workload contention.
-//   * N worker threads execute requests. A session is processed by at
-//     most one worker at a time (per-session frame queue + busy flag), so
-//     requests of one connection execute in order and the transaction
-//     state needs no lock of its own. Responses are written by the
-//     processing worker directly to the socket.
+//   * Workers wait on the session sockets themselves: every session fd
+//     sits in the workers' epoll set as EPOLLIN | EPOLLONESHOT, so a
+//     readable socket wakes exactly one worker, which then owns the
+//     session (busy flag). The owner makes one read, runs the complete
+//     frames it holds in order, writes each response itself, and re-arms
+//     the fd. A round trip is client -> worker -> client; no frame ever
+//     waits in a user-space queue, and no worker stays tied to a session
+//     between frames (think time costs no worker).
+//   * One event-loop thread owns the listener, closes retired fds, reaps
+//     idle sessions and expires leases. It never executes a request and
+//     never blocks on a lock, so accept latency is independent of
+//     workload contention.
 //
 // Admission control
 //   * max_sessions: connections beyond it are accepted and immediately
 //     closed (the cheapest honest signal).
 //   * max_in_flight_tx: kBegin beyond it is answered kResourceExhausted
 //     — the client backs off; nothing queues.
-//   * max_queue_depth: frames beyond it (global, across sessions) are
-//     answered kResourceExhausted without executing.
-//   * request_deadline: a frame that waited in queue longer than this is
-//     answered kResourceExhausted without executing (stale work is not
-//     worth doing — the client has long since timed out).
+//   * max_session_pending: more complete frames than this in one read is
+//     pipelining past the protocol; the session is answered and closed.
 //
 // Shutdown
-//   * Client disconnect / idle reap: the session's transaction — even one
-//     parked inside LockTable::Lock() — is cancelled (LockTable::CancelTx
-//     wakes it with kCancelled), aborted, and its locks released.
+//   * Closing a session aborts its transaction and releases its locks.
+//     A server-side close (idle reap, drain, a resume taking over the
+//     token) first cancels a lock wait in progress (LockTable::CancelTx
+//     wakes it with kCancelled). A peer disconnect is noticed on the
+//     owner's next wake-up for the socket; frames that arrived before an
+//     orderly EOF still execute first.
 //   * Drain()/Stop(): stop accepting, give in-flight transactions
 //     drain_timeout to finish, cancel + abort the stragglers, flush the
 //     WAL, join all threads. Never leaves a transaction active.
@@ -54,11 +57,11 @@
 #define XTC_NET_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -85,12 +88,10 @@ struct ServerOptions {
   int num_workers = 4;
   size_t max_sessions = 256;
   size_t max_in_flight_tx = 64;
-  size_t max_queue_depth = 256;
-  /// Per-session pending-frame cap. A synchronous request–response
-  /// client never has more than 1; a client that pipelines past this is
-  /// violating the protocol and is disconnected.
+  /// Cap on the complete frames one read may deliver. A synchronous
+  /// request–response client never has more than 1; a client that
+  /// pipelines past this is violating the protocol and is disconnected.
   size_t max_session_pending = 64;
-  Duration request_deadline = std::chrono::seconds(10);
   Duration idle_timeout = std::chrono::seconds(60);
   Duration drain_timeout = std::chrono::seconds(5);
   /// How long a disconnected session's state (open transaction, recorded
@@ -149,12 +150,10 @@ class Server {
   struct Frame {
     uint8_t type = 0;
     uint32_t request_id = 0;
-    std::string payload;
-    TimePoint enqueued;
-    /// Set by the event loop: answer kResourceExhausted, do not execute.
-    bool overloaded = false;
-    /// Set by the event loop on framing/decode errors: answer with this
-    /// status, then disconnect.
+    /// Points into the owning worker's Session::rbuf.
+    std::string_view payload;
+    /// Set on framing/decode errors: answer with this status, then
+    /// disconnect.
     Status reject;
   };
 
@@ -166,8 +165,8 @@ class Server {
   };
 
   /// The resumable half of a session: everything that survives the TCP
-  /// connection under a lease. Touched only by the worker currently
-  /// processing the owning session (the busy flag serializes workers) or,
+  /// connection under a lease. Touched only by the worker that owns the
+  /// session (the busy flag serializes workers) or,
   /// once parked, by whoever removed it from parked_ — never both.
   struct SessionCore {
     /// Resume token handed out in the kHello response; 0 = none issued.
@@ -183,22 +182,20 @@ class Server {
 
   struct Session {
     int fd = -1;
+    /// Epoll key: unlike the fd number it is never reused.
     uint64_t id = 0;
-    std::string rbuf;  // unparsed inbound bytes (event loop only)
-    TimePoint last_activity;  // event loop only
+    std::string rbuf;  // unparsed inbound bytes (owning worker only)
+    /// Written by the owning worker, read by the idle reaper.
+    std::atomic<TimePoint> last_activity;
     Mutex mu;
-    std::deque<Frame> pending XTC_GUARDED_BY(mu);
+    /// A worker owns the session: it got the ONESHOT event and has not
+    /// re-armed the fd yet.
     bool busy XTC_GUARDED_BY(mu) = false;
     bool closing XTC_GUARDED_BY(mu) = false;
-    /// Orderly EOF seen with complete frames still buffered: the worker
-    /// executes them first, then closes (the peer may be gone, but under
-    /// a lease these are the outcomes a resumed client retries for).
-    bool eof_received XTC_GUARDED_BY(mu) = false;
-    /// Resumable state; same ownership discipline as its fields had when
-    /// they lived directly on the Session (worker-only), so unguarded.
+    /// Resumable state; owned like rbuf (worker-only), so unguarded.
     std::unique_ptr<SessionCore> core = std::make_unique<SessionCore>();
-    /// Mirror of core->tx->id() for the event loop's CancelTx on
-    /// disconnect (only consulted when leases are off or draining).
+    /// Mirror of core->tx->id() for BeginClose's CancelTx from other
+    /// threads (only consulted when leases are off or draining).
     std::atomic<uint64_t> tx_id{0};
   };
   using SessionPtr = std::shared_ptr<Session>;
@@ -213,12 +210,15 @@ class Server {
   void WorkerLoop();
 
   void AcceptPending();
-  /// Reads everything available; extracts frames; queues work. Returns
-  /// false when the session must be torn down (EOF/error).
-  bool ReadSession(const SessionPtr& s);
-  /// Queues one frame (or its overload/reject marker) for the session and
-  /// schedules the session on the work queue when idle.
-  void EnqueueFrame(const SessionPtr& s, Frame frame);
+  /// Owner's turn on a readable session: one read, then every complete
+  /// frame in order, then re-arm (or tear down). `events` are the epoll
+  /// bits that woke the worker.
+  void ServeSession(const SessionPtr& s, uint32_t events);
+  /// One read into rbuf, then the complete frames it holds (payloads point
+  /// into rbuf; *consumed is their byte length). Returns false when the
+  /// session must be torn down without executing anything.
+  bool ReadFrames(const SessionPtr& s, std::vector<Frame>* batch,
+                  size_t* consumed, bool* eof);
   /// Marks the session closing, cancels its transaction's lock waits, and
   /// tears it down right away unless a worker owns it (then that worker
   /// finishes and tears it down).
@@ -228,7 +228,7 @@ class Server {
 
   /// Executes one frame and sends the response. Returns false when the
   /// session must close (protocol error frames).
-  bool Process(const SessionPtr& s, Frame& frame);
+  bool Process(const SessionPtr& s, const Frame& frame);
   std::string HandleRequest(const SessionPtr& s, const Frame& frame,
                             bool* close_after);
   // Request handlers (payload already CRC-checked). An empty return means
@@ -288,7 +288,10 @@ class Server {
 
   int listen_fd_ = -1;
   int event_fd_ = -1;
-  int epoll_fd_ = -1;
+  int epoll_fd_ = -1;  // event loop: listener + event_fd_
+  /// Workers: every session fd (EPOLLIN | EPOLLONESHOT) + stop_fd_.
+  int worker_epoll_fd_ = -1;
+  int stop_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
@@ -299,6 +302,7 @@ class Server {
   std::vector<std::thread> workers_;
 
   mutable Mutex sessions_mu_;
+  /// Keyed by Session::id.
   std::unordered_map<uint64_t, SessionPtr> sessions_
       XTC_GUARDED_BY(sessions_mu_);
   uint64_t next_session_id_ XTC_GUARDED_BY(sessions_mu_) = 1;
@@ -312,10 +316,6 @@ class Server {
   std::unordered_map<uint64_t, SessionPtr> live_tokens_
       XTC_GUARDED_BY(parked_mu_);
 
-  mutable Mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<SessionPtr> work_queue_ XTC_GUARDED_BY(queue_mu_);
-  std::atomic<size_t> queued_frames_{0};
   std::atomic<size_t> active_tx_{0};
 
   Mutex dead_fds_mu_;
@@ -329,7 +329,6 @@ class Server {
   std::atomic<uint64_t> stat_responses_sent_{0};
   std::atomic<uint64_t> stat_protocol_errors_{0};
   std::atomic<uint64_t> stat_admission_rejected_{0};
-  std::atomic<uint64_t> stat_deadline_rejected_{0};
   std::atomic<uint64_t> stat_idle_reaped_{0};
   std::atomic<uint64_t> stat_tx_begun_{0};
   std::atomic<uint64_t> stat_tx_committed_{0};

@@ -922,10 +922,12 @@ Status Document::Validate() const {
           return Status::Internal("element under non-element at " +
                                   splid.ToString());
         }
-        // Element index must know this element.
-        if (!elements_->List(rec.name).empty()) {
-          ++element_entries;
+        // The element index must hold this exact (name, element) entry;
+        // with the cardinality check below, it holds nothing else.
+        if (!elements_->Contains(rec.name, splid)) {
+          return Status::Internal("element index misses " + splid.ToString());
         }
+        ++element_entries;
         break;
       case NodeKind::kAttributeRoot:
         if (splid.LastDivision() != kAttributeDivision ||
@@ -972,11 +974,7 @@ Status Document::Validate() const {
     }
   }
   // Exact index cardinalities.
-  uint64_t actual_elements = 0;
-  for (const auto& [splid, rec] : all) {
-    if (rec.kind == NodeKind::kElement) ++actual_elements;
-  }
-  if (elements_->size() != actual_elements) {
+  if (elements_->size() != element_entries) {
     return Status::Internal("element index cardinality mismatch");
   }
   if (ids_->size() != id_entries) {

@@ -22,6 +22,10 @@ Status ElementIndex::Remove(NameSurrogate name, const Splid& splid) {
   return tree_.Delete(MakeKey(name, splid));
 }
 
+bool ElementIndex::Contains(NameSurrogate name, const Splid& splid) const {
+  return tree_.Contains(MakeKey(name, splid));
+}
+
 std::vector<Splid> ElementIndex::List(NameSurrogate name) const {
   std::vector<Splid> out;
   std::string prefix = MakeKey(name, Splid::Root());

@@ -25,6 +25,9 @@ class ElementIndex {
   Status Add(NameSurrogate name, const Splid& splid);
   Status Remove(NameSurrogate name, const Splid& splid);
 
+  /// Whether the index holds exactly this (name, element) entry.
+  bool Contains(NameSurrogate name, const Splid& splid) const;
+
   /// All elements with this name, in document order.
   std::vector<Splid> List(NameSurrogate name) const;
 

@@ -400,9 +400,6 @@ StatusOr<RunStats> RunCluster1(const RunConfig& config, ChaosReport* report) {
     sopts.num_workers = std::max(total_workers, 1);
     sopts.max_sessions = static_cast<size_t>(total_workers) + 8;
     sopts.max_in_flight_tx = static_cast<size_t>(total_workers) + 8;
-    sopts.max_queue_depth = static_cast<size_t>(total_workers) * 4 + 64;
-    sopts.request_deadline =
-        config.Scaled(config.lock_wait_timeout) + std::chrono::seconds(10);
     sopts.drain_timeout = std::chrono::seconds(2);
     sopts.session_lease = config.net.session_lease;
     sopts.outcome_table_entries = config.net.outcome_table_entries;

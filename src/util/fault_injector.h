@@ -64,7 +64,7 @@ inline constexpr std::string_view kCrashCommit = "crash.commit";
 inline constexpr std::string_view kCrashShip = "crash.ship";
 inline constexpr std::string_view kCrashApply = "crash.apply";
 // Network fault points (src/net/). Evaluated on both sides of the wire:
-// the server in ReadSession/SendAll/Process, the client in its
+// the server in ReadFrames/SendAll/Process, the client in its
 // send/recv/round-trip paths. A firing point behaves exactly like the
 // corresponding socket failure — the connection drops and the normal
 // disconnect machinery (lease park or abort) takes over.

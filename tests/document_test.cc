@@ -226,6 +226,25 @@ TEST_F(DocumentTest, RenameElementUpdatesElementIndex) {
   EXPECT_EQ(NameOf(topic), "subject");
 }
 
+TEST_F(DocumentTest, ValidateCatchesAMisfiledElementIndexEntry) {
+  // Swap the book's (name, SPLID) index entry for one naming no element.
+  // The count stays right and the name still lists an element, so only a
+  // per-element point lookup can see that the book is missing.
+  ASSERT_TRUE(doc_.Validate().ok());
+  const NameSurrogate book_name = doc_.vocabulary().Lookup("book");
+  WalTreeMeta meta = doc_.CurrentTreeMeta();
+  ElementIndex index(&doc_.buffer(), meta.elem_root, meta.elem_count);
+  ASSERT_TRUE(index.Remove(book_name, Id("b0")).ok());
+  ASSERT_TRUE(index.Add(book_name, *Splid::Parse("1.99.99")).ok());
+  meta.elem_root = index.tree().root();
+  meta.elem_count = index.size();
+  ASSERT_TRUE(doc_.ReattachTrees(meta).ok());
+
+  ASSERT_EQ(doc_.ElementsByName("book").size(), 1u);
+  const Status audit = doc_.Validate();
+  EXPECT_EQ(audit.code(), StatusCode::kInternal) << audit.ToString();
+}
+
 TEST_F(DocumentTest, RemoveRejectsInnerNodes) {
   Splid book = Id("b0");
   EXPECT_EQ(doc_.Remove(book).code(), StatusCode::kInvalidArgument);
