@@ -615,5 +615,40 @@ Status RemoteDom::Rename(const Splid& element, std::string_view new_name) {
   return SimpleOp(MsgType::kRename, w);
 }
 
+void ClientNetStatsSum::Add(const ClientNetStats& stats) {
+  MutexLock guard(mu_);
+  SumFields(&sum_, stats);
+}
+
+ClientNetStats ClientNetStatsSum::Get() const {
+  MutexLock guard(mu_);
+  return sum_;
+}
+
+RemoteSession::~RemoteSession() {
+  if (sum_ != nullptr) sum_->Add(client_.net_stats());
+}
+
+Status RemoteSession::Begin(IsolationLevel isolation, int lock_depth,
+                            TxType type) {
+  while (!client_.connected()) {
+    if (stop_->load(std::memory_order_relaxed)) {
+      return Status::Cancelled("run stopped before the session connected");
+    }
+    if (client_.Connect(host_, port_).ok()) break;
+    SleepFor(Millis(20));
+  }
+  return client_.Begin(isolation, lock_depth, type).status();
+}
+
+StatusOr<uint64_t> RemoteSession::Commit(std::string_view payload) {
+  return client_.Commit(payload);
+}
+
+Status RemoteSession::Abort() {
+  (void)client_.Abort();
+  return Status::OK();
+}
+
 }  // namespace net
 }  // namespace xtc

@@ -2,8 +2,9 @@
 // RemoteDom, the TaMixDom implementation that ships every DOM operation
 // to the server as one request–response round trip. One Client is one
 // session holding at most one open transaction — exactly the shape of a
-// TaMix worker, which is the intended user (tools/tamix_client, the
-// coordinator's socket frontend, bench/micro_server).
+// TaMix worker. RemoteSession wraps both as the TaMixSession the
+// coordinator's worker loop drives (its socket frontend and
+// tools/tamix_client); bench/micro_server uses Client directly.
 //
 // Resilience (all opt-in via ClientOptions):
 //   * Every connect/send/recv is poll-based with a deadline — no call
@@ -29,9 +30,11 @@
 #ifndef XTC_NET_CLIENT_H_
 #define XTC_NET_CLIENT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "lock/lock_manager.h"
 #include "net/net_stats.h"
@@ -41,7 +44,9 @@
 #include "tamix/transactions.h"
 #include "util/clock.h"
 #include "util/fault_injector.h"
+#include "util/mutex.h"
 #include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace xtc {
 namespace net {
@@ -178,6 +183,55 @@ class RemoteDom : public TaMixDom {
   StatusOr<std::optional<DomNode>> NodeOp(MsgType type, const Splid& subject);
 
   Client* client_;
+};
+
+/// Thread-safe sum of many clients' resilience counters.
+class ClientNetStatsSum {
+ public:
+  void Add(const ClientNetStats& stats) XTC_EXCLUDES(mu_);
+  ClientNetStats Get() const XTC_EXCLUDES(mu_);
+
+ private:
+  mutable Mutex mu_;
+  ClientNetStats sum_ XTC_GUARDED_BY(mu_);
+};
+
+/// TaMixSession over the wire: one Client + RemoteDom, the transaction
+/// living on the server.
+class RemoteSession : public TaMixSession {
+ public:
+  /// `stop` (not owned) ends Begin's reconnect patience. `sum` (optional,
+  /// not owned) receives this client's net_stats() on destruction.
+  RemoteSession(std::string host, uint16_t port, ClientOptions options,
+                const std::atomic<bool>* stop,
+                ClientNetStatsSum* sum = nullptr)
+      : host_(std::move(host)),
+        port_(port),
+        stop_(stop),
+        sum_(sum),
+        client_(options),
+        dom_(&client_) {}
+  ~RemoteSession() override;
+
+  /// (Re)connects first, with patience: the server may briefly refuse
+  /// while its accept queue churns at startup, and a transport error
+  /// mid-run closes the connection. Gives up (kCancelled) only on stop.
+  Status Begin(IsolationLevel isolation, int lock_depth,
+               TxType type) override;
+  TaMixDom& dom() override { return dom_; }
+  StatusOr<uint64_t> Commit(std::string_view payload) override;
+  /// Always OK: transport errors are ignored (the server aborts a
+  /// severed session's transaction itself), and the server reports
+  /// undo failures in its own metrics.
+  Status Abort() override;
+
+ private:
+  std::string host_;
+  uint16_t port_;
+  const std::atomic<bool>* stop_;
+  ClientNetStatsSum* sum_;
+  Client client_;
+  RemoteDom dom_;
 };
 
 }  // namespace net

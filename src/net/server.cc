@@ -982,7 +982,9 @@ std::string Server::HandleWorkloadInfo() {
 
 void Server::AbortCore(SessionCore* core) {
   if (core->tx == nullptr) return;
-  (void)deps_.txm->Abort(*core->tx);
+  if (!deps_.txm->Abort(*core->tx).ok()) {
+    metrics_.RecordUndoFailure(core->tx_type);
+  }
   metrics_.RecordAbort(core->tx_type,
                        core->last_error.ok()
                            ? Status::TxAborted("session closed")

@@ -144,7 +144,12 @@ StatusOr<std::unique_ptr<Testbed>> BuildTestbed(const RunConfig& config) {
   return bed;
 }
 
-/// Thread-safe record of every committed transaction (chaos mode).
+uint64_t WorkerSeed(const RunConfig& config, uint64_t worker_index) {
+  return config.seed * 1000003 + worker_index;
+}
+
+}  // namespace
+
 struct CommitLog {
   std::mutex mu;
   std::vector<CommittedTx> entries;
@@ -155,10 +160,16 @@ struct CommitLog {
   }
 };
 
-void WorkerLoop(const RunConfig& config, Testbed* bed, TaMixRunner* runner,
-                MetricsCollector* metrics, TxType type, uint64_t worker_index,
-                const std::atomic<bool>* stop, CommitLog* commit_log) {
-  Rng rng(config.seed * 1000003 + worker_index);
+void RunTaMixWorker(const WorkerShared& shared, TaMixSession& session,
+                    TxType type, uint64_t worker_index) {
+  const RunConfig& config = *shared.config;
+  MetricsCollector* metrics = shared.metrics;
+  const auto stopped = [&shared] {
+    return shared.stop->load(std::memory_order_relaxed);
+  };
+  TaMixBodyRunner bodies(shared.info,
+                         config.Scaled(config.wait_after_operation));
+  Rng rng(WorkerSeed(config, worker_index));
   // Random stagger before the first operation (paper: 0..5000 ms).
   const Duration stagger = config.Scaled(config.max_initial_wait);
   if (stagger > Duration::zero()) {
@@ -166,46 +177,46 @@ void WorkerLoop(const RunConfig& config, Testbed* bed, TaMixRunner* runner,
         rng.NextDouble() * static_cast<double>(stagger.count()))));
   }
   const Duration backoff_cap = config.Scaled(config.retry_backoff_max);
-  while (!stop->load(std::memory_order_relaxed)) {
-    // One work item; its body RNG is reseeded from `body_seed` on every
-    // attempt, so a retry re-runs the same logical work and the commit
-    // log entry suffices to replay it.
+  while (!stopped()) {
     const uint64_t body_seed = rng.Next();
     for (int attempt = 0;; ++attempt) {
-      auto tx = bed->tx_manager->Begin(config.isolation, config.lock_depth);
+      const Status begun =
+          session.Begin(config.isolation, config.lock_depth, type);
+      if (!begun.ok()) {
+        if (stopped()) break;
+        if (begun.code() == StatusCode::kResourceExhausted) {
+          // Admission pushback is flow control, not a workload abort:
+          // back off (without consuming a retry) and offer the item again.
+          SleepFor(config.Scaled(config.retry_backoff));
+          --attempt;
+        }
+        continue;  // a transport hiccup: the next Begin reconnects
+      }
       const TimePoint start = Now();
       Rng body_rng(body_seed);
-      Status st = runner->RunBody(type, *tx, body_rng);
+      Status st = bodies.RunBody(type, session.dom(), body_rng);
       if (st.ok()) {
-        Status commit = bed->tx_manager->Commit(
-            *tx, bed->wal != nullptr ? EncodeCommitPayload(type, body_seed)
-                                     : std::string());
-        if (commit.ok()) {
-          // The commit log must see every commit — including those after
-          // the stop flag, which the throughput metrics ignore.
-          if (commit_log != nullptr) {
-            commit_log->Record({tx->commit_seq(), type, body_seed});
+        auto seq = session.Commit(EncodeCommitPayload(type, body_seed));
+        if (seq.ok()) {
+          if (shared.commit_log != nullptr) {
+            shared.commit_log->Record({*seq, type, body_seed});
           }
-          if (!stop->load(std::memory_order_relaxed)) {
-            metrics->RecordCommit(type, ToMicros(Now() - start));
-          }
+          if (!stopped()) metrics->RecordCommit(type, ToMicros(Now() - start));
         } else {
-          // The commit-record force failed: the instance just suffered a
-          // (simulated) hard kill. The transaction counts as aborted —
-          // restart recovery will undo it — and there is no point
-          // retrying against a frozen store.
-          metrics->RecordAbort(type, commit);
+          // In-process only a failed commit-record force — a (simulated)
+          // hard kill — gets here; restart recovery undoes the
+          // transaction and a frozen store is not worth retrying against.
+          // Remotely the commit may also have been lost on the wire.
+          metrics->RecordAbort(type, seq.status());
         }
         break;
       }
-      Status abort = bed->tx_manager->Abort(*tx);
-      if (!abort.ok()) metrics->RecordUndoFailure(type);
+      if (!session.Abort().ok()) metrics->RecordUndoFailure(type);
       // kCancelled is a shutdown artifact (stop woke this worker out of a
       // lock wait), not a workload outcome: recording it would inflate the
       // abort counts by exactly the number of waiters parked at stop time.
       if (!st.IsCancelled()) metrics->RecordAbort(type, st);
-      if (!st.IsRetryable() || attempt >= config.max_retries ||
-          stop->load(std::memory_order_relaxed)) {
+      if (!st.IsRetryable() || attempt >= config.max_retries || stopped()) {
         break;  // give up on this item; draw fresh work
       }
       metrics->RecordRetry(type);
@@ -219,130 +230,32 @@ void WorkerLoop(const RunConfig& config, Testbed* bed, TaMixRunner* runner,
           static_cast<double>(backoff.count()) *
           (0.5 + 0.5 * rng.NextDouble()))));
     }
-    SleepFor(config.Scaled(config.wait_after_commit));
+    if (!stopped()) SleepFor(config.Scaled(config.wait_after_commit));
   }
 }
 
-/// The socket-mode worker: the same life as WorkerLoop — stagger, draw a
-/// work item, run it to commit with bounded retries, think, repeat — but
-/// every DOM operation crosses the loopback wire and the transaction
-/// lives on the server. Metrics are recorded here (client side), exactly
-/// like the in-process loop, so the Figs. 7–11 pipeline is unchanged; the
-/// commit log records the server-assigned commit sequence numbers, so the
-/// serializable replay check provides commit-set equality with the
-/// in-process runs.
-/// Thread-safe sum of every worker's client-side resilience counters.
-struct ClientNetAgg {
-  std::mutex mu;
-  net::ClientNetStats sum;
-
-  void Add(const net::ClientNetStats& s) {
-    std::lock_guard<std::mutex> guard(mu);
-    SumFields(&sum, s);
-  }
-};
-
-void ClientWorkerLoop(const RunConfig& config, uint16_t port,
-                      const BibInfo* info, bool wal_enabled,
-                      FaultInjector* faults, MetricsCollector* metrics,
-                      TxType type, uint64_t worker_index,
-                      const std::atomic<bool>* stop, CommitLog* commit_log,
-                      ClientNetAgg* net_agg) {
-  Rng rng(config.seed * 1000003 + worker_index);
-  net::ClientOptions copts;
-  copts.connect_timeout = config.net.connect_timeout;
-  copts.io_timeout = config.net.io_timeout;
-  copts.max_reconnect_attempts = config.net.max_reconnect_attempts;
-  copts.backoff = config.net.backoff;
-  copts.backoff_max = config.net.backoff_max;
-  copts.seed = config.seed * 1000003 + worker_index;
-  copts.faults = faults;
-  net::Client client(copts);
-  net::RemoteDom dom(&client);
-  TaMixBodyRunner bodies(info, config.Scaled(config.wait_after_operation));
-
-  // (Re)connect with patience: the server may briefly refuse while its
-  // accept queue churns at startup, and a transport error mid-run closes
-  // the connection. Gives up only when the run is over.
-  const auto ensure_connected = [&]() {
-    while (!client.connected() && !stop->load(std::memory_order_relaxed)) {
-      if (client.Connect("127.0.0.1", port).ok()) return true;
-      SleepFor(Millis(20));
+std::vector<std::thread> SpawnTaMixWorkers(const WorkerShared& shared,
+                                           const SessionFactory& make_session) {
+  std::vector<std::thread> workers;
+  uint64_t worker_index = 0;
+  const auto spawn = [&](TxType type, int count) {
+    for (int i = 0; i < count; ++i, ++worker_index) {
+      workers.emplace_back(
+          [shared, type, worker_index, session = make_session(worker_index)] {
+            RunTaMixWorker(shared, *session, type, worker_index);
+          });
     }
-    return client.connected();
   };
-
-  const Duration stagger = config.Scaled(config.max_initial_wait);
-  if (stagger > Duration::zero()) {
-    SleepFor(Duration(static_cast<Duration::rep>(
-        rng.NextDouble() * static_cast<double>(stagger.count()))));
+  const WorkloadMix& mix = shared.config->mix;
+  for (int c = 0; c < mix.clients; ++c) {
+    spawn(TxType::kQueryBook, mix.query_book);
+    spawn(TxType::kChapter, mix.chapter);
+    spawn(TxType::kRenameTopic, mix.rename_topic);
+    spawn(TxType::kLendAndReturn, mix.lend_and_return);
+    spawn(TxType::kDelBook, mix.del_book);
   }
-  // Flush the client's resilience counters into the shared aggregate on
-  // every exit path.
-  struct StatsFlush {
-    net::Client* client;
-    ClientNetAgg* agg;
-    ~StatsFlush() {
-      if (agg != nullptr) agg->Add(client->net_stats());
-    }
-  } flush{&client, net_agg};
-
-  const Duration backoff_cap = config.Scaled(config.retry_backoff_max);
-  while (!stop->load(std::memory_order_relaxed)) {
-    const uint64_t body_seed = rng.Next();
-    for (int attempt = 0;; ++attempt) {
-      if (!ensure_connected()) return;
-      auto begin = client.Begin(config.isolation, config.lock_depth, type);
-      if (!begin.ok()) {
-        if (begin.status().code() == StatusCode::kResourceExhausted) {
-          // Admission pushback is flow control, not a workload abort: back
-          // off (without consuming a retry) and offer the item again.
-          if (stop->load(std::memory_order_relaxed)) break;
-          SleepFor(config.Scaled(config.retry_backoff));
-          --attempt;
-          continue;
-        }
-        if (stop->load(std::memory_order_relaxed)) break;
-        continue;  // transport hiccup: ensure_connected will rebuild
-      }
-      const TimePoint start = Now();
-      Rng body_rng(body_seed);
-      Status st = bodies.RunBody(type, dom, body_rng);
-      if (st.ok()) {
-        auto commit = client.Commit(
-            wal_enabled ? EncodeCommitPayload(type, body_seed)
-                        : std::string());
-        if (commit.ok()) {
-          if (commit_log != nullptr) {
-            commit_log->Record({*commit, type, body_seed});
-          }
-          if (!stop->load(std::memory_order_relaxed)) {
-            metrics->RecordCommit(type, ToMicros(Now() - start));
-          }
-        } else {
-          metrics->RecordAbort(type, commit.status());
-        }
-        break;
-      }
-      (void)client.Abort();
-      if (!st.IsCancelled()) metrics->RecordAbort(type, st);
-      if (!st.IsRetryable() || attempt >= config.max_retries ||
-          stop->load(std::memory_order_relaxed)) {
-        break;
-      }
-      metrics->RecordRetry(type);
-      Duration backoff = config.Scaled(config.retry_backoff);
-      for (int i = 0; i < attempt && backoff < backoff_cap; ++i) backoff *= 2;
-      backoff = std::min(backoff, backoff_cap);
-      SleepFor(Duration(static_cast<Duration::rep>(
-          static_cast<double>(backoff.count()) *
-          (0.5 + 0.5 * rng.NextDouble()))));
-    }
-    SleepFor(config.Scaled(config.wait_after_commit));
-  }
+  return workers;
 }
-
-}  // namespace
 
 std::string EncodeCommitPayload(TxType type, uint64_t body_seed) {
   std::string payload(12, '\0');
@@ -378,8 +291,6 @@ StatusOr<std::vector<CommittedTx>> DecodeCommitPayloads(
 
 StatusOr<RunStats> RunCluster1(const RunConfig& config, ChaosReport* report) {
   XTC_ASSIGN_OR_RETURN(std::unique_ptr<Testbed> bed, BuildTestbed(config));
-  TaMixRunner runner(bed->node_manager.get(), &bed->info,
-                     config.Scaled(config.wait_after_operation));
   MetricsCollector metrics;
   std::atomic<bool> stop{false};
   CommitLog commit_log;
@@ -402,7 +313,6 @@ StatusOr<RunStats> RunCluster1(const RunConfig& config, ChaosReport* report) {
     sopts.max_in_flight_tx = static_cast<size_t>(total_workers) + 8;
     sopts.drain_timeout = std::chrono::seconds(2);
     sopts.session_lease = config.net.session_lease;
-    sopts.outcome_table_entries = config.net.outcome_table_entries;
     server = std::make_unique<net::Server>(
         net::Server::Deps{bed->node_manager.get(), bed->tx_manager.get(),
                           &bed->protocol->table(), &bed->info, bed->wal.get(),
@@ -422,30 +332,26 @@ StatusOr<RunStats> RunCluster1(const RunConfig& config, ChaosReport* report) {
       server == nullptr ? 0
                         : (chaos_proxy != nullptr ? chaos_proxy->port()
                                                   : server->port());
-  ClientNetAgg net_agg;
+  net::ClientNetStatsSum net_sum;
 
-  std::vector<std::thread> workers;
-  uint64_t worker_index = 0;
-  auto spawn = [&](TxType type, int count) {
-    for (int i = 0; i < count; ++i) {
-      if (socket_mode) {
-        workers.emplace_back(ClientWorkerLoop, std::cref(config), client_port,
-                             &bed->info, bed->wal != nullptr,
-                             bed->faults.get(), &metrics, type, worker_index++,
-                             &stop, log_ptr, &net_agg);
-      } else {
-        workers.emplace_back(WorkerLoop, std::cref(config), bed.get(), &runner,
-                             &metrics, type, worker_index++, &stop, log_ptr);
-      }
-    }
-  };
-  for (int c = 0; c < config.mix.clients; ++c) {
-    spawn(TxType::kQueryBook, config.mix.query_book);
-    spawn(TxType::kChapter, config.mix.chapter);
-    spawn(TxType::kRenameTopic, config.mix.rename_topic);
-    spawn(TxType::kLendAndReturn, config.mix.lend_and_return);
-    spawn(TxType::kDelBook, config.mix.del_book);
+  SessionFactory make_session;
+  if (socket_mode) {
+    make_session = [&](uint64_t worker_index) {
+      net::ClientOptions options = config.net.client;
+      options.seed = WorkerSeed(config, worker_index);
+      options.faults = bed->faults.get();
+      return std::make_unique<net::RemoteSession>("127.0.0.1", client_port,
+                                                  options, &stop, &net_sum);
+    };
+  } else {
+    make_session = [&bed](uint64_t) {
+      return std::make_unique<LocalSession>(bed->tx_manager.get(),
+                                            bed->node_manager.get());
+    };
   }
+  std::vector<std::thread> workers = SpawnTaMixWorkers(
+      WorkerShared{&config, &bed->info, &stop, &metrics, log_ptr},
+      make_session);
 
   // Background fuzzy checkpointer: every N commits, write back what is
   // flushable (unpinned, uncaptured dirty frames — the background-writer
@@ -514,8 +420,7 @@ StatusOr<RunStats> RunCluster1(const RunConfig& config, ChaosReport* report) {
   if (server != nullptr) {
     // Read after Stop: nonzero session gauges are a leak.
     stats.net_server = server->stats();
-    std::lock_guard<std::mutex> guard(net_agg.mu);
-    stats.net_client = net_agg.sum;
+    stats.net_client = net_sum.Get();
   }
   if (chaos_proxy != nullptr) stats.net_chaos = chaos_proxy->stats();
   stats.run_duration_ms = elapsed_ms;
@@ -590,14 +495,15 @@ StatusOr<Cluster2Result> RunCluster2(const RunConfig& config, int deletions) {
   c2.isolation = IsolationLevel::kRepeatable;
   XTC_ASSIGN_OR_RETURN(std::unique_ptr<Testbed> bed, BuildTestbed(c2));
   // CLUSTER2 measures pure locking overhead: no client think times.
-  TaMixRunner runner(bed->node_manager.get(), &bed->info, Duration::zero());
+  TaMixBodyRunner bodies(&bed->info, Duration::zero());
   Rng rng(c2.seed);
 
   Cluster2Result result;
   for (int i = 0; i < deletions; ++i) {
     auto tx = bed->tx_manager->Begin(c2.isolation, c2.lock_depth);
     const TimePoint start = Now();
-    Status st = runner.DelBook(*tx, rng);
+    LocalDom dom(bed->node_manager.get(), tx.get());
+    Status st = bodies.DelBook(dom, rng);
     if (st.ok()) {
       XTC_RETURN_IF_ERROR(bed->tx_manager->Commit(*tx));
       result.total_us += ToMicros(Now() - start);

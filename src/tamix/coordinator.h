@@ -1,19 +1,22 @@
 // TaMix coordinator: sets up the XDBMS stack (document, protocol, lock
-// manager, transaction manager, node manager), spawns client workers and
-// drives a timed CLUSTER1 run or a single-user CLUSTER2 measurement
-// (paper §4.3).
+// manager, transaction manager, node manager), spawns client workers —
+// one worker loop over in-process or socket sessions — and drives a
+// timed CLUSTER1 run or a single-user CLUSTER2 measurement (paper §4.3).
 
 #ifndef XTC_TAMIX_COORDINATOR_H_
 #define XTC_TAMIX_COORDINATOR_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "lock/lock_manager.h"
 #include "net/chaos_proxy.h"
+#include "net/client.h"
 #include "repl/repl_stats.h"
 #include "storage/page.h"
 #include "storage/page_file.h"
@@ -94,33 +97,28 @@ struct FaultPlan {
 /// WAL-enabled variant without a rebuild.
 enum class WalMode { kAuto, kEnabled, kDisabled };
 
-/// How CLUSTER1 workers reach the engine. kInProcess calls NodeManager
-/// directly (the historical harness). kSocket starts the socket
-/// front-end (src/net/) on loopback and gives every worker its own
-/// connection + RemoteDom — the paper's actual topology, where TaMix
-/// clients were separate machines talking to the XTC server. kAuto
-/// follows the XTC_NET environment variable (set and not "0" = socket),
-/// mirroring WalMode/XTC_WAL so existing test binaries gain a socket
-/// variant without a rebuild. CLUSTER2 ignores this (single-user local
-/// measurement).
+/// How CLUSTER1 workers reach the engine. Either way every worker runs
+/// the same loop (RunTaMixWorker) over its own TaMixSession. kInProcess
+/// gives it a LocalSession (direct NodeManager calls). kSocket starts the
+/// socket front-end (src/net/) on loopback and gives every worker a
+/// RemoteSession on its own connection — the paper's actual topology,
+/// where TaMix clients were separate machines talking to the XTC server.
+/// kAuto follows the XTC_NET environment variable (set and not "0" =
+/// socket), mirroring WalMode/XTC_WAL so existing test binaries gain a
+/// socket variant without a rebuild. CLUSTER2 ignores this (single-user
+/// local measurement).
 enum class Frontend { kAuto, kInProcess, kSocket };
 
 /// Network resilience for the socket frontend (docs/robustness.md
 /// "Network chaos"). The defaults preserve the PR-8 behavior — fail-fast
 /// clients, disconnect aborts, no chaos — so existing runs are unchanged.
 struct NetResilience {
-  /// Client reconnect+retry budget after a transport failure inside a
-  /// round trip (0 = fail fast on the first transport error).
-  int max_reconnect_attempts = 0;
-  Duration connect_timeout = std::chrono::seconds(5);
-  Duration io_timeout = std::chrono::seconds(30);
-  Duration backoff = Millis(20);
-  Duration backoff_max = Millis(500);
+  /// Every worker's client options (reconnect budget, timeouts, backoff);
+  /// each worker's copy gets its own jitter seed and the run's injector.
+  net::ClientOptions client;
   /// Server-side lease: how long a disconnected session's transaction
   /// and outcome table await a kResume (zero = abort on disconnect).
   Duration session_lease = Duration::zero();
-  /// Per-session commit-outcome table depth (0 disables retry dedup).
-  size_t outcome_table_entries = 8;
   /// When set, an in-process ChaosProxy is interposed between the client
   /// workers and the server: workers connect to the proxy's port and the
   /// proxy injures the byte stream per this plan. Not owned; the run
@@ -160,8 +158,8 @@ struct RunConfig {
   WalMode wal = WalMode::kAuto;
   /// Client↔engine transport for CLUSTER1 (see Frontend).
   Frontend frontend = Frontend::kAuto;
-  /// Socket-frontend resilience: client retry budget, session leases,
-  /// outcome-table depth, optional chaos proxy.
+  /// Socket-frontend resilience: client options, session leases,
+  /// optional chaos proxy.
   NetResilience net;
   /// Commits between fuzzy checkpoints (0 = only the setup checkpoint).
   uint64_t checkpoint_every_commits = 64;
@@ -226,6 +224,43 @@ struct ChaosReport {
   PageFileImage disk_image;
   std::string log_image;
 };
+
+/// Thread-safe record of every committed transaction (coordinator.cc).
+struct CommitLog;
+
+/// What all workers of one run share. Nothing is owned.
+struct WorkerShared {
+  const RunConfig* config = nullptr;
+  const BibInfo* info = nullptr;
+  const std::atomic<bool>* stop = nullptr;
+  MetricsCollector* metrics = nullptr;
+  /// When set, records every commit — also those after stop, which the
+  /// metrics leave out.
+  CommitLog* commit_log = nullptr;
+};
+
+/// One TaMix client worker (paper §4.3), over any session: a seeded
+/// stagger, then until stop: draw a work item, run it to commit with at
+/// most `max_retries` retries of a retryable failure (jittered
+/// exponential backoff capped at `retry_backoff_max`; the body RNG is
+/// reseeded from the item's `body_seed` on every attempt, so a commit
+/// log entry replays it), think `wait_after_commit`. Admission pushback
+/// (kResourceExhausted from Begin) backs off without consuming an
+/// attempt; a kCancelled failure (stop woke a lock wait) is not an abort;
+/// a failing Abort counts an undo failure.
+void RunTaMixWorker(const WorkerShared& shared, TaMixSession& session,
+                    TxType type, uint64_t worker_index);
+
+/// Makes the session worker `worker_index` runs on.
+using SessionFactory =
+    std::function<std::unique_ptr<TaMixSession>(uint64_t worker_index)>;
+
+/// Starts one RunTaMixWorker thread per slot of `shared.config->mix`
+/// (per client: query_book, chapter, rename_topic, lend_and_return,
+/// del_book), numbered from 0 in that order. The caller sets the stop
+/// flag and joins.
+std::vector<std::thread> SpawnTaMixWorkers(const WorkerShared& shared,
+                                           const SessionFactory& make_session);
 
 /// Runs CLUSTER1: the timed multi-client workload. When `config.faults`
 /// is enabled, post-run invariants are enforced (quiescent lock table and

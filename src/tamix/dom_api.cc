@@ -81,4 +81,18 @@ Status LocalDom::Rename(const Splid& element, std::string_view new_name) {
   return nm_->Rename(*tx_, element, new_name);
 }
 
+Status LocalSession::Begin(IsolationLevel isolation, int lock_depth,
+                           TxType /*type*/) {
+  tx_ = txm_->Begin(isolation, lock_depth);
+  dom_.emplace(nm_, tx_.get());
+  return Status::OK();
+}
+
+StatusOr<uint64_t> LocalSession::Commit(std::string_view payload) {
+  XTC_RETURN_IF_ERROR(txm_->Commit(*tx_, payload));
+  return tx_->commit_seq();
+}
+
+Status LocalSession::Abort() { return txm_->Abort(*tx_); }
+
 }  // namespace xtc

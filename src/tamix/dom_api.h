@@ -13,10 +13,15 @@
 // owning side: the bodies compare names ("chapters", "summary", "book"),
 // and shipping the resolved string saves a name-lookup round trip per
 // node on the remote path.
+//
+// TaMixSession is the transaction lifecycle around a TaMixDom — begin,
+// commit, abort — so one worker loop (tamix/coordinator.h) drives both
+// transports: LocalSession here, RemoteSession in src/net/client.h.
 
 #ifndef XTC_TAMIX_DOM_API_H_
 #define XTC_TAMIX_DOM_API_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -25,9 +30,12 @@
 
 #include "node/node_manager.h"
 #include "splid/splid.h"
+#include "tx/transaction_manager.h"
 #include "util/status.h"
 
 namespace xtc {
+
+enum class TxType;  // tamix/transactions.h
 
 /// One node as the bodies see it: label, kind, resolved name.
 struct DomNode {
@@ -93,6 +101,42 @@ class LocalDom : public TaMixDom {
 
   NodeManager* nm_;
   Transaction* tx_;
+};
+
+/// One client's transactions, one at a time: Begin opens a transaction
+/// that dom() then operates in, Commit or Abort ends it.
+class TaMixSession {
+ public:
+  virtual ~TaMixSession() = default;
+
+  /// `type` is a workload hint (a server attributes its metrics by it).
+  virtual Status Begin(IsolationLevel isolation, int lock_depth,
+                       TxType type) = 0;
+  virtual TaMixDom& dom() = 0;
+  /// Returns the commit sequence number. `payload` rides the WAL commit
+  /// record when the engine has a log.
+  virtual StatusOr<uint64_t> Commit(std::string_view payload) = 0;
+  /// Non-OK: an undo action failed (the transaction still ended).
+  virtual Status Abort() = 0;
+};
+
+/// In-process session over TransactionManager + LocalDom.
+class LocalSession : public TaMixSession {
+ public:
+  LocalSession(TransactionManager* txm, NodeManager* nm)
+      : txm_(txm), nm_(nm) {}
+
+  Status Begin(IsolationLevel isolation, int lock_depth,
+               TxType type) override;
+  TaMixDom& dom() override { return *dom_; }
+  StatusOr<uint64_t> Commit(std::string_view payload) override;
+  Status Abort() override;
+
+ private:
+  TransactionManager* txm_;
+  NodeManager* nm_;
+  std::unique_ptr<Transaction> tx_;
+  std::optional<LocalDom> dom_;
 };
 
 }  // namespace xtc

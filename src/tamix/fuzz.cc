@@ -329,13 +329,12 @@ RunConfig FuzzRunConfig(Injury injury, uint64_t seed) {
     // A generous lease (longer than any seed's wall clock) means every
     // torn commit must resolve through resume + the outcome table —
     // kUnknown is a failure.
-    c.net.max_reconnect_attempts = 12;
-    c.net.connect_timeout = std::chrono::seconds(2);
-    c.net.io_timeout = std::chrono::seconds(2);
-    c.net.backoff = Millis(5);
-    c.net.backoff_max = Millis(50);
+    c.net.client.max_reconnect_attempts = 12;
+    c.net.client.connect_timeout = std::chrono::seconds(2);
+    c.net.client.io_timeout = std::chrono::seconds(2);
+    c.net.client.backoff = Millis(5);
+    c.net.client.backoff_max = Millis(50);
     c.net.session_lease = std::chrono::seconds(30);
-    c.net.outcome_table_entries = 8;
     const ChaosMode& mode = NetMode(seed);
     FaultPointConfig fp;
     fp.probability = mode.fault_probability;

@@ -126,7 +126,7 @@ Status CheckCommittedReplay(const RunConfig& config,
   LockManager lock_manager(protocol.get());
   TransactionManager tx_manager(&lock_manager);
   NodeManager node_manager(&doc, &lock_manager);
-  TaMixRunner runner(&node_manager, &*info, Duration::zero());
+  TaMixBodyRunner bodies(&*info, Duration::zero());
 
   std::vector<CommittedTx> ordered = committed;
   std::sort(ordered.begin(), ordered.end(),
@@ -137,7 +137,8 @@ Status CheckCommittedReplay(const RunConfig& config,
   for (const CommittedTx& c : ordered) {
     auto tx = tx_manager.Begin(config.isolation, config.lock_depth);
     Rng body_rng(c.body_seed);
-    Status st = runner.RunBody(c.type, *tx, body_rng);
+    LocalDom dom(&node_manager, tx.get());
+    Status st = bodies.RunBody(c.type, dom, body_rng);
     if (!st.ok()) {
       (void)tx_manager.Abort(*tx);
       return st.Annotate("replay diverged: committed tx (seq " +

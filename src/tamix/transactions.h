@@ -7,10 +7,8 @@
 
 #include <string_view>
 
-#include "node/node_manager.h"
 #include "tamix/bib_generator.h"
 #include "tamix/dom_api.h"
-#include "tx/transaction.h"
 #include "util/clock.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -31,8 +29,8 @@ std::string_view TxTypeName(TxType type);
 /// Executes transaction bodies against any TaMixDom. Thread-compatible:
 /// one instance may be shared by all workers (it holds no mutable state
 /// besides config). The dom carries the transaction; callers own the
-/// begin/commit/abort lifecycle (locally via TransactionManager, remotely
-/// via the wire protocol's begin/commit/abort requests).
+/// begin/commit/abort lifecycle — a TaMixSession (dom_api.h), or for a
+/// one-off in-process body a LocalDom over the caller's Transaction.
 class TaMixBodyRunner {
  public:
   TaMixBodyRunner(const BibInfo* info, Duration wait_after_operation)
@@ -66,47 +64,6 @@ class TaMixBodyRunner {
 
   const BibInfo* info_;
   Duration wait_after_operation_;
-};
-
-/// In-process convenience wrapper: the historical interface every test
-/// and the coordinator's local frontend use. Each call wraps the caller's
-/// transaction in a LocalDom and runs the shared body.
-class TaMixRunner {
- public:
-  TaMixRunner(NodeManager* nm, const BibInfo* info,
-              Duration wait_after_operation)
-      : nm_(nm), bodies_(info, wait_after_operation) {}
-
-  Status RunBody(TxType type, Transaction& tx, Rng& rng) {
-    LocalDom dom(nm_, &tx);
-    return bodies_.RunBody(type, dom, rng);
-  }
-
-  // Individual bodies (also used by tests).
-  Status QueryBook(Transaction& tx, Rng& rng) {
-    LocalDom dom(nm_, &tx);
-    return bodies_.QueryBook(dom, rng);
-  }
-  Status Chapter(Transaction& tx, Rng& rng) {
-    LocalDom dom(nm_, &tx);
-    return bodies_.Chapter(dom, rng);
-  }
-  Status DelBook(Transaction& tx, Rng& rng) {
-    LocalDom dom(nm_, &tx);
-    return bodies_.DelBook(dom, rng);
-  }
-  Status LendAndReturn(Transaction& tx, Rng& rng) {
-    LocalDom dom(nm_, &tx);
-    return bodies_.LendAndReturn(dom, rng);
-  }
-  Status RenameTopic(Transaction& tx, Rng& rng) {
-    LocalDom dom(nm_, &tx);
-    return bodies_.RenameTopic(dom, rng);
-  }
-
- private:
-  NodeManager* nm_;
-  TaMixBodyRunner bodies_;
 };
 
 }  // namespace xtc

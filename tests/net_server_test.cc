@@ -191,7 +191,8 @@ ServerOptions LeaseOptions() {
 
 class NetServerTest : public ::testing::Test {
  protected:
-  void BuildEngine(Duration wait_timeout = Millis(2000)) {
+  void BuildEngine(Duration wait_timeout = Millis(2000),
+                   FaultInjector* tx_faults = nullptr) {
     auto info = GenerateBib(&doc_, BibConfig::Tiny());
     ASSERT_TRUE(info.ok());
     info_ = std::move(*info);
@@ -200,7 +201,7 @@ class NetServerTest : public ::testing::Test {
     protocol_ = CreateProtocol("taDOM3+", lock_options);
     ASSERT_NE(protocol_, nullptr);
     lm_ = std::make_unique<LockManager>(protocol_.get());
-    tm_ = std::make_unique<TransactionManager>(lm_.get());
+    tm_ = std::make_unique<TransactionManager>(lm_.get(), tx_faults);
     nm_ = std::make_unique<NodeManager>(&doc_, lm_.get());
   }
 
@@ -259,6 +260,42 @@ TEST_F(NetServerTest, BeginNavigateCommit) {
 
   ExpectQuiescent();
   EXPECT_EQ(server_->stats().tx_committed, 1u);
+}
+
+TEST_F(NetServerTest, AbortCountsUndoFailure) {
+  // An undo action failing inside a client's Abort shows up in the
+  // server's own metrics, as it does in an in-process run.
+  FaultInjector faults(1);
+  BuildEngine(Millis(2000), &faults);
+  StartServer();
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(
+      client.Begin(IsolationLevel::kRepeatable, 7, TxType::kChapter).ok());
+  // The first text node under a book (its title's content).
+  auto book = doc_.LookupId(info_.book_ids[0]);
+  ASSERT_TRUE(book.has_value());
+  auto title = doc_.FirstChild(*book);
+  ASSERT_TRUE(title.ok() && title->has_value());
+  auto text = doc_.FirstChild((*title)->splid);
+  ASSERT_TRUE(text.ok() && text->has_value());
+  ASSERT_EQ((*text)->record.kind, NodeKind::kText);
+  RemoteDom dom(&client);
+  ASSERT_TRUE(dom.UpdateText((*text)->splid, "rewritten").ok());
+
+  FaultPointConfig undo;
+  undo.probability = 1.0;
+  faults.Arm(fault_points::kTxUndo, undo);
+  ASSERT_TRUE(client.Abort().ok());
+  client.Close();
+  ExpectQuiescent();
+  server_->Stop();
+
+  double undo_failures = -1;
+  for (const Metric& m : server_->Metrics()) {
+    if (m.name == "tx.TAchapter.undo_failures") undo_failures = m.value;
+  }
+  EXPECT_EQ(undo_failures, 1);
 }
 
 TEST_F(NetServerTest, LifecycleErrorsKeepConnectionUsable) {

@@ -39,7 +39,7 @@ TEST_P(StressTest, ConcurrentChaosLeavesDocumentConsistent) {
   LockManager lm(protocol.get());
   TransactionManager tm(&lm);
   NodeManager nm(&doc, &lm);
-  TaMixRunner runner(&nm, &*info, Duration::zero());
+  TaMixBodyRunner bodies(&*info, Duration::zero());
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> commits{0}, aborts{0}, errors{0};
@@ -51,7 +51,8 @@ TEST_P(StressTest, ConcurrentChaosLeavesDocumentConsistent) {
       Rng rng(static_cast<uint64_t>(w) + 77);
       while (!stop.load(std::memory_order_relaxed)) {
         auto tx = tm.Begin(IsolationLevel::kRepeatable, 6);
-        Status st = runner.RunBody(types[w % 4], *tx, rng);
+        LocalDom dom(&nm, tx.get());
+        Status st = bodies.RunBody(types[w % 4], dom, rng);
         if (st.ok()) {
           if (tm.Commit(*tx).ok()) commits.fetch_add(1);
         } else {
@@ -96,7 +97,7 @@ TEST_P(StressTest, AbortStormRestoresExactState) {
   LockManager lm(protocol.get());
   TransactionManager tm(&lm);
   NodeManager nm(&doc, &lm);
-  TaMixRunner runner(&nm, &*info, Duration::zero());
+  TaMixBodyRunner bodies(&*info, Duration::zero());
 
   std::vector<std::thread> workers;
   for (int w = 0; w < 8; ++w) {
@@ -106,7 +107,8 @@ TEST_P(StressTest, AbortStormRestoresExactState) {
                               TxType::kRenameTopic, TxType::kDelBook};
       for (int round = 0; round < 30; ++round) {
         auto tx = tm.Begin(IsolationLevel::kRepeatable, 6);
-        (void)runner.RunBody(types[w % 4], *tx, rng);
+        LocalDom dom(&nm, tx.get());
+        (void)bodies.RunBody(types[w % 4], dom, rng);
         (void)tm.Abort(*tx);  // always roll back
       }
     });
@@ -191,7 +193,7 @@ TEST(StressIsolationTest, WeakIsolationChaosKeepsPhysicalIntegrity) {
   LockManager lm(protocol.get());
   TransactionManager tm(&lm);
   NodeManager nm(&doc, &lm);
-  TaMixRunner runner(&nm, &*info, Duration::zero());
+  TaMixBodyRunner bodies(&*info, Duration::zero());
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> fatal{0};
@@ -204,7 +206,8 @@ TEST(StressIsolationTest, WeakIsolationChaosKeepsPhysicalIntegrity) {
                               TxType::kDelBook};
       while (!stop.load(std::memory_order_relaxed)) {
         auto tx = tm.Begin(IsolationLevel::kNone, 6);
-        Status st = runner.RunBody(types[w % 5], *tx, rng);
+        LocalDom dom(&nm, tx.get());
+        Status st = bodies.RunBody(types[w % 5], dom, rng);
         if (st.ok()) {
           (void)tm.Commit(*tx);
         } else {

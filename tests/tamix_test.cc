@@ -66,8 +66,7 @@ class TaMixBodyTest : public ::testing::Test {
     lm_ = std::make_unique<LockManager>(protocol_.get());
     tm_ = std::make_unique<TransactionManager>(lm_.get());
     nm_ = std::make_unique<NodeManager>(&doc_, lm_.get());
-    runner_ =
-        std::make_unique<TaMixRunner>(nm_.get(), &info_, Duration::zero());
+    bodies_ = std::make_unique<TaMixBodyRunner>(&info_, Duration::zero());
   }
 
   StatusOr<BibInfo> GenerateBibInfo() {
@@ -79,7 +78,8 @@ class TaMixBodyTest : public ::testing::Test {
   Status RunOne(TxType type, uint64_t seed = 1) {
     auto tx = tm_->Begin(IsolationLevel::kRepeatable, 7);
     Rng rng(seed);
-    Status st = runner_->RunBody(type, *tx, rng);
+    LocalDom dom(nm_.get(), tx.get());
+    Status st = bodies_->RunBody(type, dom, rng);
     if (st.ok()) return tm_->Commit(*tx);
     (void)tm_->Abort(*tx);
     return st;
@@ -91,7 +91,7 @@ class TaMixBodyTest : public ::testing::Test {
   std::unique_ptr<LockManager> lm_;
   std::unique_ptr<TransactionManager> tm_;
   std::unique_ptr<NodeManager> nm_;
-  std::unique_ptr<TaMixRunner> runner_;
+  std::unique_ptr<TaMixBodyRunner> bodies_;
 };
 
 TEST_F(TaMixBodyTest, QueryBookReadsWithoutModifying) {

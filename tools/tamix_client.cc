@@ -1,13 +1,15 @@
 // tamix_client: out-of-process TaMix driver for the socket front-end.
 //
 // Connects to a running tamix_server (or any embedded net::Server),
-// fetches the workload catalog over the wire (kWorkloadInfo), spawns the
-// paper's CLUSTER1 client mix — each worker on its own connection, each
-// transaction begun/committed on the server — and reports committed /
+// fetches the workload catalog over the wire (kWorkloadInfo), and runs
+// the paper's CLUSTER1 client mix through the coordinator's worker loop
+// (SpawnTaMixWorkers / RunTaMixWorker) — the same loop as an in-process
+// run, each worker on a RemoteSession with its own connection, each
+// transaction begun/committed on the server. Reports committed /
 // aborted counts and latency percentiles per transaction type
-// (CollectRunMetrics' tx.* and run.* metrics). This is
-// the paper's actual topology: TaMix clients were separate machines
-// driving the XTC server remotely.
+// (CollectRunMetrics' tx.* and run.* metrics). This is the paper's
+// actual topology: TaMix clients were separate machines driving the XTC
+// server remotely. Paper timings and the mix are RunConfig's defaults.
 //
 // Usage:
 //   tamix_client --port N [--host H] [--seconds S] [--clients N]
@@ -25,18 +27,17 @@
 // --seed S        workload seed (default 7)
 // --json          the same metrics as one JSON object (ToJson)
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/client.h"
-#include "tamix/metrics.h"
+#include "tamix/coordinator.h"
 
 using namespace xtc;
 
@@ -75,98 +76,16 @@ bool ParseIsolation(const char* name, IsolationLevel* out) {
   return true;
 }
 
-struct WorkerConfig {
-  std::string host;
-  uint16_t port = 0;
-  IsolationLevel isolation = IsolationLevel::kRepeatable;
-  int lock_depth = 7;
-  uint64_t seed = 7;
-  double time_scale = 1.0;
-  int max_retries = 4;
-};
-
-Duration Scaled(const WorkerConfig& c, Duration paper) {
-  return std::chrono::duration_cast<Duration>(paper * c.time_scale);
-}
-
-/// One remote TaMix worker: the coordinator's client loop, standalone.
-void WorkerLoop(const WorkerConfig& config, const BibInfo* info, TxType type,
-                uint64_t worker_index, const std::atomic<bool>* stop,
-                MetricsCollector* metrics) {
-  Rng rng(config.seed * 1000003 + worker_index);
-  net::Client client;
-  net::RemoteDom dom(&client);
-  TaMixBodyRunner bodies(info, Scaled(config, Millis(100)));
-  const auto ensure_connected = [&]() {
-    while (!client.connected() && !stop->load(std::memory_order_relaxed)) {
-      if (client.Connect(config.host, config.port).ok()) return true;
-      SleepFor(Millis(20));
-    }
-    return client.connected();
-  };
-
-  // Paper stagger: 0..5000 ms before the first operation.
-  const Duration stagger = Scaled(config, Millis(5000));
-  SleepFor(Duration(static_cast<Duration::rep>(
-      rng.NextDouble() * static_cast<double>(stagger.count()))));
-  const Duration backoff_cap = Scaled(config, Millis(2000));
-  while (!stop->load(std::memory_order_relaxed)) {
-    const uint64_t body_seed = rng.Next();
-    for (int attempt = 0;; ++attempt) {
-      if (!ensure_connected()) return;
-      auto begin = client.Begin(config.isolation, config.lock_depth, type);
-      if (!begin.ok()) {
-        if (begin.status().code() == StatusCode::kResourceExhausted) {
-          if (stop->load(std::memory_order_relaxed)) break;
-          SleepFor(Scaled(config, Millis(100)));
-          --attempt;
-          continue;
-        }
-        if (stop->load(std::memory_order_relaxed)) break;
-        continue;
-      }
-      const TimePoint start = Now();
-      Rng body_rng(body_seed);
-      Status st = bodies.RunBody(type, dom, body_rng);
-      if (st.ok()) {
-        auto commit = client.Commit();
-        if (commit.ok()) {
-          if (!stop->load(std::memory_order_relaxed)) {
-            metrics->RecordCommit(type, ToMicros(Now() - start));
-          }
-        } else {
-          metrics->RecordAbort(type, commit.status());
-        }
-        break;
-      }
-      (void)client.Abort();
-      if (!st.IsCancelled()) metrics->RecordAbort(type, st);
-      if (!st.IsRetryable() || attempt >= config.max_retries ||
-          stop->load(std::memory_order_relaxed)) {
-        break;
-      }
-      metrics->RecordRetry(type);
-      Duration backoff = Scaled(config, Millis(100));
-      for (int i = 0; i < attempt && backoff < backoff_cap; ++i) backoff *= 2;
-      backoff = std::min(backoff, backoff_cap);
-      SleepFor(Duration(static_cast<Duration::rep>(
-          static_cast<double>(backoff.count()) *
-          (0.5 + 0.5 * rng.NextDouble()))));
-    }
-    SleepFor(Scaled(config, Millis(2500)));
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  WorkerConfig config;
-  config.port = static_cast<uint16_t>(ArgInt(argc, argv, "--port", 0));
-  if (config.port == 0) {
+  const auto port = static_cast<uint16_t>(ArgInt(argc, argv, "--port", 0));
+  if (port == 0) {
     std::fprintf(stderr, "usage: tamix_client --port N [options]\n");
     return 2;
   }
-  config.host = ArgStr(argc, argv, "--host", "127.0.0.1");
+  const std::string host = ArgStr(argc, argv, "--host", "127.0.0.1");
+  RunConfig config;
   config.lock_depth = static_cast<int>(ArgInt(argc, argv, "--lock-depth", 7));
   config.seed = static_cast<uint64_t>(ArgInt(argc, argv, "--seed", 7));
   if (!ParseIsolation(ArgStr(argc, argv, "--isolation", "repeatable"),
@@ -175,8 +94,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   const int64_t seconds = ArgInt(argc, argv, "--seconds", 2);
+  // The paper run is 5 minutes: --seconds S scales every timing by S/300.
   config.time_scale = static_cast<double>(seconds) / 300.0;
-  const int clients = static_cast<int>(ArgInt(argc, argv, "--clients", 3));
+  config.mix.clients = static_cast<int>(ArgInt(argc, argv, "--clients", 3));
   const bool json = HasFlag(argc, argv, "--json");
 
   // Fetch the workload catalog over the wire: the client needs the
@@ -184,7 +104,7 @@ int main(int argc, char** argv) {
   BibInfo info;
   {
     net::Client probe;
-    Status st = probe.Connect(config.host, config.port);
+    Status st = probe.Connect(host, port);
     if (st.ok()) {
       auto fetched = probe.WorkloadInfo();
       if (!fetched.ok()) st = fetched.status();
@@ -203,25 +123,14 @@ int main(int argc, char** argv) {
 
   MetricsCollector metrics;
   std::atomic<bool> stop{false};
-  std::vector<std::thread> workers;
-  uint64_t worker_index = 0;
-  auto spawn = [&](TxType type, int count) {
-    for (int i = 0; i < count; ++i) {
-      workers.emplace_back(WorkerLoop, std::cref(config), &info, type,
-                           worker_index++, &stop, &metrics);
-    }
-  };
-  // CLUSTER1 mix (paper §4.3): 9/5/2/8 per client.
-  for (int c = 0; c < clients; ++c) {
-    spawn(TxType::kQueryBook, 9);
-    spawn(TxType::kChapter, 5);
-    spawn(TxType::kRenameTopic, 2);
-    spawn(TxType::kLendAndReturn, 8);
-  }
-
+  std::vector<std::thread> workers = SpawnTaMixWorkers(
+      WorkerShared{&config, &info, &stop, &metrics}, [&](uint64_t) {
+        return std::make_unique<net::RemoteSession>(
+            host, port, net::ClientOptions(), &stop);
+      });
   metrics.MarkRunStart();
   const TimePoint start = Now();
-  SleepFor(std::chrono::seconds(seconds));
+  SleepFor(config.Scaled(config.run_duration));
   stop.store(true, std::memory_order_relaxed);
   for (auto& w : workers) w.join();
 
@@ -232,10 +141,10 @@ int main(int argc, char** argv) {
   if (json) {
     std::fputs(ToJson(report).c_str(), stdout);
   } else {
-    std::printf("# remote TaMix: %d clients x 24 workers, %llds over "
+    std::printf("# remote TaMix: %d clients x %d workers, %llds over "
                 "%s:%u\n",
-                clients, static_cast<long long>(seconds), config.host.c_str(),
-                config.port);
+                config.mix.clients, config.mix.WorkersPerClient(),
+                static_cast<long long>(seconds), host.c_str(), port);
     std::fputs(ToText(report).c_str(), stdout);
   }
   return stats.total_committed() > 0 ? 0 : 1;
