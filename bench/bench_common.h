@@ -4,6 +4,7 @@
 //   XTC_BENCH_SECONDS  per-run wall time in seconds (default 1.2)
 //   XTC_BENCH_FULL=1   paper-sized bib document (2000 books) and 6 s runs
 //   XTC_BENCH_SEED     workload seed (default 7)
+//   XTC_BENCH_BOOKS, XTC_BENCH_TOPICS  document size overrides
 //
 // The paper's runs lasted 5 minutes; we scale all timing parameters
 // uniformly (DESIGN.md §2) and report committed transactions normalized

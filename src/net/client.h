@@ -82,11 +82,6 @@ class Client {
   /// Connects and exchanges the hello handshake (version check + resume
   /// token).
   Status Connect(std::string_view host, uint16_t port);
-  /// Legacy convenience: default options with the given I/O timeout.
-  Status Connect(std::string_view host, uint16_t port, Duration io_timeout) {
-    options_.io_timeout = io_timeout;
-    return Connect(host, port);
-  }
   void Close();
   bool connected() const { return fd_ >= 0; }
 

@@ -30,6 +30,14 @@ constexpr int kSendTimeoutMs = 5000;
 constexpr auto kDrainPollInterval = std::chrono::milliseconds(10);
 /// Epoll key of the workers' stop eventfd (session ids start at 1).
 constexpr uint64_t kStopKey = 0;
+/// Cap on the complete frames one read may deliver. A synchronous
+/// request–response client never has more than 1; a client that
+/// pipelines past this is violating the protocol and is disconnected.
+constexpr size_t kMaxSessionPending = 64;
+/// Responses larger than this are not recorded for retried request_ids
+/// (big reads are idempotent; re-executing them on retry is cheaper than
+/// the memory).
+constexpr size_t kOutcomeRecordMaxBytes = 4096;
 
 Status ErrnoStatus(const char* what) {
   return Status::IoError(std::string(what) + ": " + std::strerror(errno));
@@ -407,7 +415,7 @@ bool Server::ReadFrames(const SessionPtr& s, std::vector<Frame>* batch,
       frame.reject = Status::InvalidArgument("response frame sent to server");
     } else if (Status pst = CheckPayload(header, frame.payload); !pst.ok()) {
       frame.reject = std::move(pst);
-    } else if (batch->size() >= options_.max_session_pending) {
+    } else if (batch->size() >= kMaxSessionPending) {
       // Pipelining far past the response stream violates the protocol.
       frame.reject = Status::ResourceExhausted("session pipeline cap");
     }
@@ -472,7 +480,7 @@ bool Server::DedupLookup(const SessionCore& core, uint32_t request_id,
 
 void Server::DedupRecord(SessionCore* core, uint32_t request_id, uint8_t type,
                          const std::string& payload) {
-  if (payload.size() > options_.outcome_record_max_bytes) return;
+  if (payload.size() > kOutcomeRecordMaxBytes) return;
   core->outcomes.push_back(OutcomeEntry{request_id, type, payload});
   while (core->outcomes.size() > options_.outcome_table_entries) {
     core->outcomes.pop_front();
@@ -818,12 +826,18 @@ std::string Server::HandleDomOp(const SessionPtr& s, const Frame& frame,
   }
   LocalDom dom(deps_.nm, s->core->tx.get());
   WireWriter w;
+  // Remembers the last operation failure so a teardown abort is
+  // classified like the in-process coordinator would classify it.
+  const auto put_status = [&](const Status& st) {
+    PutStatus(&w, st);
+    if (!st.ok()) s->core->last_error = st;
+  };
   switch (static_cast<MsgType>(frame.type)) {
     case MsgType::kGetElementById: {
       std::string id;
       if (!r.Str(&id) || !r.AtEnd()) return {};
       auto res = dom.GetElementById(id);
-      PutStatus(&w, res.status());
+      put_status(res.status());
       if (res.ok()) {
         w.U8(res->has_value() ? 1 : 0);
         if (res->has_value()) w.SplidVal(**res);
@@ -834,7 +848,7 @@ std::string Server::HandleDomOp(const SessionPtr& s, const Frame& frame,
       Splid node;
       if (!r.SplidVal(&node) || !r.AtEnd()) return {};
       auto res = dom.GetAttributes(node);
-      PutStatus(&w, res.status());
+      put_status(res.status());
       if (res.ok()) {
         w.U32(static_cast<uint32_t>(res->size()));
         for (const auto& [k, v] : *res) {
@@ -853,7 +867,7 @@ std::string Server::HandleDomOp(const SessionPtr& s, const Frame& frame,
       auto res = t == MsgType::kGetFirstChild  ? dom.GetFirstChild(node)
                  : t == MsgType::kGetLastChild ? dom.GetLastChild(node)
                                                : dom.GetNextSibling(node);
-      PutStatus(&w, res.status());
+      put_status(res.status());
       if (res.ok()) {
         w.U8(res->has_value() ? 1 : 0);
         if (res->has_value()) {
@@ -868,7 +882,7 @@ std::string Server::HandleDomOp(const SessionPtr& s, const Frame& frame,
       Splid node;
       if (!r.SplidVal(&node) || !r.AtEnd()) return {};
       auto res = dom.GetChildNodes(node);
-      PutStatus(&w, res.status());
+      put_status(res.status());
       if (res.ok()) {
         w.U32(static_cast<uint32_t>(res->size()));
         for (const DomNode& n : *res) {
@@ -882,21 +896,21 @@ std::string Server::HandleDomOp(const SessionPtr& s, const Frame& frame,
       Splid node;
       if (!r.SplidVal(&node) || !r.AtEnd()) return {};
       auto res = dom.GetTextContent(node);
-      PutStatus(&w, res.status());
+      put_status(res.status());
       if (res.ok()) w.Str(*res);
       break;
     }
     case MsgType::kDeclareUpdateIntent: {
       Splid node;
       if (!r.SplidVal(&node) || !r.AtEnd()) return {};
-      PutStatus(&w, dom.DeclareUpdateIntent(node));
+      put_status(dom.DeclareUpdateIntent(node));
       break;
     }
     case MsgType::kUpdateText: {
       Splid node;
       std::string content;
       if (!r.SplidVal(&node) || !r.Str(&content) || !r.AtEnd()) return {};
-      PutStatus(&w, dom.UpdateText(node, content));
+      put_status(dom.UpdateText(node, content));
       break;
     }
     case MsgType::kSetAttribute: {
@@ -905,7 +919,7 @@ std::string Server::HandleDomOp(const SessionPtr& s, const Frame& frame,
       if (!r.SplidVal(&node) || !r.Str(&name) || !r.Str(&value) || !r.AtEnd()) {
         return {};
       }
-      PutStatus(&w, dom.SetAttribute(node, name, value));
+      put_status(dom.SetAttribute(node, name, value));
       break;
     }
     case MsgType::kAppendSubtree: {
@@ -913,36 +927,25 @@ std::string Server::HandleDomOp(const SessionPtr& s, const Frame& frame,
       SubtreeSpec spec;
       if (!r.SplidVal(&parent) || !r.Spec(&spec) || !r.AtEnd()) return {};
       auto res = dom.AppendSubtree(parent, spec);
-      PutStatus(&w, res.status());
+      put_status(res.status());
       if (res.ok()) w.SplidVal(*res);
       break;
     }
     case MsgType::kDeleteSubtree: {
       Splid node;
       if (!r.SplidVal(&node) || !r.AtEnd()) return {};
-      PutStatus(&w, dom.DeleteSubtree(node));
+      put_status(dom.DeleteSubtree(node));
       break;
     }
     case MsgType::kRename: {
       Splid node;
       std::string name;
       if (!r.SplidVal(&node) || !r.Str(&name) || !r.AtEnd()) return {};
-      PutStatus(&w, dom.Rename(node, name));
+      put_status(dom.Rename(node, name));
       break;
     }
     default:
       return {};
-  }
-  // Remember the last operation failure so a teardown abort is
-  // classified like the in-process coordinator would classify it.
-  if (w.str().size() >= 4) {
-    uint32_t code;
-    std::memcpy(&code, w.str().data(), 4);
-    if (code != 0) {
-      WireReader check(w.str());
-      Status op_status;
-      if (GetStatus(&check, &op_status)) s->core->last_error = op_status;
-    }
   }
   return std::move(w.str());
 }

@@ -23,8 +23,8 @@
 //     closed (the cheapest honest signal).
 //   * max_in_flight_tx: kBegin beyond it is answered kResourceExhausted
 //     — the client backs off; nothing queues.
-//   * max_session_pending: more complete frames than this in one read is
-//     pipelining past the protocol; the session is answered and closed.
+//   * A read delivering more than 64 complete frames is pipelining past
+//     the protocol; the session is answered and closed.
 //
 // Shutdown
 //   * Closing a session aborts its transaction and releases its locks.
@@ -88,10 +88,6 @@ struct ServerOptions {
   int num_workers = 4;
   size_t max_sessions = 256;
   size_t max_in_flight_tx = 64;
-  /// Cap on the complete frames one read may deliver. A synchronous
-  /// request–response client never has more than 1; a client that
-  /// pipelines past this is violating the protocol and is disconnected.
-  size_t max_session_pending = 64;
   Duration idle_timeout = std::chrono::seconds(60);
   Duration drain_timeout = std::chrono::seconds(5);
   /// How long a disconnected session's state (open transaction, recorded
@@ -103,9 +99,6 @@ struct ServerOptions {
   /// a synchronous client only ever retries its newest request, so a
   /// handful of entries is plenty.
   size_t outcome_table_entries = 8;
-  /// Responses larger than this are not recorded (big reads are
-  /// idempotent; re-executing them on retry is cheaper than the memory).
-  size_t outcome_record_max_bytes = 4096;
 };
 
 class Server {

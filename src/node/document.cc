@@ -18,25 +18,31 @@ namespace xtc {
 // their page images (physical redo must reproduce whatever bytes
 // changed) with an empty undo.
 //
+// The undo lives in the caller's UndoOp when it passed one (NodeManager
+// registers that same op as the transaction's compensation), so the
+// logged description and the runtime abort's are one object.
+//
 // The destructor runs while the document latch is held; the analysis
 // cannot see that from a destructor, hence the escape hatch.
 class WalScope {
  public:
-  explicit WalScope(Document* doc) : doc_(doc), wal_(doc->wal_) {
+  WalScope(Document* doc, UndoOp* undo)
+      : doc_(doc), wal_(doc->wal_), undo_(undo != nullptr ? undo : &own_) {
+    *undo_ = UndoOp{};
     if (wal_ != nullptr) doc_->buffer_->BeginCapture();
   }
   WalScope(const WalScope&) = delete;
   WalScope& operator=(const WalScope&) = delete;
 
   /// Arms the logical undo; call just before a successful return.
-  void SetUndo(UndoOp undo) { undo_ = std::move(undo); }
+  void SetUndo(UndoOp undo) { *undo_ = std::move(undo); }
 
   ~WalScope() XTC_NO_THREAD_SAFETY_ANALYSIS {
     if (wal_ == nullptr) return;
     const std::vector<PageId> pages = doc_->buffer_->CapturedPages();
-    if (!pages.empty() || undo_.kind != UndoKind::kNone) {
+    if (!pages.empty() || undo_->kind != UndoKind::kNone) {
       wal_->AppendUpdate(
-          ScopedWalTx::Current(), undo_, doc_->TreeMetaLocked(), pages,
+          ScopedWalTx::Current(), *undo_, doc_->TreeMetaLocked(), pages,
           doc_->options_.page_size,
           [this](PageId id, Lsn end_lsn, std::string* out) {
             // Captured pages are protected from eviction until
@@ -57,7 +63,8 @@ class WalScope {
  private:
   Document* doc_;
   Wal* wal_;
-  UndoOp undo_;
+  UndoOp own_;  // the undo when the caller passed none
+  UndoOp* undo_;
 };
 
 namespace {
@@ -308,7 +315,7 @@ Status Document::StoreOneLocked(const Splid& splid, const NodeRecord& record) {
 Status Document::Store(const Splid& splid, const NodeRecord& record) {
   WriterMutexLock latch(mu_);
   FaultInjector::ScopedSuppress no_faults;  // mutation is not failure-atomic
-  WalScope wal(this);
+  WalScope wal(this, nullptr);
   XTC_RETURN_IF_ERROR(StoreOneLocked(splid, record));
   wal.SetUndo(RemoveNodesUndo({splid}));
   return Status::OK();
@@ -320,7 +327,7 @@ StatusOr<Splid> Document::CreateRoot(std::string_view name) {
   if (doc_->size() != 0) {
     return Status::InvalidArgument("document is not empty");
   }
-  WalScope wal(this);
+  WalScope wal(this, nullptr);
   Splid root = Splid::Root();
   XTC_RETURN_IF_ERROR(
       StoreOneLocked(root, NodeRecord::Element(vocab_.Intern(name))));
@@ -334,7 +341,7 @@ StatusOr<Splid> Document::BuildFromSpec(const SubtreeSpec& spec) {
   if (doc_->size() != 0) {
     return Status::InvalidArgument("document is not empty");
   }
-  WalScope wal(this);
+  WalScope wal(this, nullptr);
   Splid root = Splid::Root();
   XTC_RETURN_IF_ERROR(StoreSpecLocked(root, spec));
   wal.SetUndo(RemoveSubtreeUndo(root));
@@ -397,10 +404,11 @@ Status Document::StoreSpecLocked(const Splid& at, const SubtreeSpec& spec) {
 
 StatusOr<Splid> Document::AppendSubtree(const Splid& parent,
                                         const SubtreeSpec& spec,
-                                        const Splid* label_hint) {
+                                        const Splid* label_hint,
+                                        UndoOp* undo) {
   WriterMutexLock latch(mu_);
   FaultInjector::ScopedSuppress no_faults;  // mutation is not failure-atomic
-  WalScope wal(this);
+  WalScope wal(this, undo);
   XTC_ASSIGN_OR_RETURN(Splid label, AppendLabelLocked(parent));
   if (label_hint != nullptr && *label_hint != label &&
       !doc_->Contains(label_hint->Encode())) {
@@ -439,13 +447,14 @@ StatusOr<std::optional<Splid>> Document::FindAttribute(
 
 StatusOr<Splid> Document::AddAttribute(const Splid& element,
                                        NameSurrogate name,
-                                       std::string_view value) {
+                                       std::string_view value,
+                                       UndoOp* undo) {
   WriterMutexLock latch(mu_);
   FaultInjector::ScopedSuppress no_faults;  // mutation is not failure-atomic
   if (!doc_->Contains(element.Encode())) {
     return Status::NotFound("element not found");
   }
-  WalScope wal(this);
+  WalScope wal(this, undo);
   const Splid attr_root = element.AttributeChild();
   if (!doc_->Contains(attr_root.Encode())) {
     XTC_RETURN_IF_ERROR(StoreOneLocked(attr_root, NodeRecord::AttributeRoot()));
@@ -478,18 +487,10 @@ StatusOr<Splid> Document::AddAttribute(const Splid& element,
   XTC_RETURN_IF_ERROR(StoreOneLocked(attr, NodeRecord::Attribute(name)));
   XTC_RETURN_IF_ERROR(StoreOneLocked(attr.AttributeChild(),
                                      NodeRecord::String(std::string(value))));
-  // A freshly created attribute root is deliberately not undone — the
-  // runtime abort path leaves it behind too, and an empty attribute root
-  // is structurally valid.
+  // A freshly created attribute root is deliberately not undone: an
+  // empty attribute root is structurally valid.
   wal.SetUndo(RemoveSubtreeUndo(attr));
   return attr;
-}
-
-Status Document::RemoveAttribute(const Splid& element, NameSurrogate name) {
-  auto attr = FindAttribute(element, name);
-  if (!attr.ok()) return attr.status();
-  if (!attr->has_value()) return Status::NotFound("attribute not found");
-  return RemoveSubtree(**attr);
 }
 
 StatusOr<Splid> Document::SiblingLabelLocked(const Splid& sibling,
@@ -525,10 +526,11 @@ StatusOr<Splid> Document::PeekSiblingLabel(const Splid& sibling,
 
 StatusOr<Splid> Document::InsertSibling(const Splid& sibling,
                                         const SubtreeSpec& spec, bool after,
-                                        const Splid* label_hint) {
+                                        const Splid* label_hint,
+                                        UndoOp* undo) {
   WriterMutexLock latch(mu_);
   FaultInjector::ScopedSuppress no_faults;  // mutation is not failure-atomic
-  WalScope wal(this);
+  WalScope wal(this, undo);
   XTC_ASSIGN_OR_RETURN(Splid label, SiblingLabelLocked(sibling, after));
   if (label_hint != nullptr && *label_hint != label &&
       !doc_->Contains(label_hint->Encode())) {
@@ -542,7 +544,7 @@ StatusOr<Splid> Document::InsertSibling(const Splid& sibling,
 Status Document::RestoreNodes(const std::vector<Node>& nodes) {
   WriterMutexLock latch(mu_);
   FaultInjector::ScopedSuppress no_faults;  // mutation is not failure-atomic
-  WalScope wal(this);
+  WalScope wal(this, nullptr);
   std::vector<Splid> stored;
   stored.reserve(nodes.size());
   for (const Node& n : nodes) {
@@ -556,7 +558,7 @@ Status Document::RestoreNodes(const std::vector<Node>& nodes) {
 Status Document::RemoveNodes(const std::vector<Splid>& splids) {
   WriterMutexLock latch(mu_);
   FaultInjector::ScopedSuppress no_faults;  // mutation is not failure-atomic
-  WalScope wal(this);
+  WalScope wal(this, nullptr);
   // Reverse of the given (document) order: children before parents, as
   // in RemoveSubtree.
   std::vector<Node> removed;
@@ -603,19 +605,19 @@ Status Document::Remove(const Splid& splid) {
       it.key().compare(0, enc.size(), enc) == 0) {
     return Status::InvalidArgument("Remove() on a node with children");
   }
-  WalScope wal(this);
+  WalScope wal(this, nullptr);
   XTC_RETURN_IF_ERROR(RemoveOneLocked(splid, *rec));
   wal.SetUndo(RestoreNodesUndo({Node{splid, *rec}}));
   return Status::OK();
 }
 
-Status Document::RemoveSubtree(const Splid& root) {
+Status Document::RemoveSubtree(const Splid& root, UndoOp* undo) {
   WriterMutexLock latch(mu_);
   FaultInjector::ScopedSuppress no_faults;  // mutation is not failure-atomic
   auto nodes = SubtreeLocked(root);
   if (!nodes.ok()) return nodes.status();
   if (nodes->empty()) return Status::NotFound("subtree root not found");
-  WalScope wal(this);
+  WalScope wal(this, undo);
   // Reverse document order: children before parents, so ID-index
   // maintenance can still inspect the owning attribute node.
   for (auto it = nodes->rbegin(); it != nodes->rend(); ++it) {
@@ -626,7 +628,7 @@ Status Document::RemoveSubtree(const Splid& root) {
 }
 
 Status Document::UpdateContent(const Splid& string_node,
-                               std::string_view content) {
+                               std::string_view content, UndoOp* undo) {
   WriterMutexLock latch(mu_);
   FaultInjector::ScopedSuppress no_faults;  // mutation is not failure-atomic
   auto raw = doc_->Get(string_node.Encode());
@@ -635,11 +637,11 @@ Status Document::UpdateContent(const Splid& string_node,
   if (!rec.has_value() || rec->kind != NodeKind::kString) {
     return Status::InvalidArgument("UpdateContent on a non-string node");
   }
-  WalScope wal(this);
-  UndoOp undo;
-  undo.kind = UndoKind::kUpdateContent;
-  undo.splid = string_node.Encode();
-  undo.content = rec->content;
+  WalScope wal(this, undo);
+  UndoOp inverse;
+  inverse.kind = UndoKind::kUpdateContent;
+  inverse.splid = string_node.Encode();
+  inverse.content = rec->content;
   auto owner = IdOwnerElement(string_node);
   if (owner.has_value()) {
     if (!rec->content.empty()) (void)ids_->Remove(rec->content);
@@ -650,11 +652,12 @@ Status Document::UpdateContent(const Splid& string_node,
   }
   rec->content = std::string(content);
   XTC_RETURN_IF_ERROR(doc_->Update(string_node.Encode(), rec->Encode()));
-  wal.SetUndo(std::move(undo));
+  wal.SetUndo(std::move(inverse));
   return Status::OK();
 }
 
-Status Document::RenameElement(const Splid& element, NameSurrogate new_name) {
+Status Document::RenameElement(const Splid& element, NameSurrogate new_name,
+                               UndoOp* undo) {
   WriterMutexLock latch(mu_);
   FaultInjector::ScopedSuppress no_faults;  // mutation is not failure-atomic
   auto raw = doc_->Get(element.Encode());
@@ -663,16 +666,16 @@ Status Document::RenameElement(const Splid& element, NameSurrogate new_name) {
   if (!rec.has_value() || rec->kind != NodeKind::kElement) {
     return Status::InvalidArgument("RenameElement on a non-element");
   }
-  WalScope wal(this);
-  UndoOp undo;
-  undo.kind = UndoKind::kRenameElement;
-  undo.splid = element.Encode();
-  undo.name = rec->name;
+  WalScope wal(this, undo);
+  UndoOp inverse;
+  inverse.kind = UndoKind::kRenameElement;
+  inverse.splid = element.Encode();
+  inverse.name = rec->name;
   XTC_RETURN_IF_ERROR(elements_->Remove(rec->name, element));
   rec->name = new_name;
   XTC_RETURN_IF_ERROR(elements_->Add(new_name, element));
   XTC_RETURN_IF_ERROR(doc_->Update(element.Encode(), rec->Encode()));
-  wal.SetUndo(std::move(undo));
+  wal.SetUndo(std::move(inverse));
   return Status::OK();
 }
 

@@ -63,6 +63,10 @@ class Document {
   const SplidGenerator& splid_generator() const { return gen_; }
 
   // --- Write operations (physical) --------------------------------------
+  //
+  // The mutations NodeManager calls take an optional `undo`: on success it
+  // holds the operation's logical inverse — the very UndoOp the WAL
+  // record carries — for ApplyUndo to run at abort.
 
   /// Stores one node. Maintains the element index (element nodes) and the
   /// ID index (string values under an "id" attribute).
@@ -73,16 +77,17 @@ class Document {
   Status Remove(const Splid& splid) XTC_EXCLUDES(mu_);
 
   /// Removes the whole subtree rooted at `root` (including `root`).
-  Status RemoveSubtree(const Splid& root) XTC_EXCLUDES(mu_);
+  Status RemoveSubtree(const Splid& root, UndoOp* undo = nullptr)
+      XTC_EXCLUDES(mu_);
 
   /// Replaces the content of a string node (index-maintaining for id
   /// values).
-  Status UpdateContent(const Splid& string_node, std::string_view content)
-      XTC_EXCLUDES(mu_);
+  Status UpdateContent(const Splid& string_node, std::string_view content,
+                       UndoOp* undo = nullptr) XTC_EXCLUDES(mu_);
 
   /// Renames an element (element-index maintaining).
-  Status RenameElement(const Splid& element, NameSurrogate new_name)
-      XTC_EXCLUDES(mu_);
+  Status RenameElement(const Splid& element, NameSurrogate new_name,
+                       UndoOp* undo = nullptr) XTC_EXCLUDES(mu_);
 
   /// The attribute node element/@name, if present.
   StatusOr<std::optional<Splid>> FindAttribute(const Splid& element,
@@ -93,10 +98,7 @@ class Document {
   /// fails with kInvalidArgument if the name already exists. Returns the
   /// attribute node's label.
   StatusOr<Splid> AddAttribute(const Splid& element, NameSurrogate name,
-                               std::string_view value) XTC_EXCLUDES(mu_);
-
-  /// Removes element/@name (and its string child). kNotFound if absent.
-  Status RemoveAttribute(const Splid& element, NameSurrogate name)
+                               std::string_view value, UndoOp* undo = nullptr)
       XTC_EXCLUDES(mu_);
 
   /// Creates the document root element (document must be empty).
@@ -111,8 +113,8 @@ class Document {
   /// running without write locks — the actual label is recomputed.
   /// Returns the new subtree root's label.
   StatusOr<Splid> AppendSubtree(const Splid& parent, const SubtreeSpec& spec,
-                                const Splid* label_hint = nullptr)
-      XTC_EXCLUDES(mu_);
+                                const Splid* label_hint = nullptr,
+                                UndoOp* undo = nullptr) XTC_EXCLUDES(mu_);
 
   /// The label AppendSubtree would use right now (for pre-locking).
   StatusOr<Splid> PeekAppendLabel(const Splid& parent) const
@@ -122,8 +124,8 @@ class Document {
   /// `sibling`, atomically under one latch (uses the overflow labeling
   /// of §3.2 — existing labels never change). Returns the new root.
   StatusOr<Splid> InsertSibling(const Splid& sibling, const SubtreeSpec& spec,
-                                bool after, const Splid* label_hint = nullptr)
-      XTC_EXCLUDES(mu_);
+                                bool after, const Splid* label_hint = nullptr,
+                                UndoOp* undo = nullptr) XTC_EXCLUDES(mu_);
 
   /// The label InsertSibling would use right now (for pre-locking).
   StatusOr<Splid> PeekSiblingLabel(const Splid& sibling, bool after) const
@@ -147,9 +149,9 @@ class Document {
   void AttachWal(Wal* wal) XTC_EXCLUDES(mu_);
   Wal* wal() const { return wal_; }
 
-  /// Applies one logged inverse operation (restart recovery's undo pass;
-  /// the caller brackets it with ScopedWalTx so the compensation is
-  /// logged under the loser's transaction id).
+  /// Applies one logged inverse operation — runtime abort and restart
+  /// recovery's undo pass alike. The caller brackets it with ScopedWalTx
+  /// so the compensation is logged under the undone transaction's id.
   Status ApplyUndo(const UndoOp& undo) XTC_EXCLUDES(mu_);
 
   /// Attaches the three B+-trees at the recovered roots (recovery

@@ -8,6 +8,11 @@ NodeManager::NodeManager(Document* doc, LockManager* locks,
   locks_->protocol().set_document_accessor(&accessor_);
 }
 
+void NodeManager::AddDocumentUndo(Transaction& tx, UndoOp undo) {
+  tx.AddUndo(
+      [doc = doc_, undo = std::move(undo)] { return doc->ApplyUndo(undo); });
+}
+
 StatusOr<std::optional<Node>> NodeManager::GetNode(Transaction& tx,
                                                    const Splid& splid) {
   const TxLockView view = tx.LockView();
@@ -175,14 +180,9 @@ Status NodeManager::UpdateText(Transaction& tx, const Splid& text,
   ScopedWalTx wal_tx(tx.id());
   const Splid string_node = text.AttributeChild();
   XTC_RETURN_IF_ERROR(locks_->NodeWrite(view, string_node));
-  auto old = doc_->Get(string_node);
-  if (!old.ok()) return old.status();
-  XTC_RETURN_IF_ERROR(doc_->UpdateContent(string_node, content));
-  Document* doc = doc_;
-  std::string old_content = old->content;
-  tx.AddUndo([doc, string_node, old_content]() {
-    return doc->UpdateContent(string_node, old_content);
-  });
+  UndoOp undo;
+  XTC_RETURN_IF_ERROR(doc_->UpdateContent(string_node, content, &undo));
+  AddDocumentUndo(tx, std::move(undo));
   return MaybeInject(faults_, fault_points::kNodeIud);
 }
 
@@ -197,13 +197,10 @@ Status NodeManager::Rename(Transaction& tx, const Splid& element,
   if (old->kind != NodeKind::kElement) {
     return Status::InvalidArgument("Rename on a non-element");
   }
-  XTC_RETURN_IF_ERROR(
-      doc_->RenameElement(element, doc_->vocabulary().Intern(new_name)));
-  Document* doc = doc_;
-  NameSurrogate old_name = old->name;
-  tx.AddUndo([doc, element, old_name]() {
-    return doc->RenameElement(element, old_name);
-  });
+  UndoOp undo;
+  XTC_RETURN_IF_ERROR(doc_->RenameElement(
+      element, doc_->vocabulary().Intern(new_name), &undo));
+  AddDocumentUndo(tx, std::move(undo));
   return MaybeInject(faults_, fault_points::kNodeIud);
 }
 
@@ -295,16 +292,15 @@ StatusOr<Splid> NodeManager::InsertSubtreeCommon(Transaction& tx,
   if (!label.ok()) return label.status();
   XTC_RETURN_IF_ERROR(LockSpecIds(view, spec));
   XTC_RETURN_IF_ERROR(locks_->TreeWrite(view, *label));
+  UndoOp undo;
   auto actual = placement == 0
-                    ? doc_->AppendSubtree(anchor, spec, &*label)
+                    ? doc_->AppendSubtree(anchor, spec, &*label, &undo)
                     : doc_->InsertSibling(anchor, spec, placement == 2,
-                                          &*label);
+                                          &*label, &undo);
   if (!actual.ok()) return actual.status();
-  Document* doc = doc_;
-  Splid new_root = *actual;
-  tx.AddUndo([doc, new_root]() { return doc->RemoveSubtree(new_root); });
+  AddDocumentUndo(tx, std::move(undo));
   XTC_RETURN_IF_ERROR(MaybeInject(faults_, fault_points::kNodeIud));
-  return new_root;
+  return *actual;
 }
 
 Status NodeManager::SetAttribute(Transaction& tx, const Splid& element,
@@ -316,7 +312,7 @@ Status NodeManager::SetAttribute(Transaction& tx, const Splid& element,
   const NameSurrogate surrogate = doc_->vocabulary().Intern(name);
   auto existing = doc_->FindAttribute(element, surrogate);
   if (!existing.ok()) return existing.status();
-  Document* doc = doc_;
+  UndoOp undo;
   if (existing->has_value()) {
     // In-place value update: exclusive lock on the attribute subtree
     // (attribute + string). The CX this puts on the attribute root
@@ -324,17 +320,14 @@ Status NodeManager::SetAttribute(Transaction& tx, const Splid& element,
     // taDOM attribute isolation of §2.3.
     const Splid string_node = (**existing).AttributeChild();
     XTC_RETURN_IF_ERROR(locks_->TreeWrite(view, **existing));
-    auto old = doc_->Get(string_node);
-    if (!old.ok()) return old.status();
     if (name == "id") {
+      auto old = doc_->Get(string_node);
+      if (!old.ok()) return old.status();
       XTC_RETURN_IF_ERROR(locks_->IdExclusive(view, old->content));
       XTC_RETURN_IF_ERROR(locks_->IdExclusive(view, value));
     }
-    XTC_RETURN_IF_ERROR(doc_->UpdateContent(string_node, value));
-    std::string old_content = old->content;
-    tx.AddUndo([doc, string_node, old_content]() {
-      return doc->UpdateContent(string_node, old_content);
-    });
+    XTC_RETURN_IF_ERROR(doc_->UpdateContent(string_node, value, &undo));
+    AddDocumentUndo(tx, std::move(undo));
     return MaybeInject(faults_, fault_points::kNodeIud);
   }
   // Fresh attribute: exclusive on the attribute root's child level.
@@ -344,11 +337,12 @@ Status NodeManager::SetAttribute(Transaction& tx, const Splid& element,
   if (name == "id") {
     XTC_RETURN_IF_ERROR(locks_->IdExclusive(view, value));
   }
-  auto added = doc_->AddAttribute(element, surrogate, value);
+  auto added = doc_->AddAttribute(element, surrogate, value, &undo);
   if (!added.ok()) return added.status();
+  // Registered before the lock below: a failing lock request must still
+  // leave the new attribute for the abort to remove.
+  AddDocumentUndo(tx, std::move(undo));
   XTC_RETURN_IF_ERROR(locks_->NodeWrite(view, *added));
-  Splid attr = *added;
-  tx.AddUndo([doc, attr]() { return doc->RemoveSubtree(attr); });
   return MaybeInject(faults_, fault_points::kNodeIud);
 }
 
@@ -373,12 +367,9 @@ Status NodeManager::RemoveAttribute(Transaction& tx, const Splid& element,
   if (name == "id" && nodes->size() >= 2) {
     XTC_RETURN_IF_ERROR(locks_->IdExclusive(view, (*nodes)[1].record.content));
   }
-  XTC_RETURN_IF_ERROR(doc_->RemoveSubtree(**existing));
-  Document* doc = doc_;
-  std::vector<Node> removed = std::move(*nodes);
-  tx.AddUndo([doc, removed = std::move(removed)]() {
-    return doc->RestoreNodes(removed);
-  });
+  UndoOp undo;
+  XTC_RETURN_IF_ERROR(doc_->RemoveSubtree(**existing, &undo));
+  AddDocumentUndo(tx, std::move(undo));
   return MaybeInject(faults_, fault_points::kNodeIud);
 }
 
@@ -456,11 +447,9 @@ Status NodeManager::DeleteSubtree(Transaction& tx, const Splid& root) {
   if (nodes->empty()) return Status::NotFound("subtree root not found");
   // Serializable: ids disappearing with this subtree are predicates too.
   XTC_RETURN_IF_ERROR(LockNodeIds(view, *nodes));
-  XTC_RETURN_IF_ERROR(doc_->RemoveSubtree(root));
-  Document* doc = doc_;
-  std::vector<Node> removed = std::move(*nodes);
-  tx.AddUndo(
-      [doc, removed = std::move(removed)]() { return doc->RestoreNodes(removed); });
+  UndoOp undo;
+  XTC_RETURN_IF_ERROR(doc_->RemoveSubtree(root, &undo));
+  AddDocumentUndo(tx, std::move(undo));
   return MaybeInject(faults_, fault_points::kNodeIud);
 }
 

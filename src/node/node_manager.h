@@ -3,9 +3,11 @@
 // Every operation (1) issues the meta-lock requests the paper prescribes
 // (§2: lock the accessed node, its ancestor path, and the traversed
 // logical navigation edge), (2) performs the physical operation on the
-// Document, (3) records compensation actions in the transaction's undo
-// log, and (4) signals end-of-operation to the lock manager (which
-// releases short locks under isolation level committed).
+// Document, (3) registers the UndoOp that operation logged in the
+// transaction's undo log — abort runs it through Document::ApplyUndo,
+// exactly as restart recovery undoes a loser — and (4) signals
+// end-of-operation to the lock manager (which releases short locks under
+// isolation level committed).
 //
 // A failed lock request (deadlock victim / timeout) surfaces as the
 // operation's Status; the caller must abort the transaction.
@@ -139,6 +141,10 @@ class NodeManager {
   /// the subtree spec / node set carries is locked exclusively.
   Status LockSpecIds(const TxLockView& view, const SubtreeSpec& spec);
   Status LockNodeIds(const TxLockView& view, const std::vector<Node>& nodes);
+
+  /// Registers `undo` (filled by a Document mutation) as the
+  /// transaction's compensation for that mutation.
+  void AddDocumentUndo(Transaction& tx, UndoOp undo);
 
   /// Shared insertion path for Append/InsertBefore/InsertAfter.
   StatusOr<Splid> InsertSubtreeCommon(Transaction& tx, const Splid& anchor,

@@ -39,14 +39,14 @@ class Transaction {
   TxLockView LockView() const { return {id_, isolation_, lock_depth_}; }
 
   /// Registers a compensation action run (in reverse order) on abort.
-  /// Undo actions perform *physical* inverse operations and must not
+  /// Undo actions perform inverse document operations and must not
   /// acquire transactional locks (the aborting transaction still holds
-  /// every lock it needs).
+  /// every lock it needs). NodeManager registers one per IUD operation:
+  /// Document::ApplyUndo of the UndoOp that operation logged, the same
+  /// inverse restart recovery applies to a loser.
   void AddUndo(std::function<Status()> undo) {
     undo_log_.push_back(std::move(undo));
   }
-
-  size_t undo_log_size() const { return undo_log_.size(); }
 
   /// Commit sequence number (1-based), assigned under the transaction's
   /// locks — for strict long-lock protocols the commit order is a valid

@@ -64,7 +64,7 @@ Status TransactionManager::Abort(Transaction& tx) {
   {
     // Compensations are logged as ordinary updates under the aborting
     // transaction's id — no separate CLR record type; restart recovery
-    // undoes losers through the very same document operations.
+    // undoes losers by applying the same logged UndoOps.
     ScopedWalTx wal_tx(tx.id());
     for (auto it = undo.rbegin(); it != undo.rend(); ++it, --position) {
       Status st = (*it)();

@@ -192,12 +192,14 @@ ServerOptions LeaseOptions() {
 class NetServerTest : public ::testing::Test {
  protected:
   void BuildEngine(Duration wait_timeout = Millis(2000),
-                   FaultInjector* tx_faults = nullptr) {
+                   FaultInjector* tx_faults = nullptr,
+                   FaultInjector* lock_faults = nullptr) {
     auto info = GenerateBib(&doc_, BibConfig::Tiny());
     ASSERT_TRUE(info.ok());
     info_ = std::move(*info);
     LockTableOptions lock_options;
     lock_options.wait_timeout = wait_timeout;
+    lock_options.fault_injector = lock_faults;
     protocol_ = CreateProtocol("taDOM3+", lock_options);
     ASSERT_NE(protocol_, nullptr);
     lm_ = std::make_unique<LockManager>(protocol_.get());
@@ -298,6 +300,35 @@ TEST_F(NetServerTest, AbortCountsUndoFailure) {
   EXPECT_EQ(undo_failures, 1);
 }
 
+TEST_F(NetServerTest, AbortIsClassifiedByTheFailedOpStatus) {
+  // The client aborts after a DOM op failed with kLockTimeout; the
+  // server counts that abort as a timeout abort, as an in-process run
+  // would.
+  FaultInjector faults(1);
+  BuildEngine(Millis(2000), nullptr, &faults);
+  StartServer();
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(
+      client.Begin(IsolationLevel::kRepeatable, 7, TxType::kQueryBook).ok());
+  FaultPointConfig timeout;
+  timeout.probability = 1.0;
+  faults.Arm(fault_points::kLockTimeout, timeout);
+  RemoteDom dom(&client);
+  EXPECT_EQ(dom.GetElementById(info_.book_ids[0]).status().code(),
+            StatusCode::kLockTimeout);
+  ASSERT_TRUE(client.Abort().ok());
+  client.Close();
+  ExpectQuiescent();
+  server_->Stop();
+
+  double timeout_aborts = -1;
+  for (const Metric& m : server_->Metrics()) {
+    if (m.name == "tx.TAqueryBook.timeout_aborts") timeout_aborts = m.value;
+  }
+  EXPECT_EQ(timeout_aborts, 1);
+}
+
 TEST_F(NetServerTest, LifecycleErrorsKeepConnectionUsable) {
   StartServer();
   Client client;
@@ -344,13 +375,11 @@ TEST_F(NetServerTest, OneWorkerInterleavesOpenTransactions) {
   ServerOptions options;
   options.num_workers = 1;
   StartServer(options);
-  Client first, second;
-  ASSERT_TRUE(
-      first.Connect("127.0.0.1", server_->port(), std::chrono::seconds(1))
-          .ok());
-  ASSERT_TRUE(
-      second.Connect("127.0.0.1", server_->port(), std::chrono::seconds(1))
-          .ok());
+  ClientOptions client_options;
+  client_options.io_timeout = std::chrono::seconds(1);
+  Client first(client_options), second(client_options);
+  ASSERT_TRUE(first.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(second.Connect("127.0.0.1", server_->port()).ok());
   ASSERT_TRUE(
       first.Begin(IsolationLevel::kRepeatable, 7, TxType::kQueryBook).ok());
   ASSERT_TRUE(

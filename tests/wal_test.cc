@@ -1,18 +1,24 @@
 // WAL unit tests: record framing and scan, torn-tail detection, group
 // commit, flush-chunk boundary cases, page checksums, WAL-before-data,
-// and the recovery edge cases of DESIGN.md §6 (empty log,
-// checkpoint-only log).
+// the recovery edge cases of DESIGN.md §6 (empty log, checkpoint-only
+// log), and undo parity: for every NodeManager IUD operation, runtime
+// abort and restart undo restore the same document.
 
 #include <cstring>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "node/document.h"
+#include "node/node_manager.h"
+#include "protocols/protocol_registry.h"
 #include "storage/page.h"
 #include "storage/page_file.h"
 #include "tamix/bib_generator.h"
 #include "tamix/invariants.h"
+#include "tx/transaction_manager.h"
 #include "wal/recovery.h"
 #include "wal/wal.h"
 
@@ -414,6 +420,128 @@ TEST(WalTest, CommitsAppendedAfterTornTailReopenStayVisible) {
   ASSERT_EQ(records->size(), 4u);
   EXPECT_EQ(records->back().type, WalRecordType::kCommit);
   EXPECT_EQ(records->back().payload, "second");
+}
+
+// --- Undo parity ----------------------------------------------------------
+
+/// One NodeManager IUD operation, applied to a book of the tiny bib.
+struct IudCase {
+  const char* name;
+  Status (*run)(NodeManager& nm, Transaction& tx, const Splid& book);
+};
+
+void PrintTo(const IudCase& c, std::ostream* os) { *os << c.name; }
+
+Splid FirstChildOf(NodeManager& nm, const Splid& parent) {
+  auto child = nm.document().FirstChild(parent);
+  EXPECT_TRUE(child.ok() && child->has_value());
+  return (*child)->splid;
+}
+
+SubtreeSpec NoteSpec() { return SubtreeSpec{"note", {{"id", "n1"}}, "x", {}}; }
+
+const IudCase kIudCases[] = {
+    {"UpdateText",
+     [](NodeManager& nm, Transaction& tx, const Splid& book) {
+       const Splid title = FirstChildOf(nm, book);
+       return nm.UpdateText(tx, FirstChildOf(nm, title), "rewritten");
+     }},
+    {"Rename",
+     [](NodeManager& nm, Transaction& tx, const Splid& book) {
+       return nm.Rename(tx, book, "tome");
+     }},
+    {"SetAttributeExisting",
+     [](NodeManager& nm, Transaction& tx, const Splid& book) {
+       return nm.SetAttribute(tx, book, "year", "1999");
+     }},
+    {"SetAttributeNew",
+     [](NodeManager& nm, Transaction& tx, const Splid& book) {
+       return nm.SetAttribute(tx, book, "edition", "2");
+     }},
+    {"AppendSubtree",
+     [](NodeManager& nm, Transaction& tx, const Splid& book) {
+       return nm.AppendSubtree(tx, book, NoteSpec()).status();
+     }},
+    {"InsertBefore",
+     [](NodeManager& nm, Transaction& tx, const Splid& book) {
+       return nm.InsertBefore(tx, FirstChildOf(nm, book), NoteSpec()).status();
+     }},
+    {"InsertAfter",
+     [](NodeManager& nm, Transaction& tx, const Splid& book) {
+       return nm.InsertAfter(tx, FirstChildOf(nm, book), NoteSpec()).status();
+     }},
+    {"RemoveAttribute",
+     [](NodeManager& nm, Transaction& tx, const Splid& book) {
+       return nm.RemoveAttribute(tx, book, "year");
+     }},
+    {"DeleteSubtree",
+     [](NodeManager& nm, Transaction& tx, const Splid& book) {
+       return nm.DeleteSubtree(tx, book);
+     }},
+};
+
+/// A WAL-attached tiny bib whose base state rides the initial checkpoint,
+/// and one uncommitted transaction that ran the case's operation.
+class UndoParityTest : public ::testing::TestWithParam<IudCase> {
+ protected:
+  void SetUp() override {
+    auto info = GenerateBib(&doc_, BibConfig::Tiny());
+    ASSERT_TRUE(info.ok());
+    doc_.AttachWal(&wal_);
+    ASSERT_TRUE(doc_.buffer().FlushAll().ok());
+    ASSERT_TRUE(doc_.LogCheckpoint().ok());
+    base_ = Fingerprint(doc_);
+    protocol_ = CreateProtocol("taDOM3+", LockTableOptions{});
+    ASSERT_NE(protocol_, nullptr);
+    lm_ = std::make_unique<LockManager>(protocol_.get());
+    tm_ = std::make_unique<TransactionManager>(lm_.get(), nullptr, &wal_);
+    nm_ = std::make_unique<NodeManager>(&doc_, lm_.get());
+    const auto book = doc_.LookupId(info->book_ids[0]);
+    ASSERT_TRUE(book.has_value());
+    tx_ = tm_->Begin(IsolationLevel::kSerializable, 7);
+    const Status st = GetParam().run(*nm_, *tx_, *book);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_NE(Fingerprint(doc_), base_) << "the operation changed nothing";
+  }
+
+  static uint64_t Fingerprint(const Document& doc) {
+    auto fp = DocumentFingerprint(doc);
+    EXPECT_TRUE(fp.ok()) << fp.status().ToString();
+    return fp.ok() ? *fp : 0;
+  }
+
+  StorageOptions storage_;
+  Document doc_{storage_};
+  Wal wal_{WalOptions{}};
+  uint64_t base_ = 0;
+  std::unique_ptr<XmlProtocol> protocol_;
+  std::unique_ptr<LockManager> lm_;
+  std::unique_ptr<TransactionManager> tm_;
+  std::unique_ptr<NodeManager> nm_;
+  std::unique_ptr<Transaction> tx_;
+};
+
+INSTANTIATE_TEST_SUITE_P(EveryIudOp, UndoParityTest,
+                         ::testing::ValuesIn(kIudCases),
+                         [](const auto& info) { return info.param.name; });
+
+TEST_P(UndoParityTest, RuntimeAbortRestoresTheDocument) {
+  ASSERT_TRUE(tm_->Abort(*tx_).ok());
+  EXPECT_EQ(Fingerprint(doc_), base_);
+  EXPECT_TRUE(doc_.Validate().ok());
+}
+
+TEST_P(UndoParityTest, RestartUndoRestoresTheDocument) {
+  // Crash with the operation logged but uncommitted: recovery undoes the
+  // loser from its kUpdate record alone.
+  ASSERT_TRUE(wal_.Sync().ok());
+  auto opened = OpenDatabase(storage_, WalOptions{},
+                             doc_.page_file().CloneImage(), wal_.DurableImage());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->stats.losers_undone, 1u);
+  EXPECT_EQ(Fingerprint(*opened->doc), base_);
+  EXPECT_TRUE(opened->doc->Validate().ok());
+  ASSERT_TRUE(tm_->Abort(*tx_).ok());
 }
 
 TEST(WalTest, NonEmptyDiskWithoutCheckpointIsDataLoss) {
