@@ -154,8 +154,7 @@ LockOutcome LockTable::Lock(uint64_t tx, std::string_view resource,
     }
   }
   if (hit != kNoMode) {
-    if (options_.nonblocking) OnNonblockingGrant(tx, resource, hit, hit,
-                                                 duration);
+    ProbeGrant(tx, resource, hit, hit, duration);
     return {Status::OK(), hit, kNoMode};
   }
 
@@ -187,19 +186,13 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
       return {Status::LockTimeout("injected lock timeout"), kNoMode, kNoMode};
     }
     if (options_.fault_injector->ShouldFail(fault_points::kLockDeadlock)) {
-      stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
-      DeadlockEvent event;
-      event.victim = tx;
-      event.resource = std::string(resource);
-      event.requested_mode = std::string(modes_->Name(mode));
-      event.injected = true;
-      event.victim_reason = "injected fault: victim chosen by the fault "
-                            "plan, no real cycle existed";
       MutexLock g(graph_mu_);
-      deadlock_log_.push_back(std::move(event));
-      if (deadlock_log_.size() > options_.deadlock_log_capacity) {
-        deadlock_log_.pop_front();
-      }
+      RecordDeadlock({.victim = tx,
+                      .resource = std::string(resource),
+                      .requested_mode = std::string(modes_->Name(mode)),
+                      .injected = true,
+                      .victim_reason = "injected fault: victim chosen by the "
+                                       "fault plan, no real cycle existed"});
       return {Status::Deadlock("injected deadlock victim"), kNoMode, kNoMode};
     }
   }
@@ -208,15 +201,19 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
   MutexLock guard(shard.mu);
 
   Resource* r = GetOrCreate(&shard, resource);
+  Held* held = FindHeld(r, tx);
+  const bool is_conversion = (held != nullptr);
+  // Read before any wait: other holders pushed onto r->granted meanwhile
+  // may reallocate it and leave `held` dangling.
+  const ModeId previous = is_conversion ? held->effective : kNoMode;
   auto grant = [&](const Held& h) {
     *granted = {r, shard_index, h.long_mode, h.effective,
                 h.short_mode != kNoMode};
+    ProbeGrant(tx, resource, previous, h.effective, duration);
   };
-  Held* held = FindHeld(r, tx);
 
   ModeId target = mode;
   ModeId children_mode = kNoMode;
-  const bool is_conversion = (held != nullptr);
   if (is_conversion) {
     Conversion conv = modes_->Convert(held->effective, mode);
     target = conv.result;
@@ -233,8 +230,6 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
         held->short_mode = modes_->Convert(held->short_mode, mode).result;
       }
       stat_immediate_.fetch_add(1, std::memory_order_relaxed);
-      if (options_.nonblocking) OnNonblockingGrant(tx, resource, target, target,
-                                                  duration);
       grant(*held);
       return {Status::OK(), held->effective, children_mode};
     }
@@ -244,63 +239,14 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
   // Fast path.
   if ((is_conversion || r->queue.empty()) &&
       CompatibleWithHolders(*r, tx, target)) {
-    const ModeId previous = is_conversion ? held->effective : kNoMode;
     grant(*GrantLocked(r, tx, mode, target, duration));
     stat_immediate_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.nonblocking) OnNonblockingGrant(tx, resource, previous,
-                                                 target, duration);
     return {Status::OK(), target, children_mode};
   }
 
-  // Nonblocking (model-checker) path: never enqueue or sleep. Register
-  // the wait-for edges a blocked thread would hold, run the same cycle
-  // check the wait loop runs, and hand the would-block outcome back to
-  // the caller, which owns retry scheduling.
-  if (options_.nonblocking) {
-    stat_waits_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<uint64_t> blockers =
-        BlockersOf(*r, tx, target, is_conversion, /*self=*/nullptr);
-    XTC_CHECK(!blockers.empty(),
-              "nonblocking wait path reached with no blockers");
-    {
-      MutexLock g(graph_mu_);
-      detector_.SetEdges(tx, blockers);
-      if (options_.deadlock_detection && detector_.HasCycleFrom(tx)) {
-        DeadlockEvent event;
-        event.victim = tx;
-        event.resource = r->name;
-        event.requested_mode = std::string(modes_->Name(target));
-        event.conversion = is_conversion;
-        event.blockers = blockers.size();
-        event.waiting_transactions = detector_.num_waiters();
-        event.victim_reason =
-            std::string("cycle closer: this transaction's new wait edge "
-                        "completed the cycle, and the closer aborts (") +
-            (is_conversion ? "conversion wait)" : "fresh-request wait)");
-        deadlock_log_.push_back(std::move(event));
-        if (deadlock_log_.size() > options_.deadlock_log_capacity) {
-          deadlock_log_.pop_front();
-        }
-        detector_.ClearEdges(tx);
-        EraseResourceIfIdle(&shard, r);
-        stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
-        if (is_conversion) {
-          stat_conv_deadlocks_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (options_.probe != nullptr) {
-          options_.probe->OnDeadlockVictim(tx, resource, target, blockers);
-        }
-        return {Status::Deadlock(), kNoMode, kNoMode};
-      }
-    }
-    if (options_.probe != nullptr) {
-      options_.probe->OnWouldBlock(tx, resource, target, blockers);
-    }
-    EraseResourceIfIdle(&shard, r);
-    return {Status::WouldBlock(), kNoMode, kNoMode};
-  }
-
-  // Slow path: wait.
+  // Slow path: every request that must wait — threaded or model checker —
+  // enqueues, scans for blockers, sets its wait-for edges and runs the one
+  // cycle check. The only fork is where a thread would park on the CV.
   stat_waits_.fetch_add(1, std::memory_order_relaxed);
   Waiter waiter{tx, target, is_conversion};
   if (is_conversion) {
@@ -309,6 +255,7 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
     r->queue.push_back(&waiter);
   }
 
+  Status denied;
   const TimePoint deadline = Now() + options_.wait_timeout;
   for (;;) {
     // Re-checked on every wakeup: CancelWaiters/CancelTx set their flag
@@ -316,58 +263,59 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
     // within one scheduler quantum instead of sleeping toward the full
     // wait_timeout.
     if (IsCancelled(tx)) {
-      {
-        MutexLock g(graph_mu_);
-        detector_.ClearEdges(tx);
-      }
-      RemoveWaiter(r, &waiter);
-      EraseResourceIfIdle(&shard, r);
+      ClearWaitEdges(tx);
       stat_cancelled_.fetch_add(1, std::memory_order_relaxed);
-      shard.cv.notify_all();
-      return {Status::Cancelled(), kNoMode, kNoMode};
+      denied = Status::Cancelled();
+      break;
     }
     std::vector<uint64_t> blockers =
         BlockersOf(*r, tx, target, is_conversion, &waiter);
     if (blockers.empty()) {
       grant(*GrantLocked(r, tx, mode, target, duration));
       RemoveWaiter(r, &waiter);
-      {
-        MutexLock g(graph_mu_);
-        detector_.ClearEdges(tx);
-      }
+      ClearWaitEdges(tx);
       shard.cv.notify_all();  // our dequeue may unblock fairness-waiters
       return {Status::OK(), target, children_mode};
     }
 
+    bool victim = false;
     {
       MutexLock g(graph_mu_);
       detector_.SetEdges(tx, blockers);
-      if (detector_.HasCycleFrom(tx)) {
-        DeadlockEvent event;
-        event.victim = tx;
-        event.resource = r->name;
-        event.requested_mode = std::string(modes_->Name(target));
-        event.conversion = is_conversion;
-        event.blockers = blockers.size();
-        event.waiting_transactions = detector_.num_waiters();
-        event.victim_reason =
-            std::string("cycle closer: this transaction's new wait edge "
-                        "completed the cycle, and the closer aborts (") +
-            (is_conversion ? "conversion wait)" : "fresh-request wait)");
-        deadlock_log_.push_back(std::move(event));
-        if (deadlock_log_.size() > options_.deadlock_log_capacity) {
-          deadlock_log_.pop_front();
-        }
+      if (options_.deadlock_detection && detector_.HasCycleFrom(tx)) {
+        RecordDeadlock(
+            {.victim = tx,
+             .resource = r->name,
+             .requested_mode = std::string(modes_->Name(target)),
+             .conversion = is_conversion,
+             .blockers = blockers.size(),
+             .waiting_transactions = detector_.num_waiters(),
+             .victim_reason =
+                 std::string("cycle closer: this transaction's new wait "
+                             "edge completed the cycle, and the closer "
+                             "aborts (") +
+                 (is_conversion ? "conversion wait)" : "fresh-request wait)")});
+        // Cleared under the same graph_mu_ hold, so no other waiter sees
+        // this cycle and picks a second victim.
         detector_.ClearEdges(tx);
-        RemoveWaiter(r, &waiter);
-        EraseResourceIfIdle(&shard, r);
-        stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
-        if (is_conversion) {
-          stat_conv_deadlocks_.fetch_add(1, std::memory_order_relaxed);
-        }
-        shard.cv.notify_all();
-        return {Status::Deadlock(), kNoMode, kNoMode};
+        victim = true;
       }
+    }
+    if (victim) {
+      if (options_.probe != nullptr) {
+        options_.probe->OnDeadlockVictim(tx, resource, target, blockers);
+      }
+      denied = Status::Deadlock();
+      break;
+    }
+
+    if (options_.probe != nullptr) {
+      // Model checker: the caller owns retry scheduling. The request
+      // leaves the queue but keeps its wait-for edges, as a parked thread
+      // would, until it is granted, victimized, or released.
+      options_.probe->OnWouldBlock(tx, resource, target, blockers);
+      denied = Status::WouldBlock();
+      break;
     }
 
     // The wait goes through the guard's native handle: the analysis
@@ -379,17 +327,18 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
       if (BlockersOf(*r, tx, target, is_conversion, &waiter).empty()) {
         continue;
       }
-      {
-        MutexLock g(graph_mu_);
-        detector_.ClearEdges(tx);
-      }
-      RemoveWaiter(r, &waiter);
-      EraseResourceIfIdle(&shard, r);
+      ClearWaitEdges(tx);
       stat_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      shard.cv.notify_all();
-      return {Status::LockTimeout(), kNoMode, kNoMode};
+      denied = Status::LockTimeout();
+      break;
     }
   }
+  // Every exit but a grant leaves the queue; our dequeue may unblock
+  // fairness-waiters.
+  RemoveWaiter(r, &waiter);
+  EraseResourceIfIdle(&shard, r);
+  shard.cv.notify_all();
+  return {std::move(denied), kNoMode, kNoMode};
 }
 
 bool LockTable::IsCancelled(uint64_t tx) const {
@@ -424,16 +373,26 @@ void LockTable::CancelTx(uint64_t tx) {
   WakeAllShards();
 }
 
-void LockTable::OnNonblockingGrant(uint64_t tx, std::string_view resource,
-                                   ModeId previous, ModeId effective,
-                                   LockDuration duration) {
-  {
-    MutexLock g(graph_mu_);
-    detector_.ClearEdges(tx);
+void LockTable::ClearWaitEdges(uint64_t tx) {
+  MutexLock g(graph_mu_);
+  detector_.ClearEdges(tx);
+}
+
+void LockTable::ProbeGrant(uint64_t tx, std::string_view resource,
+                           ModeId previous, ModeId effective,
+                           LockDuration duration) {
+  if (options_.probe == nullptr) return;
+  ClearWaitEdges(tx);
+  options_.probe->OnGrant(tx, resource, previous, effective, duration);
+}
+
+void LockTable::RecordDeadlock(DeadlockEvent event) {
+  stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
+  if (event.conversion) {
+    stat_conv_deadlocks_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (options_.probe != nullptr) {
-    options_.probe->OnGrant(tx, resource, previous, effective, duration);
-  }
+  deadlock_log_.push_back(std::move(event));
+  if (deadlock_log_.size() > kDeadlockLogCapacity) deadlock_log_.pop_front();
 }
 
 void LockTable::ReleaseInShards(
@@ -521,10 +480,7 @@ void LockTable::ReleaseAll(uint64_t tx) {
     }
   }
   ReleaseInShards(tx, holds, /*short_only=*/false);
-  {
-    MutexLock g(graph_mu_);
-    detector_.ClearEdges(tx);
-  }
+  ClearWaitEdges(tx);
   // The transaction is gone; a later run may reuse its id, so the sticky
   // per-tx cancel must not outlive it.
   if (num_cancelled_txs_.load(std::memory_order_acquire) != 0) {

@@ -19,6 +19,13 @@
 // so deadlocks are detected immediately. The requester that closes a
 // cycle is the victim; it receives kDeadlock and must abort.
 //
+// Model-checker mode: a table with LockTableOptions::probe set takes the
+// same blocked-request path — enqueue, blocker scan, wait-for edges,
+// cycle check — and forks only where a thread would park on the shard
+// condition variable: it leaves the queue and returns kWouldBlock, with
+// its wait-for edges still registered, so tools/protoverify verifies the
+// code the threaded engine runs.
+//
 // Lock sets: every DOM operation re-acquires the whole ancestor path of
 // intention locks (§3.2), so most requests ask for a mode the transaction
 // already holds. LockTable keeps one lock set per transaction — resource
@@ -73,20 +80,21 @@ namespace xtc {
 enum class LockDuration : uint8_t { kOperation = 0, kCommit = 1 };
 
 /// Observation hook for the protocol model checker (tools/protoverify).
-/// Callbacks fire from inside Lock(), mostly while the resource shard
-/// mutex is held, so implementations must not call back into the table.
-/// The threaded engine never installs one; see LockTableOptions::probe.
+/// Installing one selects the table's model-checker mode (see the file
+/// comment and LockTableOptions::probe). Callbacks fire from inside
+/// Lock(), mostly while the resource shard mutex is held, so
+/// implementations must not call back into the table.
 class LockEventProbe {
  public:
   virtual ~LockEventProbe() = default;
-  /// A request was granted (fresh lock or conversion). `effective` is the
-  /// mode now held; `previous` the effective mode before the request
-  /// (kNoMode for a fresh lock).
+  /// A request was granted (fresh lock or conversion), lock-set hits
+  /// included. `effective` is the mode now held; `previous` the effective
+  /// mode before the request (kNoMode for a fresh lock).
   virtual void OnGrant(uint64_t tx, std::string_view resource,
                        ModeId previous, ModeId effective,
                        LockDuration duration) = 0;
-  /// Nonblocking mode only: the request had to wait on `blockers` and
-  /// Lock() is about to return kWouldBlock (no cycle was found).
+  /// The request had to wait on `blockers`, the cycle check found no
+  /// cycle, and Lock() is about to return kWouldBlock.
   virtual void OnWouldBlock(uint64_t tx, std::string_view resource,
                             ModeId target,
                             const std::vector<uint64_t>& blockers) = 0;
@@ -141,30 +149,27 @@ struct LockTableStats {
 struct LockTableOptions {
   Duration wait_timeout = std::chrono::seconds(10);
   uint32_t shards = 32;
-  /// How many deadlock events to keep for analysis (paper §4.2: TaMix +
-  /// XTCdeadlockDetector record the circumstances of each deadlock).
-  size_t deadlock_log_capacity = 256;
   /// When set, Lock() evaluates the "lock.timeout" and "lock.deadlock"
   /// fault points on entry (spurious timeout / forced victim status).
   FaultInjector* fault_injector = nullptr;
-  /// Deterministic single-threaded mode for the protocol model checker:
-  /// a request that would have to wait returns kWouldBlock immediately
-  /// instead of blocking on the shard condition variable. The waiter's
-  /// wait-for edges stay registered in the deadlock detector until the
+  /// When set, the table runs in the protocol model checker's
+  /// deterministic single-threaded mode and reports to this probe: a
+  /// request that would have to wait returns kWouldBlock instead of
+  /// parking on the shard condition variable. The waiter's wait-for
+  /// edges stay registered in the deadlock detector until the
   /// transaction is granted the resource, is victimized, or releases —
   /// exactly the window a blocked thread would occupy them — so a later
   /// request by another transaction that closes a cycle is victimized
-  /// just as in threaded operation. FIFO fairness does not apply (there
-  /// is no persistent queue); the caller decides retry order, which is
-  /// precisely what a schedule enumerator wants to control.
-  bool nonblocking = false;
-  /// Observation hook (nonblocking/model-checking builds only).
+  /// just as in threaded operation. FIFO fairness does not apply (the
+  /// request leaves the queue); the caller decides retry order, which is
+  /// precisely what a schedule enumerator wants to control. The threaded
+  /// engine never sets this.
   LockEventProbe* probe = nullptr;
-  /// Testing backdoor for protoverify --selftest: when false, the
-  /// wait-path cycle check is skipped, so real deadlocks go undetected
-  /// (nonblocking mode reports kWouldBlock forever). The checker must
-  /// flag the resulting stall as an undetected deadlock; never disable
-  /// this anywhere else.
+  /// Testing backdoor for protoverify --selftest: when false, the one
+  /// cycle check of the blocked-request path is skipped, so real
+  /// deadlocks go undetected (a probe table reports kWouldBlock forever).
+  /// The checker must flag the resulting stall as an undetected
+  /// deadlock; never disable this anywhere else.
   bool deadlock_detection = true;
 };
 
@@ -246,6 +251,10 @@ class LockTable {
   LockTableStats GetStats() const;
   void ResetStats();
 
+  /// How many deadlock events the table keeps for analysis (paper §4.2:
+  /// TaMix + XTCdeadlockDetector record the circumstances of each
+  /// deadlock).
+  static constexpr size_t kDeadlockLogCapacity = 256;
   /// The most recent deadlock events (oldest first).
   std::vector<DeadlockEvent> RecentDeadlocks() const;
 
@@ -335,13 +344,18 @@ class LockTable {
       uint64_t tx, const std::vector<std::pair<uint32_t, Resource*>>& holds,
       bool short_only);
 
-  /// Nonblocking-mode bookkeeping for every successful grant, lock-set
-  /// hits included: clears the transaction's wait-for edges (its pending
-  /// retry succeeded) and fires the probe. Takes graph_mu_, consistent
+  /// Drops the transaction's wait-for edges. Takes graph_mu_, consistent
   /// with the shard-then-graph lock order.
-  void OnNonblockingGrant(uint64_t tx, std::string_view resource,
-                          ModeId previous, ModeId effective,
-                          LockDuration duration) XTC_EXCLUDES(graph_mu_);
+  void ClearWaitEdges(uint64_t tx) XTC_EXCLUDES(graph_mu_);
+  /// Model-checker bookkeeping for every successful grant, lock-set hits
+  /// included (no-op without a probe): clears the transaction's wait-for
+  /// edges (its pending retry succeeded) and fires the probe.
+  void ProbeGrant(uint64_t tx, std::string_view resource, ModeId previous,
+                  ModeId effective, LockDuration duration)
+      XTC_EXCLUDES(graph_mu_);
+  /// Logs a deadlock victim (injected or a real cycle) and counts it in
+  /// deadlocks/conversion_deadlocks.
+  void RecordDeadlock(DeadlockEvent event) XTC_REQUIRES(graph_mu_);
 
   // The following require the shard mutex (Resource objects themselves
   // are only reachable through Shard::resources, so helpers that take a

@@ -228,51 +228,10 @@ bool GetStatus(WireReader* r, Status* st) {
   uint32_t code;
   std::string message;
   if (!r->U32(&code) || !r->Str(&message)) return false;
-  switch (static_cast<StatusCode>(code)) {
-    case StatusCode::kOk:
-      *st = Status::OK();
-      return true;
-    case StatusCode::kDeadlock:
-      *st = Status::Deadlock(message);
-      return true;
-    case StatusCode::kLockTimeout:
-      *st = Status::LockTimeout(message);
-      return true;
-    case StatusCode::kTxAborted:
-      *st = Status::TxAborted(message);
-      return true;
-    case StatusCode::kNotFound:
-      *st = Status::NotFound(message);
-      return true;
-    case StatusCode::kInvalidArgument:
-      *st = Status::InvalidArgument(message);
-      return true;
-    case StatusCode::kInternal:
-      *st = Status::Internal(message);
-      return true;
-    case StatusCode::kNotSupported:
-      *st = Status::NotSupported(message);
-      return true;
-    case StatusCode::kResourceExhausted:
-      *st = Status::ResourceExhausted(message);
-      return true;
-    case StatusCode::kIoError:
-      *st = Status::IoError(message);
-      return true;
-    case StatusCode::kDataLoss:
-      *st = Status::DataLoss(message);
-      return true;
-    case StatusCode::kWouldBlock:
-      *st = Status::WouldBlock(message);
-      return true;
-    case StatusCode::kCancelled:
-      *st = Status::Cancelled(message);
-      return true;
-    case StatusCode::kUnknown:
-      *st = Status::Unknown(message);
-      return true;
-  }
-  return false;  // unknown status code: treat as malformed
+  // An unknown status code is malformed.
+  if (code > static_cast<uint32_t>(StatusCode::kUnknown)) return false;
+  *st = Status::FromCode(static_cast<StatusCode>(code), message);
+  return true;
 }
 
 void PutMetrics(WireWriter* w, const MetricSet& metrics) {

@@ -31,14 +31,12 @@ Status PairReplicationObserver::OnPrimaryReady(const PrimaryHandles& handles) {
   }
   FollowerOptions fo;
   fo.storage = handles_.storage;
-  fo.max_staleness_bytes = options_.max_staleness_bytes;
   fo.fault_injector = follower_faults_.get();
   fo.crash_switch = follower_crash_.get();
   XTC_ASSIGN_OR_RETURN(
       follower_, Follower::Bootstrap(fo, handles_.base_disk,
                                      handles_.base_log));
   LogShipperOptions so;
-  so.chunk_bytes = options_.ship_chunk_bytes;
   so.fault_injector = handles_.faults;
   so.crash_switch = handles_.crash;
   shipper_ = std::make_unique<LogShipper>(handles_.wal, follower_.get(), so);
@@ -85,7 +83,6 @@ Status PairReplicationObserver::RestartFollower() {
                                                   restarts_);
   FollowerOptions fo;
   fo.storage = handles_.storage;
-  fo.max_staleness_bytes = options_.max_staleness_bytes;
   fo.fault_injector = follower_faults_.get();
   fo.crash_switch = follower_crash_.get();
   XTC_ASSIGN_OR_RETURN(std::unique_ptr<Follower> reborn,

@@ -35,8 +35,6 @@ class PairReplicationObserver : public ReplicationObserver {
     /// Arm crash.apply (one-shot) inside the follower with this
     /// skip_first; <0 = follower never killed.
     int64_t follower_kill_skip = -1;
-    uint64_t ship_chunk_bytes = 4096;
-    uint64_t max_staleness_bytes = 0;
   };
 
   explicit PairReplicationObserver(const Options& options);

@@ -64,67 +64,37 @@ bool FaultInjector::Decide(std::string_view point, uint64_t n,
   return u < probability;
 }
 
+const FaultPointConfig* FaultInjector::Fire(std::string_view point) {
+  auto it = points_.find(point);
+  if (it == points_.end()) return nullptr;
+  PointState& state = it->second;
+  const uint64_t n = state.evaluations++;
+  if (n < state.config.skip_first) return nullptr;
+  if (state.config.one_shot && state.injections > 0) return nullptr;
+  if (!Decide(point, n, state.config.probability)) return nullptr;
+  ++state.injections;
+  log_.push_back({std::string(point), n});
+  return &state.config;
+}
+
 bool FaultInjector::ShouldFail(std::string_view point) {
   if (Suppressed()) return false;
   std::lock_guard<std::mutex> guard(mu_);
-  auto it = points_.find(point);
-  if (it == points_.end()) return false;
-  PointState& state = it->second;
-  const uint64_t n = state.evaluations++;
-  if (n < state.config.skip_first) return false;
-  if (state.config.one_shot && state.injections > 0) return false;
-  if (!Decide(point, n, state.config.probability)) return false;
-  ++state.injections;
-  log_.push_back({std::string(point), n});
-  return true;
+  return Fire(point) != nullptr;
 }
 
 Status FaultInjector::MaybeFail(std::string_view point) {
-  StatusCode code;
-  std::string message;
-  {
-    if (Suppressed()) return Status::OK();
-    std::lock_guard<std::mutex> guard(mu_);
-    auto it = points_.find(point);
-    if (it == points_.end()) return Status::OK();
-    PointState& state = it->second;
-    const uint64_t n = state.evaluations++;
-    if (n < state.config.skip_first) return Status::OK();
-    if (state.config.one_shot && state.injections > 0) return Status::OK();
-    if (!Decide(point, n, state.config.probability)) return Status::OK();
-    ++state.injections;
-    log_.push_back({std::string(point), n});
-    code = state.config.code;
-    message = state.config.message.empty()
-                  ? "injected fault at " + std::string(point)
-                  : state.config.message;
-  }
-  switch (code) {
-    case StatusCode::kDeadlock:
-      return Status::Deadlock(message);
-    case StatusCode::kLockTimeout:
-      return Status::LockTimeout(message);
-    case StatusCode::kTxAborted:
-      return Status::TxAborted(message);
-    case StatusCode::kNotFound:
-      return Status::NotFound(message);
-    case StatusCode::kInvalidArgument:
-      return Status::InvalidArgument(message);
-    case StatusCode::kNotSupported:
-      return Status::NotSupported(message);
-    case StatusCode::kResourceExhausted:
-      return Status::ResourceExhausted(message);
-    case StatusCode::kIoError:
-      return Status::IoError(message);
-    case StatusCode::kDataLoss:
-      return Status::DataLoss(message);
-    case StatusCode::kUnknown:
-      return Status::Unknown(message);
-    case StatusCode::kInternal:
-    case StatusCode::kOk:  // a "fault" must be an error; degrade to internal
-      return Status::Internal(message);
-  }
-  return Status::Internal(message);
+  if (Suppressed()) return Status::OK();
+  std::lock_guard<std::mutex> guard(mu_);
+  const FaultPointConfig* config = Fire(point);
+  if (config == nullptr) return Status::OK();
+  const std::string message = config->message.empty()
+                                  ? "injected fault at " + std::string(point)
+                                  : config->message;
+  // A "fault" must be an error; a point armed with kOk injects kInternal.
+  return config->code == StatusCode::kOk
+             ? Status::Internal(message)
+             : Status::FromCode(config->code, message);
 }
 
 uint64_t FaultInjector::evaluations(std::string_view point) const {

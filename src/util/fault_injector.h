@@ -152,6 +152,10 @@ class FaultInjector {
     uint64_t injections = 0;
   };
 
+  /// Evaluates `point` once (caller holds mu_): counts the evaluation
+  /// and, when it fires, the injection. Returns the point's config on
+  /// firing, nullptr otherwise.
+  const FaultPointConfig* Fire(std::string_view point);
   /// Pure decision function for the n-th evaluation of `point`.
   bool Decide(std::string_view point, uint64_t n, double probability) const;
 

@@ -43,9 +43,10 @@ enum class StatusCode : int {
   // NOT retryable: re-reading returns the same corrupt bytes; only
   // restart recovery (redo from the WAL) can repair the page.
   kDataLoss = 10,
-  // A lock request would have to wait. Only produced by a LockTable in
-  // nonblocking mode (the protocol model checker's single-threaded
-  // schedule enumerator); never seen by the threaded engine.
+  // A lock request would have to wait. Only produced by a LockTable with
+  // a LockEventProbe installed (the protocol model checker's
+  // single-threaded schedule enumerator); never seen by the threaded
+  // engine.
   kWouldBlock = 11,
   // The wait (or the whole instance) was cancelled: coordinator stop,
   // server drain, or a per-transaction cancel (client disconnect while
@@ -58,6 +59,7 @@ enum class StatusCode : int {
   // client could resolve it from the outcome table. Only the network
   // client produces this, and only for commit — every other request is
   // either idempotent or resolvable.
+  // Keep last: net/wire.cc range-checks decoded codes against it.
   kUnknown = 13,
 };
 
@@ -105,6 +107,10 @@ class Status {
   }
   static Status Unknown(std::string_view m = "outcome unknown") {
     return Status(StatusCode::kUnknown, m);
+  }
+  /// The status with `code` and message `m`; OK (no message) for kOk.
+  static Status FromCode(StatusCode code, std::string_view m) {
+    return code == StatusCode::kOk ? Status() : Status(code, m);
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -214,7 +214,6 @@ ConflictMatrix BuildConflictMatrix(std::string_view protocol) {
   std::set<std::string> violations;
   CheckProbe probe(&violations);
   LockTableOptions topt;
-  topt.nonblocking = true;
   topt.probe = &probe;
   std::unique_ptr<XmlProtocol> proto = CreateProtocol(protocol, topt);
   if (proto == nullptr) {

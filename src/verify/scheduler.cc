@@ -322,7 +322,6 @@ EnumResult EnumerateSchedules(const Scenario& scenario,
   CheckProbe probe(&violations);
 
   LockTableOptions topt;
-  topt.nonblocking = true;
   topt.probe = &probe;
   if (options.mutate_options) options.mutate_options(&topt);
 

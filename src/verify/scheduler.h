@@ -2,8 +2,10 @@
 //
 // Executes 2–3 transaction scripts of TaMix-shaped operations against the
 // *real* LockManager/LockTable/XmlProtocol stack — single-threaded, one
-// operation at a time, using the lock table's nonblocking mode — and
-// explores every interleaving by depth-first search. Because the lock
+// operation at a time, with a LockEventProbe in the lock table, whose
+// blocked requests run the engine's wait path but return kWouldBlock
+// where a thread would park — and explores every interleaving by
+// depth-first search. Because the lock
 // table cannot undo, backtracking replays the schedule prefix from
 // scratch; one protocol instance (whose mode-table derivation is the
 // expensive part) is reused across replays by fully releasing all
@@ -87,7 +89,8 @@ struct EnumResult {
 };
 
 /// Wait-for-graph mirror + deadlock-detector cross-check (see file
-/// comment). Installed as the nonblocking table's LockEventProbe.
+/// comment). Installed as the table's LockEventProbe, which selects its
+/// model-checker mode.
 class CheckProbe : public LockEventProbe {
  public:
   explicit CheckProbe(std::set<std::string>* violations)

@@ -155,6 +155,14 @@ TEST(FaultInjectorTest, MaybeFailCarriesConfiguredCodeAndMessage) {
   Status io = faults.MaybeFail(fault_points::kIoRead);
   EXPECT_TRUE(io.IsIoError());
   EXPECT_TRUE(io.IsRetryable());
+
+  faults.Arm(fault_points::kIoWrite,
+             {.probability = 1.0,
+              .code = StatusCode::kCancelled,
+              .message = "synthetic cancel"});
+  Status cancelled = faults.MaybeFail(fault_points::kIoWrite);
+  EXPECT_TRUE(cancelled.IsCancelled());
+  EXPECT_EQ(cancelled.message(), "synthetic cancel");
 }
 
 TEST(FaultInjectorTest, AllFaultPointsEnumeratesTheWholeStack) {

@@ -289,6 +289,84 @@ TEST_F(LockTableTest, InjectedLockFaultsShortCircuitRequests) {
   EXPECT_EQ(events[0].victim, 2u);
 }
 
+/// Records what a model-checker table reports.
+class RecordingProbe : public LockEventProbe {
+ public:
+  void OnGrant(uint64_t, std::string_view, ModeId, ModeId,
+               LockDuration) override {}
+  void OnWouldBlock(uint64_t tx, std::string_view, ModeId,
+                    const std::vector<uint64_t>& blockers) override {
+    blocked.push_back(tx);
+    blocked_on = blockers;
+  }
+  void OnDeadlockVictim(uint64_t tx, std::string_view, ModeId,
+                        const std::vector<uint64_t>&) override {
+    victims.push_back(tx);
+  }
+
+  std::vector<uint64_t> blocked;
+  std::vector<uint64_t> blocked_on;
+  std::vector<uint64_t> victims;
+};
+
+TEST_F(LockTableTest, ThreadedAndProbeTablesRecordTheSameDeadlock) {
+  // One two-transaction cycle: tx2 holds r2 S, tx1 holds r X, tx2 waits
+  // for r, and tx1's request for r2 closes the cycle. The threaded table
+  // parks tx2 on its own thread; the probe table answers kWouldBlock.
+  // Both take the same blocked-request path, so both record the same
+  // victim.
+  ASSERT_TRUE(table_->Lock(2, "r2", s_, LockDuration::kCommit).status.ok());
+  ASSERT_TRUE(table_->Lock(1, "r", x_, LockDuration::kCommit).status.ok());
+  std::atomic<bool> tx2_granted{false};
+  std::thread tx2([&]() {
+    tx2_granted = table_->Lock(2, "r", s_, LockDuration::kCommit).status.ok();
+  });
+  SleepFor(Millis(50));  // let tx2 block on tx1's X
+  EXPECT_EQ(table_->Lock(1, "r2", x_, LockDuration::kCommit).status.code(),
+            StatusCode::kDeadlock);
+  table_->ReleaseAll(1);  // the victim aborts; tx2 proceeds
+  tx2.join();
+  EXPECT_TRUE(tx2_granted.load());
+  table_->ReleaseAll(2);
+
+  RecordingProbe probe;
+  LockTableOptions options;
+  options.probe = &probe;
+  LockTable probed(&modes_, options);
+  ASSERT_TRUE(probed.Lock(2, "r2", s_, LockDuration::kCommit).status.ok());
+  ASSERT_TRUE(probed.Lock(1, "r", x_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(probed.Lock(2, "r", s_, LockDuration::kCommit).status.code(),
+            StatusCode::kWouldBlock);
+  // tx2 left the queue but keeps its wait-for edge for the retry.
+  EXPECT_EQ(probed.NumWaitingTransactions(), 1u);
+  EXPECT_EQ(probed.Lock(1, "r2", x_, LockDuration::kCommit).status.code(),
+            StatusCode::kDeadlock);
+  probed.ReleaseAll(1);
+  EXPECT_TRUE(probed.Lock(2, "r", s_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(probed.NumWaitingTransactions(), 0u);
+  EXPECT_EQ(probe.blocked, std::vector<uint64_t>{2});
+  EXPECT_EQ(probe.blocked_on, std::vector<uint64_t>{1});
+  EXPECT_EQ(probe.victims, std::vector<uint64_t>{1});
+
+  const auto threaded_events = table_->RecentDeadlocks();
+  const auto probe_events = probed.RecentDeadlocks();
+  ASSERT_EQ(threaded_events.size(), 1u);
+  ASSERT_EQ(probe_events.size(), 1u);
+  const DeadlockEvent& threaded = threaded_events[0];
+  const DeadlockEvent& modeled = probe_events[0];
+  EXPECT_EQ(threaded.victim, 1u);
+  EXPECT_EQ(threaded.resource, "r2");
+  EXPECT_EQ(threaded.waiting_transactions, 2u);
+  EXPECT_EQ(modeled.victim, threaded.victim);
+  EXPECT_EQ(modeled.resource, threaded.resource);
+  EXPECT_EQ(modeled.requested_mode, threaded.requested_mode);
+  EXPECT_EQ(modeled.conversion, threaded.conversion);
+  EXPECT_EQ(modeled.blockers, threaded.blockers);
+  EXPECT_EQ(modeled.waiting_transactions, threaded.waiting_transactions);
+  EXPECT_EQ(modeled.victim_reason, threaded.victim_reason);
+  EXPECT_EQ(probed.GetStats().deadlocks, table_->GetStats().deadlocks);
+}
+
 /// The per-transaction lock set: requests the conversion matrix proves
 /// to be no-ops are answered from it without a resource-shard round trip.
 class LockSetTest : public LockTableTest {};

@@ -321,7 +321,8 @@ TEST(WireCompositeTest, StatusRoundTripAllCodes) {
                           Status::IoError("message text"),
                           Status::DataLoss("message text"),
                           Status::WouldBlock("message text"),
-                          Status::Cancelled("message text")};
+                          Status::Cancelled("message text"),
+                          Status::Unknown("message text")};
   for (const Status& original : cases) {
     WireWriter w;
     PutStatus(&w, original);

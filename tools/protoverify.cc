@@ -4,8 +4,9 @@
 // *executes* the protocols: it enumerates every interleaving of a catalog
 // of 2–3 transaction scenarios (src/verify/checker.cc) through the real
 // LockManager/LockTable/protocol stack — single-threaded, deterministic,
-// using the lock table's nonblocking mode — and checks, per protocol and
-// isolation level, that
+// with a LockEventProbe installed: a blocked request runs the engine's
+// wait path up to the park, then returns kWouldBlock — and checks, per
+// protocol and isolation level, that
 //   * exactly the declared anomalies occur (protocols/expectations.cc:
 //     dirty read, lost update, non-repeatable read, phantom,
 //     non-serializable schedules, deadlocks),
