@@ -121,8 +121,8 @@ LockOutcome LockTable::Lock(uint64_t tx, std::string_view resource,
   // operation; cancel_mu_ is only touched while sessions are actually
   // being torn down.
   if (IsCancelled(tx)) {
-    stat_requests_.fetch_add(1, std::memory_order_relaxed);
-    stat_cancelled_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&LockTableStats::requests);
+    stats_.Add(&LockTableStats::cancelled);
     return {Status::Cancelled(), kNoMode, kNoMode};
   }
   // No-op fast path: the conversion matrix proves the request changes
@@ -158,7 +158,7 @@ LockOutcome LockTable::Lock(uint64_t tx, std::string_view resource,
     return {Status::OK(), hit, kNoMode};
   }
 
-  stat_requests_.fetch_add(1, std::memory_order_relaxed);
+  stats_.Add(&LockTableStats::requests);
   LockSetEntry granted;
   LockOutcome out = LockSlow(tx, resource, mode, duration, &granted);
   // A denied request changed nothing in the table, so the set stays too.
@@ -182,7 +182,7 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
     // denied exactly as a real timeout/victim denial would be, and the
     // caller must abort (releasing whatever it already holds).
     if (options_.fault_injector->ShouldFail(fault_points::kLockTimeout)) {
-      stat_timeouts_.fetch_add(1, std::memory_order_relaxed);
+      stats_.Add(&LockTableStats::timeouts);
       return {Status::LockTimeout("injected lock timeout"), kNoMode, kNoMode};
     }
     if (options_.fault_injector->ShouldFail(fault_points::kLockDeadlock)) {
@@ -229,25 +229,25 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
       } else {
         held->short_mode = modes_->Convert(held->short_mode, mode).result;
       }
-      stat_immediate_.fetch_add(1, std::memory_order_relaxed);
+      stats_.Add(&LockTableStats::immediate_grants);
       grant(*held);
       return {Status::OK(), held->effective, children_mode};
     }
-    stat_conversions_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&LockTableStats::conversions);
   }
 
   // Fast path.
   if ((is_conversion || r->queue.empty()) &&
       CompatibleWithHolders(*r, tx, target)) {
     grant(*GrantLocked(r, tx, mode, target, duration));
-    stat_immediate_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&LockTableStats::immediate_grants);
     return {Status::OK(), target, children_mode};
   }
 
   // Slow path: every request that must wait — threaded or model checker —
   // enqueues, scans for blockers, sets its wait-for edges and runs the one
   // cycle check. The only fork is where a thread would park on the CV.
-  stat_waits_.fetch_add(1, std::memory_order_relaxed);
+  stats_.Add(&LockTableStats::waits);
   Waiter waiter{tx, target, is_conversion};
   if (is_conversion) {
     r->queue.insert(r->queue.begin(), &waiter);  // conversions jump the queue
@@ -264,7 +264,7 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
     // wait_timeout.
     if (IsCancelled(tx)) {
       ClearWaitEdges(tx);
-      stat_cancelled_.fetch_add(1, std::memory_order_relaxed);
+      stats_.Add(&LockTableStats::cancelled);
       denied = Status::Cancelled();
       break;
     }
@@ -328,7 +328,7 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
         continue;
       }
       ClearWaitEdges(tx);
-      stat_timeouts_.fetch_add(1, std::memory_order_relaxed);
+      stats_.Add(&LockTableStats::timeouts);
       denied = Status::LockTimeout();
       break;
     }
@@ -387,10 +387,8 @@ void LockTable::ProbeGrant(uint64_t tx, std::string_view resource,
 }
 
 void LockTable::RecordDeadlock(DeadlockEvent event) {
-  stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
-  if (event.conversion) {
-    stat_conv_deadlocks_.fetch_add(1, std::memory_order_relaxed);
-  }
+  stats_.Add(&LockTableStats::deadlocks);
+  if (event.conversion) stats_.Add(&LockTableStats::conversion_deadlocks);
   deadlock_log_.push_back(std::move(event));
   if (deadlock_log_.size() > kDeadlockLogCapacity) deadlock_log_.pop_front();
 }
@@ -543,16 +541,7 @@ size_t LockTable::LocksHeldBy(uint64_t tx) const {
 }
 
 LockTableStats LockTable::GetStats() const {
-  LockTableStats s;
-  s.requests = stat_requests_.load(std::memory_order_relaxed);
-  s.immediate_grants = stat_immediate_.load(std::memory_order_relaxed);
-  s.waits = stat_waits_.load(std::memory_order_relaxed);
-  s.deadlocks = stat_deadlocks_.load(std::memory_order_relaxed);
-  s.conversion_deadlocks =
-      stat_conv_deadlocks_.load(std::memory_order_relaxed);
-  s.timeouts = stat_timeouts_.load(std::memory_order_relaxed);
-  s.conversions = stat_conversions_.load(std::memory_order_relaxed);
-  s.cancelled = stat_cancelled_.load(std::memory_order_relaxed);
+  LockTableStats s = stats_.Load();
   for (const auto& ts : tx_shards_) {
     MutexLock guard(ts->mu);
     s.cache_hits += ts->hits;
@@ -571,14 +560,7 @@ std::vector<DeadlockEvent> LockTable::RecentDeadlocks() const {
 }
 
 void LockTable::ResetStats() {
-  stat_requests_.store(0, std::memory_order_relaxed);
-  stat_immediate_.store(0, std::memory_order_relaxed);
-  stat_waits_.store(0, std::memory_order_relaxed);
-  stat_deadlocks_.store(0, std::memory_order_relaxed);
-  stat_conv_deadlocks_.store(0, std::memory_order_relaxed);
-  stat_timeouts_.store(0, std::memory_order_relaxed);
-  stat_conversions_.store(0, std::memory_order_relaxed);
-  stat_cancelled_.store(0, std::memory_order_relaxed);
+  stats_.Reset();
   for (const auto& ts : tx_shards_) {
     MutexLock guard(ts->mu);
     ts->hits = 0;

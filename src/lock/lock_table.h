@@ -72,6 +72,7 @@
 #include "util/clock.h"
 #include "util/fault_injector.h"
 #include "util/mutex.h"
+#include "util/relaxed_stats.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
@@ -131,7 +132,8 @@ struct LockTableStats {
   uint64_t cache_hits = 0;
 
   /// Calls f(name, unit, field) for every field, const or mutable as `s`
-  /// — the one place a field's name is written (tamix/metrics.cc).
+  /// — the one place a field's name is written (tamix/metrics.cc). The
+  /// owner counts into a RelaxedStats block of this struct.
   template <typename S, typename F>
   static void ForEachField(S& s, F&& f) {
     f("requests", "count", s.requests);
@@ -398,15 +400,9 @@ class LockTable {
   mutable Mutex cancel_mu_ XTC_ACQUIRED_AFTER();
   std::unordered_set<uint64_t> cancelled_txs_ XTC_GUARDED_BY(cancel_mu_);
 
-  // Statistics (relaxed atomics; exactness is not required).
-  std::atomic<uint64_t> stat_requests_{0};
-  std::atomic<uint64_t> stat_immediate_{0};
-  std::atomic<uint64_t> stat_waits_{0};
-  std::atomic<uint64_t> stat_deadlocks_{0};
-  std::atomic<uint64_t> stat_conv_deadlocks_{0};
-  std::atomic<uint64_t> stat_timeouts_{0};
-  std::atomic<uint64_t> stat_conversions_{0};
-  std::atomic<uint64_t> stat_cancelled_{0};
+  // Statistics: bumped in place (relaxed) from any thread. cache_hits
+  // stays zero here; GetStats folds in the tx-shard hit counters.
+  RelaxedStats<LockTableStats> stats_;
 };
 
 }  // namespace xtc

@@ -107,7 +107,7 @@ void ChaosProxy::AcceptLoop() {
     int one = 1;
     ::setsockopt(client_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     ::setsockopt(server_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    stat_connections_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&ChaosProxyStats::connections);
     {
       MutexLock guard(mu_);
       if (stop_.load(std::memory_order_acquire)) {
@@ -139,7 +139,7 @@ void ChaosProxy::Relay(int client_fd, int server_fd, uint64_t conn_index) {
     uint64_t chunk = 0;
     int64_t forwarded = 0;
     bool stalled = false;
-    std::atomic<uint64_t>* bytes;
+    uint64_t ChaosProxyStats::*bytes;
   };
   const bool shaped = plan_.shape_conn_index < 0 ||
                       conn_index == static_cast<uint64_t>(
@@ -147,10 +147,10 @@ void ChaosProxy::Relay(int client_fd, int server_fd, uint64_t conn_index) {
   DirState dirs[2] = {
       {client_fd, server_fd, shaped ? plan_.cut_client_to_server : -1,
        shaped ? plan_.stall_client_to_server : -1, 0, 0, false,
-       &stat_bytes_c2s_},
+       &ChaosProxyStats::bytes_client_to_server},
       {server_fd, client_fd, shaped ? plan_.cut_server_to_client : -1,
        shaped ? plan_.stall_server_to_client : -1, 0, 0, false,
-       &stat_bytes_s2c_},
+       &ChaosProxyStats::bytes_server_to_client},
   };
 
   const auto sever = [&] {
@@ -197,13 +197,13 @@ void ChaosProxy::Relay(int client_fd, int server_fd, uint64_t conn_index) {
         continue;
       }
       if (n < 0) continue;
-      stat_chunks_.fetch_add(1, std::memory_order_relaxed);
+      stats_.Add(&ChaosProxyStats::chunks);
       const uint64_t chunk = dir.chunk++;
       size_t len = static_cast<size_t>(n);
 
       // Byte-exact shaping first; probabilistic chaos only otherwise.
       if (dir.stalled) {
-        stat_stalls_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add(&ChaosProxyStats::stalls);
         continue;  // swallow; connection stays half-open
       }
       if (dir.cut >= 0 && dir.forwarded + static_cast<int64_t>(len) >=
@@ -211,8 +211,8 @@ void ChaosProxy::Relay(int client_fd, int server_fd, uint64_t conn_index) {
         const size_t keep = static_cast<size_t>(dir.cut - dir.forwarded);
         if (keep > 0) (void)send_all(dir.to, buf, keep);
         dir.forwarded += static_cast<int64_t>(keep);
-        dir.bytes->fetch_add(keep, std::memory_order_relaxed);
-        stat_cuts_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add(dir.bytes, keep);
+        stats_.Add(&ChaosProxyStats::cuts);
         sever();
         done = true;
         continue;
@@ -226,16 +226,16 @@ void ChaosProxy::Relay(int client_fd, int server_fd, uint64_t conn_index) {
           continue;
         }
         dir.forwarded += static_cast<int64_t>(keep);
-        dir.bytes->fetch_add(keep, std::memory_order_relaxed);
+        stats_.Add(dir.bytes, keep);
         dir.stalled = true;
-        stat_stalls_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add(&ChaosProxyStats::stalls);
         continue;
       }
       if (dir.cut < 0 && dir.stall < 0 && chunk >= plan_.skip_first_chunks) {
         const double u = Uniform(conn_index, d, chunk);
         double edge = plan_.drop;
         if (u < edge) {
-          stat_drops_.fetch_add(1, std::memory_order_relaxed);
+          stats_.Add(&ChaosProxyStats::drops);
           sever();
           done = true;
           continue;
@@ -246,8 +246,8 @@ void ChaosProxy::Relay(int client_fd, int server_fd, uint64_t conn_index) {
           const size_t keep = static_cast<size_t>(
               SplitMix64(plan_.seed ^ chunk ^ 0xfeedULL) % len);
           if (keep > 0) (void)send_all(dir.to, buf, keep);
-          dir.bytes->fetch_add(keep, std::memory_order_relaxed);
-          stat_truncations_.fetch_add(1, std::memory_order_relaxed);
+          stats_.Add(dir.bytes, keep);
+          stats_.Add(&ChaosProxyStats::truncations);
           sever();
           done = true;
           continue;
@@ -260,17 +260,17 @@ void ChaosProxy::Relay(int client_fd, int server_fd, uint64_t conn_index) {
                                  static_cast<uint64_t>(
                                      plan_.delay_max_ms > 0 ? plan_.delay_max_ms
                                                             : 1));
-          stat_delays_.fetch_add(1, std::memory_order_relaxed);
+          stats_.Add(&ChaosProxyStats::delays);
           SleepFor(Millis(ms));
         } else if (u < dup_edge) {
           // Extra copy first; the straight copy below completes the pair.
-          stat_duplicates_.fetch_add(1, std::memory_order_relaxed);
+          stats_.Add(&ChaosProxyStats::duplicates);
           if (!send_all(dir.to, buf, len)) {
             sever();
             done = true;
             continue;
           }
-          dir.bytes->fetch_add(len, std::memory_order_relaxed);
+          stats_.Add(dir.bytes, len);
         }
       }
       if (!send_all(dir.to, buf, len)) {
@@ -279,25 +279,10 @@ void ChaosProxy::Relay(int client_fd, int server_fd, uint64_t conn_index) {
         continue;
       }
       dir.forwarded += static_cast<int64_t>(len);
-      dir.bytes->fetch_add(len, std::memory_order_relaxed);
+      stats_.Add(dir.bytes, len);
     }
     if (done) break;
   }
-}
-
-ChaosProxyStats ChaosProxy::stats() const {
-  ChaosProxyStats s;
-  s.connections = stat_connections_.load(std::memory_order_relaxed);
-  s.chunks = stat_chunks_.load(std::memory_order_relaxed);
-  s.drops = stat_drops_.load(std::memory_order_relaxed);
-  s.truncations = stat_truncations_.load(std::memory_order_relaxed);
-  s.delays = stat_delays_.load(std::memory_order_relaxed);
-  s.duplicates = stat_duplicates_.load(std::memory_order_relaxed);
-  s.cuts = stat_cuts_.load(std::memory_order_relaxed);
-  s.stalls = stat_stalls_.load(std::memory_order_relaxed);
-  s.bytes_client_to_server = stat_bytes_c2s_.load(std::memory_order_relaxed);
-  s.bytes_server_to_client = stat_bytes_s2c_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace net

@@ -37,6 +37,7 @@
 #include "net/net_stats.h"
 #include "util/clock.h"
 #include "util/mutex.h"
+#include "util/relaxed_stats.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
@@ -83,7 +84,7 @@ class ChaosProxy {
 
   /// The proxy's listen port (clients connect here instead of the server).
   uint16_t port() const { return port_; }
-  ChaosProxyStats stats() const;
+  ChaosProxyStats stats() const { return stats_.Load(); }
 
  private:
   void AcceptLoop();
@@ -105,16 +106,7 @@ class ChaosProxy {
   std::vector<int> conn_fds_ XTC_GUARDED_BY(mu_);
   std::thread accept_thread_;
 
-  std::atomic<uint64_t> stat_connections_{0};
-  std::atomic<uint64_t> stat_chunks_{0};
-  std::atomic<uint64_t> stat_drops_{0};
-  std::atomic<uint64_t> stat_truncations_{0};
-  std::atomic<uint64_t> stat_delays_{0};
-  std::atomic<uint64_t> stat_duplicates_{0};
-  std::atomic<uint64_t> stat_cuts_{0};
-  std::atomic<uint64_t> stat_stalls_{0};
-  std::atomic<uint64_t> stat_bytes_c2s_{0};
-  std::atomic<uint64_t> stat_bytes_s2c_{0};
+  RelaxedStats<ChaosProxyStats> stats_;
 };
 
 }  // namespace net

@@ -615,16 +615,6 @@ Status RemoteDom::Rename(const Splid& element, std::string_view new_name) {
   return SimpleOp(MsgType::kRename, w);
 }
 
-void ClientNetStatsSum::Add(const ClientNetStats& stats) {
-  MutexLock guard(mu_);
-  SumFields(&sum_, stats);
-}
-
-ClientNetStats ClientNetStatsSum::Get() const {
-  MutexLock guard(mu_);
-  return sum_;
-}
-
 RemoteSession::~RemoteSession() {
   if (sum_ != nullptr) sum_->Add(client_.net_stats());
 }

@@ -44,9 +44,8 @@
 #include "tamix/transactions.h"
 #include "util/clock.h"
 #include "util/fault_injector.h"
-#include "util/mutex.h"
+#include "util/relaxed_stats.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace xtc {
 namespace net {
@@ -180,17 +179,6 @@ class RemoteDom : public TaMixDom {
   Client* client_;
 };
 
-/// Thread-safe sum of many clients' resilience counters.
-class ClientNetStatsSum {
- public:
-  void Add(const ClientNetStats& stats) XTC_EXCLUDES(mu_);
-  ClientNetStats Get() const XTC_EXCLUDES(mu_);
-
- private:
-  mutable Mutex mu_;
-  ClientNetStats sum_ XTC_GUARDED_BY(mu_);
-};
-
 /// TaMixSession over the wire: one Client + RemoteDom, the transaction
 /// living on the server.
 class RemoteSession : public TaMixSession {
@@ -199,7 +187,7 @@ class RemoteSession : public TaMixSession {
   /// not owned) receives this client's net_stats() on destruction.
   RemoteSession(std::string host, uint16_t port, ClientOptions options,
                 const std::atomic<bool>* stop,
-                ClientNetStatsSum* sum = nullptr)
+                RelaxedStats<ClientNetStats>* sum = nullptr)
       : host_(std::move(host)),
         port_(port),
         stop_(stop),
@@ -224,7 +212,7 @@ class RemoteSession : public TaMixSession {
   std::string host_;
   uint16_t port_;
   const std::atomic<bool>* stop_;
-  ClientNetStatsSum* sum_;
+  RelaxedStats<ClientNetStats>* sum_;
   Client client_;
   RemoteDom dom_;
 };

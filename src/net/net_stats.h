@@ -1,8 +1,11 @@
 // Socket front-end counters: the server's, one client's and the chaos
 // proxy's. Header-only and free of engine includes (like
 // repl/repl_stats.h) so the metrics layer can hold them in RunStats
-// without including the server. Each struct's ForEachField is the one place its field names
-// are written; tamix/metrics.cc turns them into named metrics.
+// without including the server. Each struct's ForEachField is the one
+// place its field names are written; tamix/metrics.cc turns them into
+// named metrics. Each struct is also its counters' one home: the server,
+// the proxy and the coordinator's client sum count into a RelaxedStats
+// block of it (util/relaxed_stats.h).
 
 #ifndef XTC_NET_NET_STATS_H_
 #define XTC_NET_NET_STATS_H_

@@ -189,7 +189,7 @@ void Server::AcceptPending() {
       live = sessions_.size();
     }
     if (live >= options_.max_sessions) {
-      stat_sessions_rejected_.fetch_add(1, std::memory_order_relaxed);
+      stats_.Add(&ServerStats::sessions_rejected);
       ::close(fd);
       continue;
     }
@@ -211,7 +211,7 @@ void Server::AcceptPending() {
       BeginClose(s);
       continue;
     }
-    stat_sessions_opened_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&ServerStats::sessions_opened);
   }
 }
 
@@ -254,7 +254,7 @@ void Server::Teardown(const SessionPtr& s) {
     dead_fds_.push_back(s->fd);
   }
   WakeLoop();
-  stat_sessions_closed_.fetch_add(1, std::memory_order_relaxed);
+  stats_.Add(&ServerStats::sessions_closed);
 }
 
 void Server::CloseDeadFds() {
@@ -279,7 +279,7 @@ void Server::ReapIdle() {
     }
   }
   for (const SessionPtr& s : idle) {
-    stat_idle_reaped_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&ServerStats::idle_reaped);
     BeginClose(s);
   }
 }
@@ -376,7 +376,7 @@ bool Server::ReadFrames(const SessionPtr& s, std::vector<Frame>* batch,
     // A well-formed frame never exceeds this (payload_len is capped), so
     // only garbage that passed no header check yet can grow past it.
     if (s->rbuf.size() > kHeaderSize + kMaxPayload) {
-      stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      stats_.Add(&ServerStats::protocol_errors);
       return false;
     }
   } else if (n == 0) {
@@ -396,12 +396,12 @@ bool Server::ReadFrames(const SessionPtr& s, std::vector<Frame>* batch,
       // Header-level corruption: the type and request_id bytes cannot be
       // trusted and a length-prefixed stream cannot resynchronize, so
       // there is nothing meaningful to answer — drop the connection.
-      stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      stats_.Add(&ServerStats::protocol_errors);
       return false;
     }
     if (rest.size() < kHeaderSize + header.payload_len) break;  // partial
     off += kHeaderSize + header.payload_len;
-    stat_frames_received_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&ServerStats::frames_received);
 
     // The header framed correctly, so type/request_id are reliable and
     // payload-level problems get a proper error response (then the
@@ -420,7 +420,7 @@ bool Server::ReadFrames(const SessionPtr& s, std::vector<Frame>* batch,
       frame.reject = Status::ResourceExhausted("session pipeline cap");
     }
     const bool fatal = !frame.reject.ok();
-    if (fatal) stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    if (fatal) stats_.Add(&ServerStats::protocol_errors);
     batch->push_back(std::move(frame));
     if (fatal) break;  // teardown happens after the error response
   }
@@ -447,7 +447,7 @@ bool Server::Process(const SessionPtr& s, const Frame& frame) {
                                       &payload)) {
     // The client retried a request whose response it never saw; answer
     // with the recorded outcome, never re-execute (exactly-once).
-    stat_dedup_hits_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&ServerStats::dedup_hits);
   } else {
     payload = HandleRequest(s, frame, &close_after);
     executed = true;
@@ -463,7 +463,7 @@ bool Server::Process(const SessionPtr& s, const Frame& frame) {
       static_cast<uint8_t>(frame.type | kResponseBit), frame.request_id,
       payload);
   if (!SendAll(s, response)) return false;
-  stat_responses_sent_.fetch_add(1, std::memory_order_relaxed);
+  stats_.Add(&ServerStats::responses_sent);
   return !close_after;
 }
 
@@ -571,7 +571,7 @@ std::string Server::HandleRequest(const SessionPtr& s, const Frame& frame,
   }
   // Malformed request payload: the client and server disagree about the
   // protocol — answer once, then disconnect.
-  stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+  stats_.Add(&ServerStats::protocol_errors);
   *close_after = true;
   return StatusOnlyPayload(
       Status::InvalidArgument("malformed request payload"));
@@ -592,7 +592,7 @@ std::string Server::HandleBegin(const SessionPtr& s, WireReader& r) {
         Status::InvalidArgument("transaction already open on this session"));
   }
   if (draining_.load(std::memory_order_acquire)) {
-    stat_admission_rejected_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&ServerStats::admission_rejected);
     return StatusOnlyPayload(Status::ResourceExhausted("server draining"));
   }
   // Admission: optimistic increment, undo on loss. The cap may overshoot
@@ -600,7 +600,7 @@ std::string Server::HandleBegin(const SessionPtr& s, WireReader& r) {
   if (active_tx_.fetch_add(1, std::memory_order_acq_rel) >=
       options_.max_in_flight_tx) {
     active_tx_.fetch_sub(1, std::memory_order_acq_rel);
-    stat_admission_rejected_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&ServerStats::admission_rejected);
     return StatusOnlyPayload(
         Status::ResourceExhausted("too many in-flight transactions"));
   }
@@ -611,7 +611,7 @@ std::string Server::HandleBegin(const SessionPtr& s, WireReader& r) {
   core->tx_begin = Now();
   core->last_error = Status::OK();
   s->tx_id.store(core->tx->id(), std::memory_order_release);
-  stat_tx_begun_.fetch_add(1, std::memory_order_relaxed);
+  stats_.Add(&ServerStats::tx_begun);
 
   WireWriter w;
   PutStatus(&w, Status::OK());
@@ -633,12 +633,12 @@ std::string Server::HandleCommit(const SessionPtr& s, WireReader& r) {
   if (st.ok()) {
     w.U64(core->tx->commit_seq());
     metrics_.RecordCommit(core->tx_type, ToMicros(Now() - core->tx_begin));
-    stat_tx_committed_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&ServerStats::tx_committed);
   } else {
     // A failed commit force already ended the transaction kAborted with
     // its locks released (see TransactionManager::Commit).
     metrics_.RecordAbort(core->tx_type, st);
-    stat_tx_aborted_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&ServerStats::tx_aborted);
   }
   core->tx.reset();
   s->tx_id.store(0, std::memory_order_release);
@@ -724,7 +724,7 @@ std::string Server::HandleResume(const SessionPtr& s, WireReader& r) {
   s->core = std::move(old);
   s->tx_id.store(s->core->tx != nullptr ? s->core->tx->id() : 0,
                  std::memory_order_release);
-  stat_sessions_resumed_.fetch_add(1, std::memory_order_relaxed);
+  stats_.Add(&ServerStats::sessions_resumed);
 
   WireWriter w;
   PutStatus(&w, Status::OK());
@@ -761,7 +761,7 @@ void Server::ParkOrAbort(Session* s) {
         ParkedCore{std::move(s->core), Now() + options_.session_lease};
   }
   s->core = std::make_unique<SessionCore>();
-  stat_sessions_parked_.fetch_add(1, std::memory_order_relaxed);
+  stats_.Add(&ServerStats::sessions_parked);
 }
 
 std::unique_ptr<Server::SessionCore> Server::TakeParked(uint64_t token_id,
@@ -800,7 +800,7 @@ void Server::ExpireLeases() {
   // anything (its owner is gone), so the abort cannot block on a lock
   // wait; it only releases.
   for (std::unique_ptr<SessionCore>& core : expired) {
-    stat_leases_expired_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&ServerStats::leases_expired);
     if (core->last_error.ok()) {
       core->last_error = Status::TxAborted("session lease expired");
     }
@@ -992,7 +992,7 @@ void Server::AbortCore(SessionCore* core) {
                        core->last_error.ok()
                            ? Status::TxAborted("session closed")
                            : core->last_error);
-  stat_tx_aborted_.fetch_add(1, std::memory_order_relaxed);
+  stats_.Add(&ServerStats::tx_aborted);
   core->tx.reset();
   active_tx_.fetch_sub(1, std::memory_order_acq_rel);
 }
@@ -1064,7 +1064,7 @@ void Server::Stop() {
   for (const SessionPtr& s : remaining) {
     AbortSessionTx(s.get());
     ::close(s->fd);
-    stat_sessions_closed_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&ServerStats::sessions_closed);
   }
   AbortAllParked();
   {
@@ -1080,24 +1080,7 @@ void Server::Stop() {
 }
 
 ServerStats Server::stats() const {
-  ServerStats s;
-  s.sessions_opened = stat_sessions_opened_.load(std::memory_order_relaxed);
-  s.sessions_closed = stat_sessions_closed_.load(std::memory_order_relaxed);
-  s.sessions_rejected =
-      stat_sessions_rejected_.load(std::memory_order_relaxed);
-  s.frames_received = stat_frames_received_.load(std::memory_order_relaxed);
-  s.responses_sent = stat_responses_sent_.load(std::memory_order_relaxed);
-  s.protocol_errors = stat_protocol_errors_.load(std::memory_order_relaxed);
-  s.admission_rejected =
-      stat_admission_rejected_.load(std::memory_order_relaxed);
-  s.idle_reaped = stat_idle_reaped_.load(std::memory_order_relaxed);
-  s.tx_begun = stat_tx_begun_.load(std::memory_order_relaxed);
-  s.tx_committed = stat_tx_committed_.load(std::memory_order_relaxed);
-  s.tx_aborted = stat_tx_aborted_.load(std::memory_order_relaxed);
-  s.sessions_parked = stat_sessions_parked_.load(std::memory_order_relaxed);
-  s.sessions_resumed = stat_sessions_resumed_.load(std::memory_order_relaxed);
-  s.leases_expired = stat_leases_expired_.load(std::memory_order_relaxed);
-  s.dedup_hits = stat_dedup_hits_.load(std::memory_order_relaxed);
+  ServerStats s = stats_.Load();
   {
     MutexLock guard(sessions_mu_);
     s.active_sessions = sessions_.size();

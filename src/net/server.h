@@ -75,6 +75,7 @@
 #include "util/clock.h"
 #include "util/fault_injector.h"
 #include "util/mutex.h"
+#include "util/relaxed_stats.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 #include "wal/wal.h"
@@ -314,22 +315,9 @@ class Server {
   Mutex dead_fds_mu_;
   std::vector<int> dead_fds_ XTC_GUARDED_BY(dead_fds_mu_);
 
-  // Counters (relaxed; exactness not required).
-  std::atomic<uint64_t> stat_sessions_opened_{0};
-  std::atomic<uint64_t> stat_sessions_closed_{0};
-  std::atomic<uint64_t> stat_sessions_rejected_{0};
-  std::atomic<uint64_t> stat_frames_received_{0};
-  std::atomic<uint64_t> stat_responses_sent_{0};
-  std::atomic<uint64_t> stat_protocol_errors_{0};
-  std::atomic<uint64_t> stat_admission_rejected_{0};
-  std::atomic<uint64_t> stat_idle_reaped_{0};
-  std::atomic<uint64_t> stat_tx_begun_{0};
-  std::atomic<uint64_t> stat_tx_committed_{0};
-  std::atomic<uint64_t> stat_tx_aborted_{0};
-  std::atomic<uint64_t> stat_sessions_parked_{0};
-  std::atomic<uint64_t> stat_sessions_resumed_{0};
-  std::atomic<uint64_t> stat_leases_expired_{0};
-  std::atomic<uint64_t> stat_dedup_hits_{0};
+  // Every counter of ServerStats, bumped in place (relaxed). The gauge
+  // fields stay zero here; stats() fills them from the live state above.
+  RelaxedStats<ServerStats> stats_;
 };
 
 }  // namespace net

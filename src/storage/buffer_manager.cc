@@ -87,14 +87,14 @@ StatusOr<PageGuard> BufferManager::Fetch(PageId id) {
       size_t idx = it->second;
       Frame& f = frames_[idx];
       if (f.state == FrameState::kResident) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add(&BufferPoolStats::hits);
         return PinResident(idx);
       }
       // kLoading: another fetch is already reading this page — coalesce
       // onto its read. kEvicting: wait for the write-back verdict (a
       // cancelled eviction resolves to a hit, a completed one to a miss).
       if (f.state == FrameState::kLoading) {
-        coalesced_fetches_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add(&BufferPoolStats::coalesced_fetches);
       }
       ++f.waiters;
       f.cv.wait(guard.native(), [&f, id] {
@@ -115,7 +115,7 @@ StatusOr<PageGuard> BufferManager::Fetch(PageId id) {
       free_frames_.push_back(static_cast<size_t>(idx));
       continue;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(&BufferPoolStats::misses);
     if (!f.page) f.page = std::make_unique<Page>(file_->page_size());
     f.id = id;
     f.state = FrameState::kLoading;
@@ -285,18 +285,6 @@ size_t BufferManager::FramesInIo() const {
   return in_io;
 }
 
-BufferPoolStats BufferManager::io_stats() const {
-  BufferPoolStats s;
-  s.io_in_flight_hwm = io_in_flight_hwm_.load(std::memory_order_relaxed);
-  s.coalesced_fetches = coalesced_fetches_.load(std::memory_order_relaxed);
-  s.eviction_writebacks =
-      eviction_writebacks_.load(std::memory_order_relaxed);
-  s.failed_writebacks = failed_writebacks_.load(std::memory_order_relaxed);
-  s.cancelled_evictions =
-      cancelled_evictions_.load(std::memory_order_relaxed);
-  return s;
-}
-
 void BufferManager::Unpin(PageId id, bool dirty) {
   MutexLock guard(mu_);
   auto it = table_.find(id);
@@ -362,13 +350,13 @@ int BufferManager::FindVictim() {
       f.state = FrameState::kEvicting;
       const PageId victim_id = f.id;
       const Page* victim_page = f.page.get();  // stable while kEvicting
-      eviction_writebacks_.fetch_add(1, std::memory_order_relaxed);
+      stats_.Add(&BufferPoolStats::eviction_writebacks);
       mu_.unlock();
       Status st = WritePage(victim_id, *victim_page);
       mu_.lock();
       tried[idx] = true;
       if (!st.ok()) {
-        failed_writebacks_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add(&BufferPoolStats::failed_writebacks);
         f.state = FrameState::kResident;  // keep it cached, still dirty
         lru_.push_front(idx);
         f.lru_pos = lru_.begin();
@@ -379,7 +367,7 @@ int BufferManager::FindVictim() {
         // victim while its write-back was in flight. Evicting now would
         // force an immediate re-read, so cancel — the frame stays
         // resident and is clean (the write persisted it).
-        cancelled_evictions_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add(&BufferPoolStats::cancelled_evictions);
         f.state = FrameState::kResident;
         f.dirty = false;
         f.rec_lsn = 0;

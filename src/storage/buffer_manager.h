@@ -43,6 +43,7 @@
 #include "storage/page.h"
 #include "storage/page_file.h"
 #include "util/mutex.h"
+#include "util/relaxed_stats.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
@@ -81,9 +82,13 @@ class PageGuard {
   bool dirty_ = false;
 };
 
-/// I/O-overlap counters (all monotonically increasing over the pool's
+/// Buffer-pool counters (all monotonically increasing over the pool's
 /// lifetime; read with relaxed ordering, exact only at quiescence).
 struct BufferPoolStats {
+  /// Fetches answered by a resident frame.
+  uint64_t hits = 0;
+  /// Fetches that read their page from the page file.
+  uint64_t misses = 0;
   /// High-water mark of page-file reads/writes in flight at once. 1 on a
   /// single-threaded workload; > 1 proves overlapped simulated disk I/O.
   uint64_t io_in_flight_hwm = 0;
@@ -100,9 +105,12 @@ struct BufferPoolStats {
   uint64_t cancelled_evictions = 0;
 
   /// Calls f(name, unit, field) for every field, const or mutable as `s`
-  /// — the one place a field's name is written (tamix/metrics.cc).
+  /// — the one place a field's name is written (tamix/metrics.cc). The
+  /// owner counts into a RelaxedStats block of this struct.
   template <typename S, typename F>
   static void ForEachField(S& s, F&& f) {
+    f("hits", "count", s.hits);
+    f("misses", "count", s.misses);
     f("io_in_flight_hwm", "count", s.io_in_flight_hwm);
     f("coalesced_fetches", "count", s.coalesced_fetches);
     f("eviction_writebacks", "count", s.eviction_writebacks);
@@ -137,9 +145,9 @@ class BufferManager {
   /// (zero pins) this persists everything.
   Status FlushAll() XTC_EXCLUDES(mu_);
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  BufferPoolStats io_stats() const;
+  uint64_t hits() const { return io_stats().hits; }
+  uint64_t misses() const { return io_stats().misses; }
+  BufferPoolStats io_stats() const { return stats_.Load(); }
 
   /// Frames currently pinned (must be 0 when the system is quiescent —
   /// every PageGuard unpins on destruction).
@@ -222,11 +230,8 @@ class BufferManager {
   class ScopedIo {
    public:
     explicit ScopedIo(BufferManager* bm) : bm_(bm) {
-      uint64_t now = bm_->io_in_flight_.fetch_add(1) + 1;
-      uint64_t hwm = bm_->io_in_flight_hwm_.load(std::memory_order_relaxed);
-      while (now > hwm &&
-             !bm_->io_in_flight_hwm_.compare_exchange_weak(hwm, now)) {
-      }
+      bm_->stats_.Max(&BufferPoolStats::io_in_flight_hwm,
+                      bm_->io_in_flight_.fetch_add(1) + 1);
     }
     ~ScopedIo() { bm_->io_in_flight_.fetch_sub(1); }
 
@@ -246,14 +251,11 @@ class BufferManager {
   // front = most recent; only unpinned residents
   std::list<size_t> lru_ XTC_GUARDED_BY(mu_);
   std::vector<size_t> free_frames_ XTC_GUARDED_BY(mu_);
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
+  /// Every BufferPoolStats counter, bumped in place (relaxed).
+  RelaxedStats<BufferPoolStats> stats_;
+  /// Page-file I/Os in flight right now: a live gauge whose peak is
+  /// io_in_flight_hwm.
   std::atomic<uint64_t> io_in_flight_{0};
-  std::atomic<uint64_t> io_in_flight_hwm_{0};
-  std::atomic<uint64_t> coalesced_fetches_{0};
-  std::atomic<uint64_t> eviction_writebacks_{0};
-  std::atomic<uint64_t> failed_writebacks_{0};
-  std::atomic<uint64_t> cancelled_evictions_{0};
 };
 
 }  // namespace xtc

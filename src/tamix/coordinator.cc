@@ -17,6 +17,7 @@
 #include "tamix/invariants.h"
 #include "tx/transaction_manager.h"
 #include "util/crash_switch.h"
+#include "util/relaxed_stats.h"
 
 namespace xtc {
 
@@ -332,7 +333,7 @@ StatusOr<RunStats> RunCluster1(const RunConfig& config, ChaosReport* report) {
       server == nullptr ? 0
                         : (chaos_proxy != nullptr ? chaos_proxy->port()
                                                   : server->port());
-  net::ClientNetStatsSum net_sum;
+  RelaxedStats<net::ClientNetStats> net_sum;
 
   SessionFactory make_session;
   if (socket_mode) {
@@ -410,9 +411,7 @@ StatusOr<RunStats> RunCluster1(const RunConfig& config, ChaosReport* report) {
 
   RunStats stats = metrics.Snapshot();
   stats.lock_stats = bed->protocol->table().GetStats();
-  stats.buffer_hits = bed->doc->buffer().hits();
-  stats.buffer_misses = bed->doc->buffer().misses();
-  stats.buffer_io = bed->doc->buffer().io_stats();
+  stats.buffer = bed->doc->buffer().io_stats();
   if (bed->wal != nullptr) stats.wal = bed->wal->stats();
   if (config.replication != nullptr) {
     stats.repl = config.replication->Stats();
@@ -420,7 +419,7 @@ StatusOr<RunStats> RunCluster1(const RunConfig& config, ChaosReport* report) {
   if (server != nullptr) {
     // Read after Stop: nonzero session gauges are a leak.
     stats.net_server = server->stats();
-    stats.net_client = net_sum.Get();
+    stats.net_client = net_sum.Load();
   }
   if (chaos_proxy != nullptr) stats.net_chaos = chaos_proxy->stats();
   stats.run_duration_ms = elapsed_ms;

@@ -161,12 +161,8 @@ MetricSet CollectRunMetrics(const RunStats& stats) {
                    static_cast<double>(lock.cache_hits) /
                        static_cast<double>(lock.requests)});
   }
-  if (stats.buffer_hits + stats.buffer_misses > 0) {
-    out.push_back({"buffer.hits", "count",
-                   static_cast<double>(stats.buffer_hits)});
-    out.push_back({"buffer.misses", "count",
-                   static_cast<double>(stats.buffer_misses)});
-    AddFields(&out, "buffer.", stats.buffer_io);
+  if (stats.buffer.hits + stats.buffer.misses > 0) {
+    AddFields(&out, "buffer.", stats.buffer);
   }
   if (stats.wal.records_appended > 0) AddFields(&out, "wal.", stats.wal);
   if (stats.repl.enabled) {

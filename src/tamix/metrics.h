@@ -92,9 +92,7 @@ struct RunStats {
   /// Buffer-pool behaviour over the run: hit/miss counts plus the
   /// I/O-overlap counters (in-flight high-water mark, coalesced fetches,
   /// eviction write-backs) from the document's BufferManager.
-  uint64_t buffer_hits = 0;
-  uint64_t buffer_misses = 0;
-  BufferPoolStats buffer_io;
+  BufferPoolStats buffer;
   /// WAL behaviour over the run (all-zero when the run had no WAL):
   /// appends, forced syncs, checkpoints, and — after a restart — the
   /// recovery counters (records redone, losers undone).

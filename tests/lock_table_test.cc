@@ -450,13 +450,29 @@ TEST_F(LockSetTest, ConversionsUpdateTheEntry) {
 TEST_F(LockSetTest, ResetStatsClearsHitCounter) {
   ASSERT_TRUE(table_->Lock(1, "r", s_, LockDuration::kCommit).status.ok());
   ASSERT_TRUE(table_->Lock(1, "r", s_, LockDuration::kCommit).status.ok());
-  table_->ReleaseAll(1);
+  // A conversion, a wait that times out, and a cancelled request.
+  ASSERT_TRUE(table_->Lock(2, "c", is_, LockDuration::kCommit).status.ok());
+  ASSERT_TRUE(table_->Lock(2, "c", x_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(table_->Lock(2, "r", x_, LockDuration::kCommit).status.code(),
+            StatusCode::kLockTimeout);
+  table_->CancelTx(3);
+  EXPECT_EQ(table_->Lock(3, "d", s_, LockDuration::kCommit).status.code(),
+            StatusCode::kCancelled);
+  for (uint64_t tx : {1, 2, 3}) table_->ReleaseAll(tx);
   LockTableStats stats = table_->GetStats();
   EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.requests, 6u);
+  EXPECT_EQ(stats.immediate_grants, 4u);
+  EXPECT_EQ(stats.conversions, 1u);
+  EXPECT_EQ(stats.waits, 1u);
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.cancelled, 1u);
   table_->ResetStats();
   stats = table_->GetStats();
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.requests, 0u);
+  LockTableStats::ForEachField(
+      stats, [](const char* name, const char*, uint64_t v) {
+        EXPECT_EQ(v, 0u) << name;
+      });
 }
 
 TEST_F(LockTableTest, AsymmetricCompatibilityRespected) {

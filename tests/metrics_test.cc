@@ -148,9 +148,7 @@ TEST(MetricSetTest, EveryStatsFieldAppearsOnceWithItsValue) {
     t.latency.Record(static_cast<int64_t>(next++));
   }
   FillDistinct(&stats.lock_stats, &next);
-  stats.buffer_hits = next++;
-  stats.buffer_misses = next++;
-  FillDistinct(&stats.buffer_io, &next);
+  FillDistinct(&stats.buffer, &next);
   FillDistinct(&stats.wal, &next);
   stats.repl.enabled = true;
   FillDistinct(&stats.repl, &next);
@@ -178,10 +176,7 @@ TEST(MetricSetTest, EveryStatsFieldAppearsOnceWithItsValue) {
   }
   ExpectFields(by_name, "tx.all.", stats.all_types());
   ExpectFields(by_name, "lock.", stats.lock_stats);
-  EXPECT_EQ(by_name.at("buffer.hits"), static_cast<double>(stats.buffer_hits));
-  EXPECT_EQ(by_name.at("buffer.misses"),
-            static_cast<double>(stats.buffer_misses));
-  ExpectFields(by_name, "buffer.", stats.buffer_io);
+  ExpectFields(by_name, "buffer.", stats.buffer);
   ExpectFields(by_name, "wal.", stats.wal);
   ExpectFields(by_name, "repl.", stats.repl);
   ExpectFields(by_name, "net.server.", *stats.net_server);

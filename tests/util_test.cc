@@ -1,10 +1,16 @@
-// Unit tests for the utility layer: Status/StatusOr, RNG, clock helpers.
+// Unit tests for the utility layer: Status/StatusOr, RNG, clock helpers,
+// relaxed stats.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/clock.h"
+#include "util/relaxed_stats.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -122,6 +128,69 @@ TEST(ClockTest, ConversionHelpers) {
   TimePoint a = Now();
   SleepFor(Millis(5));
   EXPECT_GE(ToMillis(Now() - a), 4);
+}
+
+struct ThreeCounters {
+  uint64_t events = 0;
+  uint64_t bytes = 0;
+  uint64_t peak = 0;
+
+  template <typename S, typename F>
+  static void ForEachField(S& s, F&& f) {
+    f("events", "count", s.events);
+    f("bytes", "B", s.bytes);
+    f("peak", "count", s.peak);
+  }
+};
+
+TEST(RelaxedStatsTest, ConcurrentAddAndMaxAreExact) {
+  constexpr uint64_t kThreads = 4;
+  constexpr uint64_t kPerThread = 100000;
+  RelaxedStats<ThreeCounters> stats;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const ThreeCounters now = stats.Load();
+      EXPECT_GE(now.events, last);  // each field is monotonic on its own
+      EXPECT_LE(now.events, kThreads * kPerThread);
+      last = now.events;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&stats, t] {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        stats.Add(&ThreeCounters::events);
+        stats.Add(&ThreeCounters::bytes, 3);
+        stats.Max(&ThreeCounters::peak, t * kPerThread + i);
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  stats.Add(ThreeCounters{1, 2, 3});  // field by field; peak is a sum here
+  std::vector<std::string> names;
+  std::vector<uint64_t> values;
+  const ThreeCounters total = stats.Load();
+  ThreeCounters::ForEachField(
+      total, [&](const char* name, const char*, uint64_t v) {
+        names.push_back(name);
+        values.push_back(v);
+      });
+  EXPECT_EQ(names, (std::vector<std::string>{"events", "bytes", "peak"}));
+  EXPECT_EQ(values, (std::vector<uint64_t>{kThreads * kPerThread + 1,
+                                           3 * kThreads * kPerThread + 2,
+                                           kThreads * kPerThread - 1 + 3}));
+
+  stats.Reset();
+  const ThreeCounters zero = stats.Load();
+  ThreeCounters::ForEachField(
+      zero, [](const char* name, const char*, uint64_t v) {
+        EXPECT_EQ(v, 0u) << name;
+      });
 }
 
 }  // namespace
