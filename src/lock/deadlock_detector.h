@@ -29,6 +29,9 @@ class DeadlockDetector {
   /// Removes all out-edges of `waiter` (it stopped waiting).
   void ClearEdges(uint64_t waiter);
 
+  /// True if `waiter` has out-edges (it is waiting).
+  bool IsWaiting(uint64_t waiter) const { return edges_.count(waiter) != 0; }
+
   /// True if a directed cycle through `start` exists.
   bool HasCycleFrom(uint64_t start) const;
 

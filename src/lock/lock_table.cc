@@ -434,6 +434,10 @@ void LockTable::ReleaseInShards(
 }
 
 void LockTable::EndOperation(uint64_t tx) {
+  if (options_.probe != nullptr) {
+    MutexLock g(graph_mu_);
+    if (detector_.IsWaiting(tx)) return;  // parked: the operation goes on
+  }
   // The table's transition, applied to the set first: effective := long,
   // pure-short holds dropped.
   std::vector<std::pair<uint32_t, Resource*>> shorts;

@@ -203,7 +203,10 @@ class LockTable {
                    LockDuration duration);
 
   /// Releases this transaction's operation-duration locks (downgrading
-  /// mixed-duration holds to their long component).
+  /// mixed-duration holds to their long component). In model-checker
+  /// mode a transaction whose last request returned kWouldBlock stands
+  /// for a parked thread, still inside its operation: the call is a
+  /// no-op until the retry is granted.
   void EndOperation(uint64_t tx);
 
   /// Releases everything the transaction holds (commit/abort).

@@ -85,11 +85,11 @@ std::vector<Scenario> BuildCatalog() {
   // children side effect (the corrupted taDOM2 admits a foreign rename
   // of a child between the two reads).
   out.push_back(Sc("insert-readchildren",
-                   {{"T1", {{K::kInsertChild, kRoleBookA},
-                            {K::kReadChildren, kRoleBookA},
-                            {K::kReadChildren, kRoleBookA},
+                   {{"T1", {{K::kInsertChild, kRoleBookB},
+                            {K::kReadChildren, kRoleBookB},
+                            {K::kReadChildren, kRoleBookB},
                             {K::kCommit, -1}}},
-                    {"T2", {{K::kRename, kRoleBookAText},
+                    {"T2", {{K::kRename, kRoleBookBNote},
                             {K::kCommit, -1}}}}));
 
   // taDOM3's documented NX conversion waiver: navigate, insert (IX on
@@ -127,10 +127,10 @@ std::vector<Scenario> BuildCatalog() {
   // Phantom against a childless parent: the empty-level corner several
   // edge-locking protocols cover differently from the populated case.
   out.push_back(Sc("phantom-insert-empty",
-                   {{"T1r", {{K::kReadChildren, kRoleBookBText},
-                             {K::kReadChildren, kRoleBookBText},
+                   {{"T1r", {{K::kReadChildren, kRoleBookBNote},
+                             {K::kReadChildren, kRoleBookBNote},
                              {K::kCommit, -1}}},
-                    {"T2w", {{K::kInsertChild, kRoleBookBText},
+                    {"T2w", {{K::kInsertChild, kRoleBookBNote},
                              {K::kCommit, -1}}}}));
 
   return out;
@@ -233,7 +233,6 @@ ConflictMatrix BuildConflictMatrix(std::string_view protocol) {
                    TxScriptSpec{"C", {ops[j].op}}}};
       Execution exec(sc, IsolationLevel::kRepeatable, 7, &mgr, &probe,
                      &violations);
-      proto->set_document_accessor(&exec.tree());
       exec.Step(0);  // the holder's operation (never blocks when alone)
       const Execution::StepOutcome got = exec.Step(1);
       out.blocked[i][j] = got != Execution::StepOutcome::kProgress;

@@ -5,6 +5,36 @@
 
 namespace xtc::verify {
 
+std::string ItemName(ItemKind kind, const Splid& node) {
+  char tag = '?';
+  switch (kind) {
+    case ItemKind::kContent:
+      tag = 'C';
+      break;
+    case ItemKind::kName:
+      tag = 'R';
+      break;
+    case ItemKind::kChildSet:
+      tag = 'K';
+      break;
+  }
+  std::string out(1, tag);
+  out += ':';
+  out += node.ToString();
+  return out;
+}
+
+ItemKind ItemKindOf(const std::string& item) {
+  switch (item.empty() ? '?' : item[0]) {
+    case 'C':
+      return ItemKind::kContent;
+    case 'K':
+      return ItemKind::kChildSet;
+    default:
+      return ItemKind::kName;
+  }
+}
+
 std::string_view AnomalyName(Anomaly a) {
   switch (a) {
     case Anomaly::kDirtyRead:

@@ -15,7 +15,7 @@
 //    separates the committed writes before it from those after it).
 //
 // Order-freeness is what makes the enumerator's state-hash memoization
-// sound: two executions reaching the same lock/tree state with the same
+// sound: two executions reaching the same lock/document state with the same
 // record sets have identical futures AND identical pending-anomaly
 // status, so one subtree can stand in for the other.
 
@@ -28,9 +28,33 @@
 #include <string_view>
 #include <vector>
 
-#include "verify/model_tree.h"
+#include "splid/splid.h"
 
 namespace xtc::verify {
+
+/// A data-item version: the transaction that wrote it plus a sequence
+/// number from one execution-global counter (0 = the initial document).
+struct Version {
+  uint64_t writer = 0;
+  uint32_t seq = 0;
+  bool operator==(const Version&) const = default;
+};
+
+/// The three item kinds the oracle tracks per node: the text content,
+/// the node record (name/kind — what navigation observes and rename
+/// writes), and the child set (the predicate item behind phantoms).
+enum class ItemKind : uint8_t { kContent = 0, kName = 1, kChildSet = 2 };
+
+/// Stable item key, e.g. "C:1.3.3" / "R:1.3.3" / "K:1.3.3".
+std::string ItemName(ItemKind kind, const Splid& node);
+ItemKind ItemKindOf(const std::string& item);
+
+/// One item write: the version it produced and the version it replaced.
+struct ItemWrite {
+  std::string item;
+  Version version;
+  Version overwritten;
+};
 
 enum class Anomaly : int {
   kDirtyRead = 0,         // read a version whose writer had not committed

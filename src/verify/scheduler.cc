@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "protocols/protocol_registry.h"
+#include "util/check.h"
 
 namespace xtc::verify {
 
@@ -58,6 +59,31 @@ void CheckProbe::OnDeadlockVictim(uint64_t tx, std::string_view /*resource*/,
 
 // --- Execution ------------------------------------------------------------
 
+namespace {
+
+using K = ScriptOpKind;
+
+// The bib-shaped scenario document (roles in verify/scripts.h).
+SubtreeSpec ScenarioDocument() {
+  const SubtreeSpec note{"note", {}, "", {}};
+  const SubtreeSpec book_a{"book", {}, "a", {}};
+  const SubtreeSpec book_b{"book", {}, "b", {note}};
+  const SubtreeSpec topic{"topic", {}, "", {book_a, book_b}};
+  return SubtreeSpec{"bib", {}, "", {topic}};
+}
+
+// Every replay rebuilds the document, and a fresh page costs two
+// checksums over its whole size: small pages and few frames keep that
+// cheap, and the dozen-node document fits either way.
+StorageOptions ScenarioStorage() {
+  StorageOptions options;
+  options.buffer_pool_pages = 16;
+  options.page_size = 512;
+  return options;
+}
+
+}  // namespace
+
 Execution::Execution(const Scenario& scenario, IsolationLevel isolation,
                      int lock_depth, LockManager* mgr, CheckProbe* probe,
                      std::set<std::string>* violations)
@@ -66,28 +92,47 @@ Execution::Execution(const Scenario& scenario, IsolationLevel isolation,
       lock_depth_(lock_depth),
       mgr_(mgr),
       probe_(probe),
-      violations_(violations),
-      tree_(ModelTree::MakeBibTree(&roles_)) {
+      violations_(violations) {
   for (TxScriptSpec& s : scripts_) {
-    if (s.ops.empty() || (s.ops.back().kind != ScriptOpKind::kCommit &&
-                          s.ops.back().kind != ScriptOpKind::kAbort)) {
-      s.ops.push_back(ScriptOp{ScriptOpKind::kCommit, -1});
+    if (s.ops.empty() ||
+        (s.ops.back().kind != K::kCommit && s.ops.back().kind != K::kAbort)) {
+      s.ops.push_back(ScriptOp{K::kCommit, -1});
     }
   }
-  tx_.resize(scripts_.size());
+  Reset();
+  auto child = [this](const Splid& parent, size_t i) {
+    return doc_->Children(parent)->at(i).splid;
+  };
+  const Splid root = Splid::Root();
+  const Splid topic = child(root, 0);
+  const Splid book_a = child(topic, 0);
+  const Splid book_b = child(topic, 1);
+  roles_ = {root,   topic,           book_a,           child(book_a, 0),
+            book_b, child(book_b, 0), child(book_b, 1)};
 }
 
 void Execution::Reset() {
   // Release whatever transactions are still live (terminal steps release
   // for themselves), so the shared lock table is empty again.
-  for (int t = 0; t < num_txs(); ++t) {
-    if (tx_[t].phase == Phase::kRunnable || tx_[t].phase == Phase::kBlocked) {
-      mgr_->ReleaseAll(View(t));
-    }
-    tx_[t] = TxState{};
+  for (const std::unique_ptr<Transaction>& tx : txs_) {
+    if (tx->state() == TxState::kActive) mgr_->ReleaseAll(tx->LockView());
   }
   probe_->Clear();
-  tree_ = ModelTree::MakeBibTree(&roles_);
+  txs_.clear();
+  nodes_.reset();
+  txm_.reset();
+  doc_ = std::make_unique<Document>(ScenarioStorage());
+  XTC_CHECK(doc_->BuildFromSpec(ScenarioDocument()).ok(),
+            "scenario document build failed");
+  txm_ = std::make_unique<TransactionManager>(mgr_);
+  nodes_ = std::make_unique<NodeManager>(doc_.get(), mgr_);
+  for (int t = 0; t < num_txs(); ++t) {
+    txs_.push_back(txm_->Begin(isolation_, lock_depth_));
+  }
+  tx_.assign(scripts_.size(), Progress{});
+  versions_.clear();
+  writes_.assign(scripts_.size(), {});
+  seq_ = 0;
   history_ = History{};
   release_gen_ = 0;
   any_victim_ = false;
@@ -105,7 +150,7 @@ bool Execution::AllFinished() const {
 }
 
 bool Execution::Enabled(int t) const {
-  const TxState& s = tx_[t];
+  const Progress& s = tx_[t];
   if (s.phase == Phase::kRunnable) return true;
   // A blocked transaction is worth retrying only after some lock release
   // (every grant path starts with one; retrying into an unchanged table
@@ -114,174 +159,169 @@ bool Execution::Enabled(int t) const {
 }
 
 bool Execution::ReadOnlyNext(int t) const {
-  const TxState& s = tx_[t];
+  const Progress& s = tx_[t];
   return s.phase == Phase::kRunnable &&
          IsReadOnlyOp(scripts_[t].ops[s.pc].kind);
 }
 
 void Execution::RecordRead(int t, ItemKind kind, const Splid& node) {
-  const Version v = tree_.ReadItem(kind, node);
+  std::string item = ItemName(kind, node);
+  auto it = versions_.find(item);
+  const Version v = it == versions_.end() ? Version{} : it->second;
   const bool dirty = v.writer != 0 && v.writer != TxId(t) &&
                      tx_[v.writer - 1].phase != Phase::kCommitted;
-  history_.AddRead(TxId(t), ItemName(kind, node), v, dirty);
+  history_.AddRead(TxId(t), std::move(item), v, dirty);
 }
 
-void Execution::RecordWrites(int t, const std::vector<ItemWrite>& writes) {
-  for (const ItemWrite& w : writes) history_.AddWrite(TxId(t), w);
+void Execution::RecordWrite(int t, ItemKind kind, const Splid& node) {
+  std::string item = ItemName(kind, node);
+  Version& current = versions_[item];
+  const ItemWrite w{std::move(item), Version{TxId(t), ++seq_}, current};
+  current = w.version;
+  history_.AddWrite(TxId(t), w);
+  writes_[t].push_back(w);
 }
 
 Status Execution::RunOp(int t, const ScriptOp& op) {
-  // Lock requests mirror node/node_manager.cc operation by operation; the
-  // tree is touched only after every lock of the operation is granted. A
-  // would-block return leaves already-granted locks in place (as a
-  // blocked thread would); the retry re-issues them as no-op conversions.
-  const TxLockView view = View(t);
-  const Splid node = op.node >= 0 ? roles_[op.node] : Splid::Root();
+  // A would-block return leaves already-granted locks in place, as a
+  // parked thread would.
+  Transaction& tx = *txs_[t];
+  const Splid& node = roles_[op.node];
   switch (op.kind) {
-    case ScriptOpKind::kNavigate: {
-      Status s = mgr_->NodeRead(view, node);
-      if (!s.ok()) return s;
+    case K::kNavigate: {
+      XTC_RETURN_IF_ERROR(nodes_->GetNode(tx, node).status());
       RecordRead(t, ItemKind::kName, node);
       return Status::OK();
     }
-    case ScriptOpKind::kNavigateFirstChild: {
-      Status s = mgr_->EdgeShared(view, node, EdgeKind::kFirstChild);
-      if (!s.ok()) return s;
-      const std::vector<Splid> kids = tree_.ChildrenList(node);
-      if (!kids.empty()) {
-        s = mgr_->NodeRead(view, kids.front());
-        if (!s.ok()) return s;
-        RecordRead(t, ItemKind::kName, kids.front());
-      }
+    case K::kNavigateFirstChild: {
+      XTC_ASSIGN_OR_RETURN(std::optional<Node> child,
+                           nodes_->GetFirstChild(tx, node));
+      if (child.has_value()) RecordRead(t, ItemKind::kName, child->splid);
       return Status::OK();
     }
-    case ScriptOpKind::kReadContent: {
-      Status s = mgr_->LevelRead(view, node);
-      if (!s.ok()) return s;
+    case K::kReadContent: {
+      XTC_RETURN_IF_ERROR(nodes_->GetTextContent(tx, node).status());
       RecordRead(t, ItemKind::kContent, node);
       return Status::OK();
     }
-    case ScriptOpKind::kReadChildren: {
-      Status s = mgr_->LevelRead(view, node);
-      if (!s.ok()) return s;
+    case K::kReadChildren: {
+      XTC_ASSIGN_OR_RETURN(std::vector<Node> kids,
+                           nodes_->GetChildNodes(tx, node));
       RecordRead(t, ItemKind::kChildSet, node);
-      for (const Splid& c : tree_.ChildrenList(node)) {
-        RecordRead(t, ItemKind::kName, c);
+      for (const Node& c : kids) RecordRead(t, ItemKind::kName, c.splid);
+      return Status::OK();
+    }
+    case K::kDeclareUpdate:
+      // Announces the write only; a transaction that wants the old value
+      // reads it afterwards, under the update lock (kReadContent).
+      return nodes_->DeclareUpdateIntent(tx, node);
+    case K::kUpdateContent: {
+      XTC_RETURN_IF_ERROR(nodes_->UpdateText(tx, node, "updated"));
+      RecordWrite(t, ItemKind::kContent, node);
+      return Status::OK();
+    }
+    case K::kRename: {
+      XTC_RETURN_IF_ERROR(nodes_->Rename(tx, node, "renamed"));
+      RecordWrite(t, ItemKind::kName, node);
+      return Status::OK();
+    }
+    case K::kInsertChild: {
+      XTC_ASSIGN_OR_RETURN(
+          Splid label,
+          nodes_->AppendSubtree(tx, node, SubtreeSpec{"chapter", {}, "", {}}));
+      RecordWrite(t, ItemKind::kChildSet, node);
+      RecordWrite(t, ItemKind::kName, label);
+      return Status::OK();
+    }
+    case K::kDeleteSubtree: {
+      // Calls run one at a time, so the subtree listed now is exactly
+      // what a successful delete removes.
+      XTC_ASSIGN_OR_RETURN(std::vector<Node> doomed, doc_->Subtree(node));
+      XTC_RETURN_IF_ERROR(nodes_->DeleteSubtree(tx, node));
+      RecordWrite(t, ItemKind::kChildSet, node.Parent());
+      for (const Node& n : doomed) {
+        for (ItemKind kind :
+             {ItemKind::kName, ItemKind::kContent, ItemKind::kChildSet}) {
+          RecordWrite(t, kind, n.splid);
+        }
       }
       return Status::OK();
     }
-    case ScriptOpKind::kDeclareUpdate: {
-      // DeclareUpdateIntent only announces the write (node_manager.cc):
-      // it reads nothing. A transaction that wants the old value reads
-      // it afterwards, under the update lock (kReadContent).
-      return mgr_->NodeUpdate(view, node);
-    }
-    case ScriptOpKind::kUpdateContent: {
-      // Text content lives on the node's attribute/string child.
-      Status s = mgr_->NodeWrite(view, node.AttributeChild());
-      if (!s.ok()) return s;
-      RecordWrites(t, {tree_.WriteContent(TxId(t), node)});
-      return Status::OK();
-    }
-    case ScriptOpKind::kRename: {
-      Status s = mgr_->NodeWrite(view, node);
-      if (!s.ok()) return s;
-      RecordWrites(t, {tree_.WriteName(TxId(t), node)});
-      return Status::OK();
-    }
-    case ScriptOpKind::kInsertChild: {
-      // Append under `node`: last-child edge, the displaced sibling's
-      // next-sibling edge, then subtree-exclusive on the new label.
-      Status s = mgr_->EdgeExclusive(view, node, EdgeKind::kLastChild);
-      if (!s.ok()) return s;
-      const std::vector<Splid> kids = tree_.ChildrenList(node);
-      if (!kids.empty()) {
-        s = mgr_->EdgeExclusive(view, kids.back(), EdgeKind::kNextSibling);
-        if (!s.ok()) return s;
-      }
-      s = mgr_->TreeWrite(view, tree_.PeekAppendLabel(node));
-      if (!s.ok()) return s;
-      Splid created;
-      RecordWrites(t, tree_.InsertChild(TxId(t), node, &created));
-      return Status::OK();
-    }
-    case ScriptOpKind::kDeleteSubtree: {
-      Status s = mgr_->PrepareSubtreeDelete(view, node);
-      if (!s.ok()) return s;
-      const Splid parent = node.Parent();
-      const std::optional<Splid> prev = tree_.PreviousSibling(node);
-      s = prev ? mgr_->EdgeExclusive(view, *prev, EdgeKind::kNextSibling)
-               : mgr_->EdgeExclusive(view, parent, EdgeKind::kFirstChild);
-      if (!s.ok()) return s;
-      s = mgr_->EdgeExclusive(view, node, EdgeKind::kNextSibling);
-      if (!s.ok()) return s;
-      if (!tree_.NextSibling(node).has_value()) {
-        s = mgr_->EdgeExclusive(view, parent, EdgeKind::kLastChild);
-        if (!s.ok()) return s;
-      }
-      s = mgr_->TreeWrite(view, node);
-      if (!s.ok()) return s;
-      RecordWrites(t, tree_.DeleteSubtree(TxId(t), node));
-      return Status::OK();
-    }
-    case ScriptOpKind::kCommit:
-    case ScriptOpKind::kAbort:
+    case K::kCommit:
+    case K::kAbort:
       return Status::Internal("terminal op reached RunOp");
   }
   return Status::Internal("unhandled op kind");
 }
 
 void Execution::FinishTx(int t, bool commit) {
-  mgr_->ReleaseAll(View(t));
+  Transaction& tx = *txs_[t];
+  const Status st = commit ? txm_->Commit(tx) : txm_->Abort(tx);
+  if (!st.ok()) violations_->insert("commit/abort failed: " + st.ToString());
   probe_->OnRelease(TxId(t));
   ++release_gen_;
-  if (commit) {
-    tree_.Commit(TxId(t));
-    history_.SetFate(TxId(t), TxFate::kCommitted);
-    tx_[t].phase = Phase::kCommitted;
-  } else {
-    tree_.Abort(TxId(t));
-    history_.SetFate(TxId(t), TxFate::kAborted);
-    tx_[t].phase = Phase::kAborted;
+  if (!commit) {
+    // The abort undid the document changes; undo the versions with them.
+    for (auto w = writes_[t].rbegin(); w != writes_[t].rend(); ++w) {
+      versions_[w->item] = w->overwritten;
+    }
   }
-}
-
-void Execution::AbortAsVictim(int t) {
-  FinishTx(t, /*commit=*/false);
-  any_victim_ = true;
+  writes_[t].clear();
+  history_.SetFate(TxId(t), commit ? TxFate::kCommitted : TxFate::kAborted);
+  tx_[t].phase = commit ? Phase::kCommitted : Phase::kAborted;
 }
 
 Execution::StepOutcome Execution::Step(int t) {
   ++steps_;
-  TxState& s = tx_[t];
+  Progress& s = tx_[t];
   const ScriptOp& op = scripts_[t].ops[s.pc];
-  if (op.kind == ScriptOpKind::kCommit || op.kind == ScriptOpKind::kAbort) {
+  if (op.kind == K::kCommit || op.kind == K::kAbort) {
     ++s.pc;
-    FinishTx(t, op.kind == ScriptOpKind::kCommit);
+    FinishTx(t, op.kind == K::kCommit);
     return StepOutcome::kProgress;
   }
 
+  const std::string before = DocumentImage();
   const Status st = RunOp(t, op);
   if (st.ok()) {
-    mgr_->EndOperation(View(t));
     // Only isolation level committed holds operation-duration locks, so
-    // only there can EndOperation unblock a waiter.
+    // only there can the call's EndOperation unblock a waiter.
     if (isolation_ == IsolationLevel::kCommitted) ++release_gen_;
     s.phase = Phase::kRunnable;
     ++s.pc;
     return StepOutcome::kProgress;
   }
   if (st.IsWouldBlock()) {
+    // The retry makes the whole call again, which is sound only if every
+    // request that can block precedes the call's first mutation.
+    if (DocumentImage() != before) {
+      violations_->insert(
+          "blocked operation mutated the document before its last lock "
+          "request");
+    }
     s.phase = Phase::kBlocked;
     s.blocked_gen = release_gen_;
     return StepOutcome::kBlocked;
   }
   if (!st.IsDeadlock()) {
-    violations_->insert("unexpected lock status: " +
-                        std::string(st.message()));
+    violations_->insert("unexpected status: " + st.ToString());
   }
-  AbortAsVictim(t);
+  FinishTx(t, /*commit=*/false);
+  any_victim_ = true;
   return StepOutcome::kVictim;
+}
+
+std::string Execution::DocumentImage() const {
+  auto nodes = doc_->Subtree(Splid::Root());
+  XTC_CHECK(nodes.ok(), "scenario document scan failed");
+  std::string out;
+  for (const Node& n : *nodes) {
+    out += n.splid.ToString();
+    out += '=';
+    out += n.record.Encode();
+    out += ';';
+  }
+  return out;
 }
 
 std::string Execution::CanonicalState() const {
@@ -307,7 +347,16 @@ std::string Execution::CanonicalState() const {
     out += ';';
   }
   out += '|';
-  out += tree_.Fingerprint();
+  out += DocumentImage();
+  out += '|';
+  for (const auto& [item, v] : versions_) {
+    out += item;
+    out += '=';
+    out += std::to_string(v.writer);
+    out += '.';
+    out += std::to_string(v.seq);
+    out += ';';
+  }
   out += '|';
   out += history_.Canonical();
   return out;
@@ -335,7 +384,6 @@ EnumResult EnumerateSchedules(const Scenario& scenario,
   LockManager mgr(proto.get());
   Execution exec(scenario, options.isolation, options.lock_depth, &mgr, &probe,
                  &violations);
-  proto->set_document_accessor(&exec.tree());
 
   const int n = exec.num_txs();
   const bool use_sleep =
@@ -371,6 +419,10 @@ EnumResult EnumerateSchedules(const Scenario& scenario,
       res.anomalies |= ev.anomalies;
       if (!ev.serializable) res.nonserializable = true;
       if (exec.any_victim()) res.deadlock = true;
+      const Status valid = exec.document().Validate();
+      if (!valid.ok()) {
+        violations.insert("leaf document fails Validate: " + valid.ToString());
+      }
       return;
     }
 

@@ -1,20 +1,21 @@
 // Exhaustive schedule enumerator for the protocol model checker.
 //
-// Executes 2–3 transaction scripts of TaMix-shaped operations against the
-// *real* LockManager/LockTable/XmlProtocol stack — single-threaded, one
-// operation at a time, with a LockEventProbe in the lock table, whose
-// blocked requests run the engine's wait path but return kWouldBlock
-// where a thread would park — and explores every interleaving by
-// depth-first search. Because the lock
-// table cannot undo, backtracking replays the schedule prefix from
-// scratch; one protocol instance (whose mode-table derivation is the
-// expensive part) is reused across replays by fully releasing all
+// Executes 2–3 transaction scripts against the engine's own stack — a
+// small in-memory Document, NodeManager and TransactionManager over the
+// real LockManager/LockTable/XmlProtocol — single-threaded, one
+// NodeManager call at a time, with a LockEventProbe in the lock table,
+// whose blocked requests run the engine's wait path but return
+// kWouldBlock where a thread would park. Every interleaving is explored
+// by depth-first search. Because neither the document nor the lock table
+// can undo, backtracking replays the schedule prefix from scratch on a
+// rebuilt document; one protocol instance (whose mode-table derivation
+// is the expensive part) is reused across replays by fully releasing all
 // transactions between runs.
 //
 // Pruning, both optional and sound:
 //  * state memoization — two prefixes reaching the same canonical state
-//    (per-tx progress + lock-table holds + tree versions + order-free
-//    history) have identical futures, see verify/oracle.h;
+//    (per-tx progress + lock-table holds + document + item versions +
+//    order-free history) have identical futures, see verify/oracle.h;
 //  * sleep sets over read-only/read-only steps of runnable transactions.
 //    Disabled at isolation level kCommitted, where EndOperation releases
 //    short locks and read steps therefore do not commute with the
@@ -25,7 +26,8 @@
 // mirrored graph already has a cycle is an undetected deadlock; a victim
 // without a cycle is a false victim; a stalled schedule (no enabled
 // transaction, some unfinished) is an undetected deadlock the scheduler
-// itself observes.
+// itself observes. A blocked call that changed the document, and a leaf
+// document that fails Document::Validate, are violations too.
 
 #ifndef XTC_VERIFY_SCHEDULER_H_
 #define XTC_VERIFY_SCHEDULER_H_
@@ -33,20 +35,23 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "lock/lock_manager.h"
 #include "lock/lock_table.h"
-#include "tamix/scripts.h"
-#include "verify/model_tree.h"
+#include "node/document.h"
+#include "node/node_manager.h"
+#include "tx/transaction_manager.h"
 #include "verify/oracle.h"
+#include "verify/scripts.h"
 
 namespace xtc::verify {
 
 /// One model-checking scenario: a named set of transaction scripts, all
-/// run against the canonical bib tree (ModelTree::MakeBibTree).
+/// run against the scenario document (roles in verify/scripts.h).
 struct Scenario {
   std::string name;
   std::vector<TxScriptSpec> scripts;
@@ -83,7 +88,8 @@ struct EnumResult {
   bool deadlock = false;
   bool budget_exhausted = false;
   /// Checker-invariant violations (undetected deadlock, false victim,
-  /// stall, unexpected status). Always a finding — a correct stack
+  /// stall, unexpected status, a blocked call that mutated the document,
+  /// a leaf document failing Validate). Always a finding — a correct stack
   /// produces none, at any isolation level.
   std::vector<std::string> violations;
 };
@@ -115,13 +121,13 @@ class CheckProbe : public LockEventProbe {
   std::set<std::string>* violations_;
 };
 
-/// One deterministic execution of a scenario: the model tree, the per-
-/// transaction program counters, and the operation→lock→history mapping
-/// (mirroring node/node_manager.cc operation by operation). The caller
-/// owns the LockManager/protocol pair so the expensive protocol can be
-/// reused across replays; Reset() requires that every transaction has
-/// been released (Execution releases terminally on commit/abort/victim
-/// and Reset releases the rest).
+/// One deterministic execution of a scenario: the document, node and
+/// transaction managers it runs on, the per-transaction program
+/// counters, and the history recorded from each call's result. The
+/// caller owns the LockManager/protocol pair so the expensive protocol
+/// can be reused across replays; Reset() requires that every transaction
+/// has been released (Execution releases terminally on
+/// commit/abort/victim and Reset releases the rest).
 class Execution {
  public:
   enum class StepOutcome : uint8_t {
@@ -134,8 +140,9 @@ class Execution {
             LockManager* mgr, CheckProbe* probe,
             std::set<std::string>* violations);
 
-  /// Back to the initial state (fresh tree, empty history, all
-  /// transactions at pc 0). The cumulative step counter survives.
+  /// Back to the initial state (rebuilt document, fresh transactions,
+  /// empty history, all transactions at pc 0). The cumulative step
+  /// counter survives.
   void Reset();
 
   int num_txs() const { return static_cast<int>(scripts_.size()); }
@@ -149,13 +156,13 @@ class Execution {
   StepOutcome Step(int t);
 
   /// Canonical state fingerprint: per-tx progress/eligibility + lock
-  /// holds + tree versions + order-free history.
+  /// holds + document + item versions + order-free history.
   std::string CanonicalState() const;
 
   const History& history() const { return history_; }
+  const Document& document() const { return *doc_; }
   bool any_victim() const { return any_victim_; }
   uint64_t steps_taken() const { return steps_; }
-  ModelTree& tree() { return tree_; }
 
  private:
   enum class Phase : uint8_t {
@@ -164,24 +171,24 @@ class Execution {
     kCommitted = 2,
     kAborted = 3,
   };
-  struct TxState {
+  struct Progress {
     size_t pc = 0;
     Phase phase = Phase::kRunnable;
     uint64_t blocked_gen = 0;
   };
 
+  /// A fresh TransactionManager numbers its transactions from 1, and
+  /// Reset begins them in script order.
   uint64_t TxId(int t) const { return static_cast<uint64_t>(t) + 1; }
-  TxLockView View(int t) const {
-    return TxLockView{TxId(t), isolation_, lock_depth_};
-  }
 
-  /// Issues the operation's lock requests and, once all are granted,
-  /// applies it to the tree and records it in the history.
+  /// Makes the operation's NodeManager call and, once it succeeds,
+  /// records the items it read or wrote.
   Status RunOp(int t, const ScriptOp& op);
   void RecordRead(int t, ItemKind kind, const Splid& node);
-  void RecordWrites(int t, const std::vector<ItemWrite>& writes);
+  void RecordWrite(int t, ItemKind kind, const Splid& node);
   void FinishTx(int t, bool commit);
-  void AbortAsVictim(int t);
+  /// Every node's label and record, in document order.
+  std::string DocumentImage() const;
 
   std::vector<TxScriptSpec> scripts_;  // normalized: terminal commit/abort
   IsolationLevel isolation_;
@@ -190,10 +197,17 @@ class Execution {
   CheckProbe* probe_;
   std::set<std::string>* violations_;
 
-  std::vector<Splid> roles_;  // before tree_: MakeBibTree fills it
-  ModelTree tree_;
+  std::unique_ptr<Document> doc_;
+  std::unique_ptr<TransactionManager> txm_;
+  std::unique_ptr<NodeManager> nodes_;
+  std::vector<std::unique_ptr<Transaction>> txs_;
+  std::vector<Splid> roles_;  // resolved on the first document
+
+  std::map<std::string, Version> versions_;   // item -> current version
+  std::vector<std::vector<ItemWrite>> writes_;  // per tx, undone at abort
+  uint32_t seq_ = 0;
   History history_;
-  std::vector<TxState> tx_;
+  std::vector<Progress> tx_;
   uint64_t release_gen_ = 0;
   bool any_victim_ = false;
   uint64_t steps_ = 0;

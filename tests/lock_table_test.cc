@@ -367,6 +367,26 @@ TEST_F(LockTableTest, ThreadedAndProbeTablesRecordTheSameDeadlock) {
   EXPECT_EQ(probed.GetStats().deadlocks, table_->GetStats().deadlocks);
 }
 
+TEST_F(LockTableTest, ProbeBlockedTransactionKeepsShortLocksUntilGranted) {
+  // A kWouldBlock stands for a parked thread, which is still inside its
+  // operation: EndOperation must not drop the short locks it took before
+  // the blocked request.
+  RecordingProbe probe;
+  LockTableOptions options;
+  options.probe = &probe;
+  LockTable probed(&modes_, options);
+  ASSERT_TRUE(probed.Lock(1, "r", x_, LockDuration::kCommit).status.ok());
+  ASSERT_TRUE(probed.Lock(2, "a", s_, LockDuration::kOperation).status.ok());
+  ASSERT_EQ(probed.Lock(2, "r", s_, LockDuration::kOperation).status.code(),
+            StatusCode::kWouldBlock);
+  probed.EndOperation(2);
+  EXPECT_EQ(probed.LocksHeldBy(2), 1u);
+  probed.ReleaseAll(1);
+  ASSERT_TRUE(probed.Lock(2, "r", s_, LockDuration::kOperation).status.ok());
+  probed.EndOperation(2);
+  EXPECT_EQ(probed.LocksHeldBy(2), 0u);
+}
+
 /// The per-transaction lock set: requests the conversion matrix proves
 /// to be no-ops are answered from it without a resource-shard round trip.
 class LockSetTest : public LockTableTest {};

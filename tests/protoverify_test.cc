@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "protocols/expectations.h"
 #include "protocols/protocol_registry.h"
+#include "tamix/invariants.h"
 #include "verify/checker.h"
 #include "verify/corruptions.h"
 #include "verify/scheduler.h"
@@ -106,6 +109,72 @@ TEST(Scheduler, LostUpdateIsIsolationLevelDependent) {
   EnumResult rep = EnumerateSchedules(*lost, opt);
   EXPECT_FALSE(rep.anomalies & Bit(Anomaly::kLostUpdate));
   EXPECT_TRUE(rep.violations.empty()) << rep.violations.front();
+}
+
+// Visits every maximal schedule of `exec`, replaying each prefix on a
+// fresh Reset().
+void ForEachLeaf(Execution& exec, std::vector<int>* prefix,
+                 const std::function<void()>& leaf) {
+  exec.Reset();
+  for (int t : *prefix) exec.Step(t);
+  std::vector<int> enabled;
+  for (int t = 0; t < exec.num_txs(); ++t) {
+    if (exec.Enabled(t)) enabled.push_back(t);
+  }
+  if (enabled.empty()) leaf();
+  for (int t : enabled) {
+    prefix->push_back(t);
+    ForEachLeaf(exec, prefix, leaf);
+    prefix->pop_back();
+  }
+}
+
+// Abort parity: when every transaction writes and then aborts — itself
+// or as a deadlock victim — the engine's undo path must restore the
+// initial document under every interleaving.
+TEST(Scheduler, AbortsRestoreTheDocumentUnderEveryInterleaving) {
+  using K = ScriptOpKind;
+  Scenario sc;
+  sc.name = "all-abort";
+  sc.scripts = {
+      {"T1",
+       {{K::kUpdateContent, kRoleBookAText},
+        {K::kInsertChild, kRoleBookA},
+        {K::kRename, kRoleBookBNote},
+        {K::kAbort, -1}}},
+      {"T2",
+       {{K::kInsertChild, kRoleBookBNote},
+        {K::kDeleteSubtree, kRoleBookA},
+        {K::kAbort, -1}}},
+  };
+  for (const char* p : {"taDOM3+", "Node2PL", "OO2PL"}) {
+    SCOPED_TRACE(p);
+    std::set<std::string> violations;
+    CheckProbe probe(&violations);
+    LockTableOptions topt;
+    topt.probe = &probe;
+    std::unique_ptr<XmlProtocol> proto = CreateProtocol(p, topt);
+    ASSERT_NE(proto, nullptr);
+    LockManager mgr(proto.get());
+    Execution exec(sc, IsolationLevel::kRepeatable, 7, &mgr, &probe,
+                   &violations);
+    const StatusOr<uint64_t> initial = DocumentFingerprint(exec.document());
+    ASSERT_TRUE(initial.ok());
+
+    std::vector<int> prefix;
+    int leaves = 0;
+    ForEachLeaf(exec, &prefix, [&] {
+      ++leaves;
+      EXPECT_TRUE(exec.AllFinished());
+      const Status valid = exec.document().Validate();
+      EXPECT_TRUE(valid.ok()) << valid.ToString();
+      const StatusOr<uint64_t> now = DocumentFingerprint(exec.document());
+      ASSERT_TRUE(now.ok());
+      EXPECT_EQ(*now, *initial);
+    });
+    EXPECT_GT(leaves, 1);
+    for (const std::string& v : violations) ADD_FAILURE() << v;
+  }
 }
 
 // Full matrix: every registered protocol at every isolation level must

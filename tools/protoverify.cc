@@ -2,16 +2,20 @@
 //
 // Where protolint statically lints each protocol's mode table, protoverify
 // *executes* the protocols: it enumerates every interleaving of a catalog
-// of 2–3 transaction scenarios (src/verify/checker.cc) through the real
-// LockManager/LockTable/protocol stack — single-threaded, deterministic,
-// with a LockEventProbe installed: a blocked request runs the engine's
-// wait path up to the park, then returns kWouldBlock — and checks, per
-// protocol and isolation level, that
+// of 2–3 transaction scenarios (src/verify/checker.cc), each op one
+// NodeManager call on a small in-memory Document, with commit and abort
+// through TransactionManager, over the real LockManager/LockTable/
+// protocol stack — single-threaded, deterministic, with a LockEventProbe
+// installed: a blocked request runs the engine's wait path up to the
+// park, then returns kWouldBlock — and checks, per protocol and
+// isolation level, that
 //   * exactly the declared anomalies occur (protocols/expectations.cc:
 //     dirty read, lost update, non-repeatable read, phantom,
 //     non-serializable schedules, deadlocks),
 //   * every blocking cycle is detected (no undetected deadlock, no false
 //     victim, no stalled schedule),
+//   * no blocked call changed the document, and every schedule ends with
+//     a document that passes Document::Validate,
 //   * the lock-footprint dominance claims hold (taDOM2+ never blocks
 //     where taDOM2 does not, etc.), verified cell-wise on pairwise
 //     conflict matrices.
