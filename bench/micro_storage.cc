@@ -69,6 +69,24 @@ void BM_DocumentNextSibling(benchmark::State& state) {
 }
 BENCHMARK(BM_DocumentNextSibling);
 
+// One book's children, one FirstChild then NextSibling per step, as
+// TAqueryBook's navigational read makes them.
+void BM_DocumentSiblingWalk(benchmark::State& state) {
+  Document& doc = Bib();
+  Splid book = *doc.LookupId("b3");
+  int64_t steps = 0;
+  for (auto _ : state) {
+    auto child = doc.FirstChild(book);
+    while (child.ok() && child->has_value()) {
+      ++steps;
+      child = doc.NextSibling((*child)->splid);
+    }
+    benchmark::DoNotOptimize(child);
+  }
+  state.SetItemsProcessed(steps);
+}
+BENCHMARK(BM_DocumentSiblingWalk);
+
 void BM_DocumentSubtreeScan(benchmark::State& state) {
   Document& doc = Bib();
   Splid book = *doc.LookupId("b1");

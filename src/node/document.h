@@ -159,7 +159,8 @@ class Document {
   Status AttachRecoveredTrees(const WalTreeMeta& meta) XTC_EXCLUDES(mu_);
 
   /// Re-points the three B+-trees at new attach points (follower
-  /// tailing: every applied update record may move roots/counts). Unlike
+  /// tailing: every applied update record may move roots/counts, and its
+  /// page images may invalidate the trees' last-leaf hints). Unlike
   /// AttachRecoveredTrees this may be called repeatedly; the caller must
   /// guarantee no operation is mid-flight (the exclusive latch makes the
   /// swap atomic against readers).

@@ -160,13 +160,15 @@ Status Follower::ApplyOneLocked(const WalRecord& record) {
       RedoApplier redo(&sink);
       XTC_RETURN_IF_ERROR(redo.ApplyRecord(record).status());
       stats_.pages_applied += redo.stats().pages_redone;
-      if (!have_meta_ || !MetaEq(meta_, record.meta)) {
-        XTC_RETURN_IF_ERROR(
-            doc_->ReattachTrees(record.meta).Annotate("follower reattach"));
-        meta_ = record.meta;
-        have_meta_ = true;
-        ++stats_.reattaches;
-      }
+      // Reattach even when roots and counts are unchanged: the images
+      // bypassed the trees, so a page the primary freed or handed to
+      // another tree may still be some tree's last-leaf hint here.
+      // Fresh trees start without hints.
+      XTC_RETURN_IF_ERROR(
+          doc_->ReattachTrees(record.meta).Annotate("follower reattach"));
+      if (!have_meta_ || !MetaEq(meta_, record.meta)) ++stats_.reattaches;
+      meta_ = record.meta;
+      have_meta_ = true;
       return Status::OK();
     }
     case WalRecordType::kCommit:

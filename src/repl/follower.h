@@ -5,8 +5,9 @@
 // Document in recovery construction) plus a local copy of the shipped
 // log. Ingest appends shipped bytes and immediately applies every newly
 // *complete* record through the shared RedoApplier — page after-images
-// land in the follower's buffer pool (no flush required), tree attach
-// points are re-pointed as update records move them, vocabulary and
+// land in the follower's buffer pool (no flush required), the trees are
+// reattached at each update record's attach points (which also drops
+// their last-leaf hints, blind to pages the images changed), vocabulary and
 // checkpoint records restore their snapshots, and commit records extend
 // the follower's committed list and advance the applied watermark.
 //

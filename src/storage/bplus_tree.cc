@@ -35,31 +35,63 @@ PageId BplusTree::RouteChild(const SlottedPage& sp, std::string_view key) {
   return sp.ChildAt(i - 1);
 }
 
-StatusOr<PageId> BplusTree::FindLeaf(std::string_view key) const {
+StatusOr<BplusTree::LeafSlot> BplusTree::FindLeaf(std::string_view key) const {
+  LeafSlot hinted;
+  const uint64_t hint = hint_.load(std::memory_order_relaxed);
+  const auto hinted_id = static_cast<PageId>(hint);
+  if (hinted_id != kInvalidPageId && hint == HintFor(hinted_id)) {
+    auto guard = bm_->Fetch(hinted_id);
+    if (!guard.ok()) return guard.status();
+    SlottedPage sp(guard->page());
+    if (sp.type() == PageType::kLeaf) {
+      hinted.slot = sp.LowerBound(key, &hinted.found);
+      hinted.leaf = std::move(*guard);
+      // Soundness. The epoch still matches, so no page has left this tree
+      // since the hint was stored: the page is still one of its leaves.
+      // A leaf's keys all lie in the key interval the inner pages route
+      // to it (splits hand the upper part of an interval to the new right
+      // leaf together with its keys; dropping an empty child widens a
+      // neighbour's interval; nothing narrows an interval without a
+      // split). So a key equal to one of the leaf's keys, or strictly
+      // between its first and last key, lies in that interval too: a
+      // root descent reaches this very leaf and finds the same slot, and
+      // Seek/SeekForPrev stay inside the leaf. An empty leaf brackets
+      // nothing. The 32-bit epoch could only be fooled by a hint left
+      // unused across 2^32 structure changes.
+      if (hinted.found ||
+          (hinted.slot > 0 && hinted.slot < sp.num_slots())) {
+        return hinted;
+      }
+    }
+  }
   PageId current = root_;
   for (;;) {
+    // The descent may end at the hinted leaf after all (a key just past
+    // its last key): reuse its pin and LowerBound instead of a refetch.
+    if (hinted.leaf.valid() && current == hinted.leaf.id()) return hinted;
     auto guard = bm_->Fetch(current);
     if (!guard.ok()) return guard.status();
     SlottedPage sp(guard->page());
-    if (sp.type() == PageType::kLeaf) return current;
+    if (sp.type() == PageType::kLeaf) {
+      LeafSlot pos;
+      pos.slot = sp.LowerBound(key, &pos.found);
+      pos.leaf = std::move(*guard);
+      hint_.store(HintFor(current), std::memory_order_relaxed);
+      return pos;
+    }
     current = RouteChild(sp, key);
   }
 }
 
 StatusOr<std::string> BplusTree::Get(std::string_view key) const {
-  XTC_ASSIGN_OR_RETURN(PageId leaf, FindLeaf(key));
-  auto guard = bm_->Fetch(leaf);
-  if (!guard.ok()) return guard.status();
-  SlottedPage sp(guard->page());
-  bool found = false;
-  int i = sp.LowerBound(key, &found);
-  if (!found) return Status::NotFound("key not in tree");
-  return std::string(sp.Value(i));
+  XTC_ASSIGN_OR_RETURN(LeafSlot pos, FindLeaf(key));
+  if (!pos.found) return Status::NotFound("key not in tree");
+  return std::string(SlottedPage(pos.leaf.page()).Value(pos.slot));
 }
 
 bool BplusTree::Contains(std::string_view key) const {
-  auto r = Get(key);
-  return r.ok();
+  auto pos = FindLeaf(key);
+  return pos.ok() && pos->found;
 }
 
 Status BplusTree::Insert(std::string_view key, std::string_view value) {
@@ -67,6 +99,7 @@ Status BplusTree::Insert(std::string_view key, std::string_view value) {
   XTC_RETURN_IF_ERROR(InsertRec(root_, key, value, &split));
   if (split.has_value()) {
     // Grow the tree: new root referencing the old root and the new right.
+    BumpEpoch();
     auto guard = bm_->New();
     if (!guard.ok()) return guard.status();
     SlottedPage sp(guard->page());
@@ -122,6 +155,7 @@ Status BplusTree::InsertRec(PageId node, std::string_view key,
 Status BplusTree::SplitLeaf(SlottedPage* left, PageId left_id,
                             std::string_view key, std::string_view value,
                             std::optional<Split>* split) {
+  BumpEpoch();
   auto entries = left->Extract();
   // Insert the new entry into its sorted position.
   auto pos = entries.begin();
@@ -167,6 +201,7 @@ Status BplusTree::SplitLeaf(SlottedPage* left, PageId left_id,
 
 Status BplusTree::SplitInner(SlottedPage* left, std::string_view key,
                              PageId right_child, std::optional<Split>* split) {
+  BumpEpoch();
   auto entries = left->Extract();
   auto pos = entries.begin();
   while (pos != entries.end() && pos->first < key) ++pos;
@@ -203,26 +238,23 @@ Status BplusTree::SplitInner(SlottedPage* left, std::string_view key,
 }
 
 Status BplusTree::Update(std::string_view key, std::string_view value) {
-  XTC_ASSIGN_OR_RETURN(PageId leaf, FindLeaf(key));
-  auto guard = bm_->Fetch(leaf);
-  if (!guard.ok()) return guard.status();
-  SlottedPage sp(guard->page());
-  bool found = false;
-  int i = sp.LowerBound(key, &found);
-  if (!found) return Status::NotFound("key not in tree");
-  if (!sp.UpdateValue(i, value)) {
+  XTC_ASSIGN_OR_RETURN(LeafSlot pos, FindLeaf(key));
+  if (!pos.found) return Status::NotFound("key not in tree");
+  SlottedPage sp(pos.leaf.page());
+  if (!sp.UpdateValue(pos.slot, value)) {
     // Value grew past the page: delete + insert (may split). A failed
     // UpdateValue leaves the old entry in place but may have moved it to
-    // a different slot, so re-locate the key instead of reusing `i`.
-    i = sp.LowerBound(key, &found);
+    // a different slot, so re-locate the key instead of reusing the slot.
+    bool found = false;
+    int i = sp.LowerBound(key, &found);
     if (!found) return Status::Internal("update lost key: " + std::string(key));
     sp.Remove(i);
-    guard->MarkDirty();
-    guard->Release();
+    pos.leaf.MarkDirty();
+    pos.leaf.Release();
     --count_;
     return Insert(key, value);
   }
-  guard->MarkDirty();
+  pos.leaf.MarkDirty();
   return Status::OK();
 }
 
@@ -236,6 +268,7 @@ Status BplusTree::Delete(std::string_view key) {
     if (!guard.ok()) return guard.status();
     SlottedPage sp(guard->page());
     if (sp.type() == PageType::kInner && sp.num_slots() == 0) {
+      BumpEpoch();
       PageId only_child = sp.leftmost_child();
       PageId old_root = root_;
       guard->Release();
@@ -284,6 +317,7 @@ Status BplusTree::DeleteRec(PageId node, std::string_view key,
   if (!child_empty) return Status::OK();
 
   // Drop the empty child from this inner node.
+  BumpEpoch();
   {
     auto child_guard = bm_->Fetch(child);
     if (!child_guard.ok()) return child_guard.status();
@@ -415,35 +449,22 @@ void BplusTree::Iterator::Invalidate(const Status& st) {
   if (status_.ok()) status_ = st;
 }
 
-void BplusTree::Iterator::LoadCurrent(PageId page, int slot) {
+bool BplusTree::Iterator::Pin(PageId page, PageGuard* out) {
+  out->Release();  // one pin at a time, as a root descent holds
   auto guard = tree_->bm_->Fetch(page);
   if (!guard.ok()) {
     Invalidate(guard.status());
-    return;
+    return false;
   }
-  SlottedPage sp(guard->page());
-  if (slot < 0 || slot >= sp.num_slots()) {
-    valid_ = false;
-    return;
-  }
-  page_ = page;
-  slot_ = slot;
-  key_ = sp.FullKey(slot);
-  value_ = std::string(sp.Value(slot));
-  valid_ = true;
+  *out = std::move(*guard);
+  return true;
 }
 
-void BplusTree::Iterator::AdvanceForward(PageId page, int slot) {
-  // Moves to (page, slot), skipping forward over page ends/empty pages.
+void BplusTree::Iterator::AdvanceForward(PageGuard leaf, int slot) {
   for (;;) {
-    auto guard = tree_->bm_->Fetch(page);
-    if (!guard.ok()) {
-      Invalidate(guard.status());
-      return;
-    }
-    SlottedPage sp(guard->page());
+    SlottedPage sp(leaf.page());
     if (slot < sp.num_slots()) {
-      page_ = page;
+      page_ = leaf.id();
       slot_ = slot;
       key_ = sp.FullKey(slot);
       value_ = std::string(sp.Value(slot));
@@ -455,22 +476,17 @@ void BplusTree::Iterator::AdvanceForward(PageId page, int slot) {
       valid_ = false;
       return;
     }
-    page = next;
+    if (!Pin(next, &leaf)) return;
     slot = 0;
   }
 }
 
-void BplusTree::Iterator::AdvanceBackward(PageId page, int slot) {
+void BplusTree::Iterator::AdvanceBackward(PageGuard leaf, int slot) {
   for (;;) {
-    auto guard = tree_->bm_->Fetch(page);
-    if (!guard.ok()) {
-      Invalidate(guard.status());
-      return;
-    }
-    SlottedPage sp(guard->page());
+    SlottedPage sp(leaf.page());
     if (slot == INT32_MAX) slot = sp.num_slots() - 1;
     if (slot >= 0 && slot < sp.num_slots()) {
-      page_ = page;
+      page_ = leaf.id();
       slot_ = slot;
       key_ = sp.FullKey(slot);
       value_ = std::string(sp.Value(slot));
@@ -482,96 +498,74 @@ void BplusTree::Iterator::AdvanceBackward(PageId page, int slot) {
       valid_ = false;
       return;
     }
-    page = prev;
+    if (!Pin(prev, &leaf)) return;
     slot = INT32_MAX;  // last slot of the previous page
   }
 }
 
 void BplusTree::Iterator::SeekToFirst() {
   status_ = Status::OK();
-  PageId current = tree_->root_;
+  PageGuard guard;
+  if (!Pin(tree_->root_, &guard)) return;
   for (;;) {
-    auto guard = tree_->bm_->Fetch(current);
-    if (!guard.ok()) {
-      Invalidate(guard.status());
-      return;
-    }
-    SlottedPage sp(guard->page());
+    SlottedPage sp(guard.page());
     if (sp.type() == PageType::kLeaf) break;
-    current = sp.leftmost_child();
+    if (!Pin(sp.leftmost_child(), &guard)) return;
   }
-  AdvanceForward(current, 0);
+  AdvanceForward(std::move(guard), 0);
 }
 
 void BplusTree::Iterator::SeekToLast() {
   status_ = Status::OK();
-  PageId current = tree_->root_;
+  PageGuard guard;
+  if (!Pin(tree_->root_, &guard)) return;
   for (;;) {
-    auto guard = tree_->bm_->Fetch(current);
-    if (!guard.ok()) {
-      Invalidate(guard.status());
+    SlottedPage sp(guard.page());
+    if (sp.type() == PageType::kLeaf) break;
+    if (!Pin(sp.num_slots() > 0 ? sp.ChildAt(sp.num_slots() - 1)
+                                : sp.leftmost_child(),
+             &guard)) {
       return;
     }
-    SlottedPage sp(guard->page());
-    if (sp.type() == PageType::kLeaf) break;
-    current = sp.num_slots() > 0 ? sp.ChildAt(sp.num_slots() - 1)
-                                 : sp.leftmost_child();
   }
-  AdvanceBackward(current, INT32_MAX);
+  AdvanceBackward(std::move(guard), INT32_MAX);
 }
 
 void BplusTree::Iterator::Seek(std::string_view target) {
   status_ = Status::OK();
-  auto leaf = tree_->FindLeaf(target);
-  if (!leaf.ok()) {
-    Invalidate(leaf.status());
+  auto pos = tree_->FindLeaf(target);
+  if (!pos.ok()) {
+    Invalidate(pos.status());
     return;
   }
-  auto guard = tree_->bm_->Fetch(*leaf);
-  if (!guard.ok()) {
-    Invalidate(guard.status());
-    return;
-  }
-  SlottedPage sp(guard->page());
-  bool found = false;
-  int i = sp.LowerBound(target, &found);
-  guard->Release();
-  AdvanceForward(*leaf, i);
+  AdvanceForward(std::move(pos->leaf), pos->slot);
 }
 
 void BplusTree::Iterator::SeekForPrev(std::string_view target) {
   status_ = Status::OK();
-  auto leaf = tree_->FindLeaf(target);
-  if (!leaf.ok()) {
-    Invalidate(leaf.status());
+  auto pos = tree_->FindLeaf(target);
+  if (!pos.ok()) {
+    Invalidate(pos.status());
     return;
   }
-  auto guard = tree_->bm_->Fetch(*leaf);
-  if (!guard.ok()) {
-    Invalidate(guard.status());
-    return;
-  }
-  SlottedPage sp(guard->page());
-  bool found = false;
-  int i = sp.LowerBound(target, &found);
-  guard->Release();
-  if (found) {
-    LoadCurrent(*leaf, i);
-    if (valid_) return;
-  }
-  AdvanceBackward(*leaf, i - 1);
+  const int slot = pos->found ? pos->slot : pos->slot - 1;
+  AdvanceBackward(std::move(pos->leaf), slot);
 }
 
 void BplusTree::Iterator::Next() {
   if (!valid_) return;
   status_ = Status::OK();
-  AdvanceForward(page_, slot_ + 1);
+  PageGuard guard;
+  if (!Pin(page_, &guard)) return;
+  AdvanceForward(std::move(guard), slot_ + 1);
 }
 
 void BplusTree::Iterator::Prev() {
   if (!valid_) return;
   status_ = Status::OK();
-  AdvanceBackward(page_, slot_ - 1);
+  PageGuard guard;
+  if (!Pin(page_, &guard)) return;
+  AdvanceBackward(std::move(guard), slot_ - 1);
 }
 
 }  // namespace xtc

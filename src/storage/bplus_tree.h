@@ -6,13 +6,27 @@
 // and the ID index. Leaves are doubly chained for bidirectional
 // navigation (previous/next sibling).
 //
-// Concurrency: the tree itself is not internally synchronized. Callers
-// (NodeStore) wrap operations in a short reader/writer latch; latches are
-// never held across lock waits (DESIGN.md §4).
+// Concurrency: the tree itself is not internally synchronized. Its owner
+// (Document) wraps every operation in the document's short reader/writer
+// latch: lookups and cursors run under the shared latch, mutations under
+// the exclusive one. Latches are never held across lock waits
+// (DESIGN.md §4).
+//
+// Last-leaf hint: navigation steps mostly land on the leaf the previous
+// lookup read (a next sibling sits right after its predecessor in
+// document order), so each tree remembers the leaf of its last descent
+// together with a structure epoch. The epoch changes, under the exclusive
+// latch, whenever a leaf's key range can change or a page can leave the
+// tree (splits, freed leaves and inner pages, root growth and collapse).
+// A lookup uses the hinted leaf without descending only while the epoch
+// still matches and the key lies within the leaf's own first and last
+// keys; otherwise it descends from the root and renews the hint.
 
 #ifndef XTC_STORAGE_BPLUS_TREE_H_
 #define XTC_STORAGE_BPLUS_TREE_H_
 
+#include <atomic>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -90,9 +104,13 @@ class BplusTree {
 
    private:
     void Invalidate(const Status& st);
-    void LoadCurrent(PageId page, int slot);
-    void AdvanceForward(PageId page, int slot);   // slot may be past end
-    void AdvanceBackward(PageId page, int slot);  // slot may be -1
+    // Replaces the pin in *out by one on `page`; false (and the iterator
+    // invalid) if the fetch fails.
+    bool Pin(PageId page, PageGuard* out);
+    // Positions at `slot` of the pinned leaf, skipping to later (earlier)
+    // leaves while the slot lies past the end (before the start).
+    void AdvanceForward(PageGuard leaf, int slot);   // slot may be past end
+    void AdvanceBackward(PageGuard leaf, int slot);  // slot may be -1
 
     const BplusTree* tree_;
     bool valid_ = false;
@@ -130,11 +148,27 @@ class BplusTree {
     PageId right;
   };
 
+  // A pinned leaf and the LowerBound of a key in it.
+  struct LeafSlot {
+    PageGuard leaf;
+    int slot = 0;       // first slot with key >= the searched key
+    bool found = false;  // that slot holds the key itself
+  };
+
   // Routes a key to the child of an inner page.
   static PageId RouteChild(const SlottedPage& sp, std::string_view key);
 
-  // Finds the leaf that may contain `key`; returns its page id.
-  StatusOr<PageId> FindLeaf(std::string_view key) const;
+  // Pins the leaf that may contain `key` and locates the key in it: the
+  // hinted leaf when it provably answers for `key`, else the leaf a root
+  // descent reaches (which then becomes the hint).
+  StatusOr<LeafSlot> FindLeaf(std::string_view key) const;
+
+  // Invalidates the last-leaf hint; called, under the exclusive latch,
+  // before any change that can move a leaf's key range or free a page.
+  void BumpEpoch() { ++epoch_; }
+  uint64_t HintFor(PageId leaf) const {
+    return (static_cast<uint64_t>(epoch_) << 32) | leaf;
+  }
 
   Status InsertRec(PageId node, std::string_view key, std::string_view value,
                    std::optional<Split>* split);
@@ -153,6 +187,12 @@ class BplusTree {
   bool prefix_compression_ = true;
   PageId root_;
   uint64_t count_ = 0;
+  // Structure epoch; written only by mutations (exclusive latch).
+  uint32_t epoch_ = 0;
+  // {epoch, leaf} of the last root descent (HintFor). Readers under the
+  // shared latch overwrite it concurrently, hence the relaxed atomic; the
+  // leaf half is kInvalidPageId (0) until the first descent.
+  mutable std::atomic<uint64_t> hint_{0};
 };
 
 }  // namespace xtc

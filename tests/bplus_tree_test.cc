@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "splid/splid.h"
 #include "util/rng.h"
@@ -28,6 +32,46 @@ class BplusTreeTest : public ::testing::Test {
   std::unique_ptr<BufferManager> bm_;
   std::unique_ptr<BplusTree> tree_;
 };
+
+using Model = std::map<std::string, std::string>;
+
+std::string NumKey(int i) {
+  char key[16];
+  std::snprintf(key, sizeof(key), "k%05d", i);
+  return key;
+}
+
+// Get, Contains, Seek and SeekForPrev of `key` agree with the model.
+void ExpectLookupsMatch(const BplusTree& tree, const Model& model,
+                        const std::string& key) {
+  auto exact = model.find(key);
+  auto v = tree.Get(key);
+  ASSERT_EQ(v.ok(), exact != model.end()) << "Get " << key;
+  if (v.ok()) {
+    EXPECT_EQ(*v, exact->second) << "Get " << key;
+  }
+  EXPECT_EQ(tree.Contains(key), exact != model.end()) << "Contains " << key;
+
+  auto it = tree.NewIterator();
+  it.Seek(key);
+  ASSERT_TRUE(it.status().ok());
+  auto next = model.lower_bound(key);
+  ASSERT_EQ(it.Valid(), next != model.end()) << "Seek " << key;
+  if (it.Valid()) {
+    EXPECT_EQ(it.key(), next->first) << "Seek " << key;
+    EXPECT_EQ(it.value(), next->second) << "Seek " << key;
+  }
+
+  it.SeekForPrev(key);
+  ASSERT_TRUE(it.status().ok());
+  auto after = model.upper_bound(key);
+  ASSERT_EQ(it.Valid(), after != model.begin()) << "SeekForPrev " << key;
+  if (it.Valid()) {
+    auto prev = std::prev(after);
+    EXPECT_EQ(it.key(), prev->first) << "SeekForPrev " << key;
+    EXPECT_EQ(it.value(), prev->second) << "SeekForPrev " << key;
+  }
+}
 
 TEST_F(BplusTreeTest, InsertGetDelete) {
   ASSERT_TRUE(tree_->Insert("alpha", "1").ok());
@@ -278,9 +322,107 @@ TEST_F(BplusTreeTest, PrefixCompressionDisabledStillCorrect) {
             tree_->MeasureOccupancy().leaf_pages);
 }
 
+TEST_F(BplusTreeTest, LookupsStayRightAcrossSplitsOfTheHintedLeaf) {
+  Model model;
+  const std::string value(60, 'v');
+  // Ascending load: every leaf but the last is full.
+  for (int i = 0; i < 1000; i += 2) {
+    ASSERT_TRUE(tree_->Insert(NumKey(i), value + std::to_string(i)).ok());
+    model[NumKey(i)] = value + std::to_string(i);
+  }
+  ASSERT_GT(tree_->Height(), 1);
+  int fresh = 999;
+  for (int round = 0; round < 3; ++round) {
+    // Hint the leaf holding k00500, then split it. Each new key sorts
+    // directly after k00500 (the suffixes descend), so it joins that leaf.
+    ExpectLookupsMatch(*tree_, model, NumKey(500));
+    const uint64_t leaves = tree_->MeasureOccupancy().leaf_pages;
+    while (tree_->MeasureOccupancy().leaf_pages == leaves) {
+      ASSERT_GE(fresh, 100);
+      const std::string key = NumKey(500) + "+" + std::to_string(fresh--);
+      ASSERT_TRUE(tree_->Insert(key, value).ok());
+      model[key] = value;
+    }
+    for (int i = 380; i < 620; ++i) {
+      ExpectLookupsMatch(*tree_, model, NumKey(i));
+      ExpectLookupsMatch(*tree_, model, NumKey(i) + "~");  // between keys
+    }
+  }
+}
+
+TEST_F(BplusTreeTest, FreedHintedLeafReusedByAnotherTreeIsNotTrusted) {
+  Model model;
+  const std::string value(60, 'v');
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(tree_->Insert(NumKey(i), value).ok());
+    model[NumKey(i)] = value;
+  }
+  std::vector<PageId> before;
+  ASSERT_TRUE(tree_->CollectPages(&before).ok());
+  ExpectLookupsMatch(*tree_, model, NumKey(300));  // hints k00300's leaf
+  for (int i = 200; i < 400; ++i) {
+    ASSERT_TRUE(tree_->Delete(NumKey(i)).ok());
+    model.erase(NumKey(i));
+  }
+  std::vector<PageId> after;
+  ASSERT_TRUE(tree_->CollectPages(&after).ok());
+  std::vector<PageId> freed;
+  for (PageId id : before) {
+    if (std::find(after.begin(), after.end(), id) == after.end()) {
+      freed.push_back(id);
+    }
+  }
+  ASSERT_FALSE(freed.empty());
+  // Single-leaf trees take over every freed page, the hinted leaf among
+  // them; each leaf brackets all probe keys and holds k00300 itself.
+  std::vector<std::unique_ptr<BplusTree>> others;
+  std::vector<PageId> reused;
+  for (size_t n = 0; n < freed.size(); ++n) {
+    others.push_back(std::make_unique<BplusTree>(bm_.get()));
+    for (int i : {0, 300, 999}) {
+      ASSERT_TRUE(others.back()->Insert(NumKey(i), "other").ok());
+    }
+    reused.push_back(others.back()->root());
+  }
+  std::sort(freed.begin(), freed.end());
+  std::sort(reused.begin(), reused.end());
+  ASSERT_EQ(reused, freed);
+  ExpectLookupsMatch(*tree_, model, NumKey(300));
+  for (int i = 180; i < 420; ++i) {
+    ExpectLookupsMatch(*tree_, model, NumKey(i));
+  }
+}
+
+TEST_F(BplusTreeTest, RepeatedLookupInTheHintedLeafFixesOnePage) {
+  // Long keys keep the fan-out low, so a few thousand entries give a
+  // tree of height 3.
+  std::vector<std::string> keys;
+  for (int i = 0; i < 4000; ++i) {
+    keys.push_back(NumKey(i) + std::string(120, 'x'));
+    ASSERT_TRUE(tree_->Insert(keys.back(), "v").ok());
+  }
+  const int height = tree_->Height();
+  ASSERT_GE(height, 3);
+  auto fixes = [this] {
+    const BufferPoolStats s = bm_->io_stats();
+    return s.hits + s.misses;
+  };
+  // A tree reopened at the same root starts without a hint.
+  BplusTree reopened(bm_.get(), tree_->root(), tree_->size());
+  uint64_t start = fixes();
+  ASSERT_TRUE(reopened.Get(keys[2000]).ok());
+  EXPECT_EQ(fixes() - start, static_cast<uint64_t>(height)) << "cold Get";
+  start = fixes();
+  ASSERT_TRUE(reopened.Get(keys[2000]).ok());
+  EXPECT_EQ(fixes() - start, 1u) << "repeat Get";
+  start = fixes();
+  EXPECT_TRUE(reopened.Contains(keys[2000]));
+  EXPECT_EQ(fixes() - start, 1u) << "Contains";
+}
+
 TEST_F(BplusTreeTest, RandomizedModelCheck) {
   Rng rng(20260707);
-  std::map<std::string, std::string> model;
+  Model model;
   for (int step = 0; step < 20000; ++step) {
     const int op = static_cast<int>(rng.Uniform(4));
     std::string key = "key" + std::to_string(rng.Uniform(3000));
@@ -295,14 +437,12 @@ TEST_F(BplusTreeTest, RandomizedModelCheck) {
     } else if (op == 2) {
       Status st = tree_->Delete(key);
       EXPECT_EQ(st.ok(), model.erase(key) > 0) << key;
-    } else {
-      auto v = tree_->Get(key);
-      auto it = model.find(key);
-      ASSERT_EQ(v.ok(), it != model.end()) << key;
-      if (v.ok()) {
-        EXPECT_EQ(*v, it->second);
-      }
     }
+    // After every step (op 3 is a pure lookup): the touched key, where
+    // the last-leaf hint now points, and a random one.
+    ASSERT_NO_FATAL_FAILURE(ExpectLookupsMatch(*tree_, model, key));
+    ASSERT_NO_FATAL_FAILURE(ExpectLookupsMatch(
+        *tree_, model, "key" + std::to_string(rng.Uniform(3000))));
     if (step % 2500 == 0) {
       ASSERT_EQ(tree_->size(), model.size());
       auto it = tree_->NewIterator();

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <string>
+#include <thread>
+#include <vector>
+
 namespace xtc {
 namespace {
 
@@ -278,6 +284,78 @@ TEST(DocumentAccessorTest, SubtreeAndChildrenEnumeration) {
   auto children = accessor.ChildrenOf(book);
   ASSERT_TRUE(children.ok());
   EXPECT_EQ(children->size(), 4u);  // attribute root + title/author/history
+}
+
+TEST(DocumentConcurrencyTest, ReadersNavigateWhileLeavesSplitAndFree) {
+  // Readers walk a fixed skeleton (64 items, each with a title as its
+  // first child) while one writer appends and removes page-sized notes
+  // as last children of the items: leaves holding skeleton nodes split
+  // and note leaves are freed, so every tree's last-leaf hint is
+  // overwritten by concurrent readers and invalidated by the writer.
+  constexpr int kItems = 64;
+  Document doc;
+  SubtreeSpec bib{"bib", {}, "", {}};
+  for (int i = 0; i < kItems; ++i) {
+    SubtreeSpec item{"item", {{"id", "i" + std::to_string(i)}}, "", {}};
+    item.children.push_back(Leaf("title", "title " + std::to_string(i)));
+    bib.children.push_back(std::move(item));
+  }
+  auto root = doc.BuildFromSpec(bib);
+  ASSERT_TRUE(root.ok());
+  const NameSurrogate title = doc.vocabulary().Intern("title");
+
+  // Each reader makes a fixed number of walks and pauses between them:
+  // the latch may prefer readers, and four that never paused could
+  // starve the writer.
+  std::atomic<int> failures{0};
+  auto reader = [&] {
+    for (int walk = 0; walk < 60; ++walk) {
+      auto child = doc.FirstChild(*root);
+      int items = 0;
+      while (child.ok() && child->has_value() && items <= kItems) {
+        const Splid item = (*child)->splid;
+        ++items;
+        auto first = doc.FirstChild(item);
+        if (!first.ok() || !first->has_value() ||
+            (*first)->record.name != title) {
+          failures.fetch_add(1);
+        } else {
+          auto rec = doc.Get((*first)->splid);
+          if (!rec.ok() || rec->name != title) failures.fetch_add(1);
+        }
+        child = doc.NextSibling(item);
+      }
+      if (!child.ok() || items != kItems) failures.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) readers.emplace_back(reader);
+
+  SubtreeSpec note{"note", {}, "", {}};
+  for (int t = 0; t < 24; ++t) {
+    note.children.push_back(Leaf("line", std::string(250, 'a' + t)));
+  }
+  // The writer runs in a lambda so that a failed ASSERT still reaches the
+  // joins below.
+  auto write = [&] {
+    std::vector<Splid> notes;
+    for (int round = 0; round < 120; ++round) {
+      auto item = doc.LookupId("i" + std::to_string(round * 7 % kItems));
+      ASSERT_TRUE(item.has_value());
+      auto added = doc.AppendSubtree(*item, note);
+      ASSERT_TRUE(added.ok()) << added.status().message();
+      notes.push_back(*added);
+      if (notes.size() > 6) {
+        ASSERT_TRUE(doc.RemoveSubtree(notes.front()).ok());
+        notes.erase(notes.begin());
+      }
+    }
+  };
+  write();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(doc.Validate().ok());
 }
 
 }  // namespace

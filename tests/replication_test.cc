@@ -34,6 +34,16 @@ struct MiniPrimary {
   std::string base_log;
 };
 
+/// Attaches the log to the built primary and captures its base images.
+void CaptureBase(MiniPrimary* p) {
+  p->wal = std::make_unique<Wal>(WalOptions{});
+  p->doc->AttachWal(p->wal.get());
+  EXPECT_TRUE(p->doc->buffer().FlushAll().ok());
+  EXPECT_TRUE(p->doc->LogCheckpoint().ok());
+  p->base_disk = p->doc->page_file().CloneImage();
+  p->base_log = p->wal->DurableImage();
+}
+
 MiniPrimary MakeMiniPrimary() {
   MiniPrimary p;
   p.storage.buffer_pool_pages = 64;
@@ -41,12 +51,7 @@ MiniPrimary MakeMiniPrimary() {
   auto info = GenerateBib(p.doc.get(), BibConfig::Tiny());
   EXPECT_TRUE(info.ok()) << info.status().message();
   p.info = std::move(*info);
-  p.wal = std::make_unique<Wal>(WalOptions{});
-  p.doc->AttachWal(p.wal.get());
-  EXPECT_TRUE(p.doc->buffer().FlushAll().ok());
-  EXPECT_TRUE(p.doc->LogCheckpoint().ok());
-  p.base_disk = p.doc->page_file().CloneImage();
-  p.base_log = p.wal->DurableImage();
+  CaptureBase(&p);
   return p;
 }
 
@@ -305,6 +310,76 @@ TEST(ReplicationTest, FollowerRestartsFromItsOwnArtifacts) {
   ASSERT_TRUE(primary_fp.ok());
   ASSERT_TRUE(reborn_fp.ok());
   EXPECT_EQ(*reborn_fp, *primary_fp);
+}
+
+TEST(ReplicationTest, ReplicaReadsAfterPageFreeingRecordsMatchThePrimary) {
+  // Sixteen long ids fill the first ID-index leaves. Renaming all but the
+  // first to short ids empties and frees the leaves behind the first one
+  // in records that keep every tree's root and count: the follower gets
+  // page images but no new attach points.
+  MiniPrimary p;
+  p.storage.buffer_pool_pages = 64;
+  p.doc = std::make_unique<Document>(p.storage);
+  auto long_id = [](int i) {
+    return "a" + std::to_string(100 + i) + std::string(600, 'x');
+  };
+  auto short_id = [](int i) { return "z" + std::to_string(100 + i); };
+  SubtreeSpec bib{"bib", {}, "", {}};
+  for (int i = 0; i < 16; ++i) {
+    bib.children.push_back({"item", {{"id", long_id(i)}}, "", {}});
+  }
+  for (int i = 0; i < 60; ++i) {
+    bib.children.push_back(
+        {"item", {{"id", "m" + std::to_string(100 + i)}}, "", {}});
+  }
+  auto root = p.doc->BuildFromSpec(bib);
+  ASSERT_TRUE(root.ok()) << root.status().message();
+  CaptureBase(&p);
+  auto follower =
+      Follower::Bootstrap(MiniFollowerOptions(p), p.base_disk, p.base_log);
+  ASSERT_TRUE(follower.ok()) << follower.status().message();
+  LogShipper shipper(p.wal.get(), follower->get());
+
+  // A replica read hints the follower's ID index at the leaf of long id
+  // 8, a leaf of long ids only (about six fit a page). That id is renamed
+  // last, so the image the follower last got of its leaf before the
+  // primary freed it holds just that id.
+  auto hinted = (*follower)->LookupId(long_id(8));
+  ASSERT_TRUE(hinted.ok() && hinted->has_value());
+  const uint64_t reattaches = (*follower)->stats().reattaches;
+  const NameSurrogate id_name = p.doc->vocabulary().Intern("id");
+  for (int i : {1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 8}) {
+    auto element = p.doc->LookupId(long_id(i));
+    ASSERT_TRUE(element.has_value());
+    auto attr = p.doc->FindAttribute(*element, id_name);
+    ASSERT_TRUE(attr.ok() && attr->has_value());
+    {
+      ScopedWalTx scope(i);
+      ASSERT_TRUE(
+          p.doc->UpdateContent((*attr)->AttributeChild(), short_id(i)).ok());
+    }
+    ASSERT_TRUE(p.wal->AppendCommit(i, i, "rename-id").ok());
+  }
+  ASSERT_TRUE(shipper.Drain().ok());
+  EXPECT_EQ((*follower)->stats().reattaches, reattaches);
+
+  for (int i : {8, 0, 1, 7, 9, 15}) {
+    for (const std::string& id : {long_id(i), short_id(i)}) {
+      auto replica = (*follower)->LookupId(id);
+      ASSERT_TRUE(replica.ok()) << replica.status().message();
+      EXPECT_EQ(*replica, p.doc->LookupId(id)) << id.substr(0, 4);
+    }
+  }
+  auto replica_nodes = (*follower)->ReadSubtree(*root);
+  auto primary_nodes = p.doc->Subtree(*root);
+  ASSERT_TRUE(replica_nodes.ok()) << replica_nodes.status().message();
+  ASSERT_TRUE(primary_nodes.ok());
+  ASSERT_EQ(replica_nodes->size(), primary_nodes->size());
+  for (size_t n = 0; n < primary_nodes->size(); ++n) {
+    EXPECT_EQ((*replica_nodes)[n].splid, (*primary_nodes)[n].splid);
+    EXPECT_EQ((*replica_nodes)[n].record.content,
+              (*primary_nodes)[n].record.content);
+  }
 }
 
 TEST(ReplicationTest, RunStatsCarryReplicationCounters) {
