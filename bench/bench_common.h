@@ -13,9 +13,12 @@
 #ifndef XTC_BENCH_BENCH_COMMON_H_
 #define XTC_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "tamix/coordinator.h"
 
@@ -60,12 +63,49 @@ inline void PrintHeader(const char* figure, const char* what) {
               "throughput normalized to committed tx per 5 min");
 }
 
+/// Scales `count` events of one run to the paper's 5-minute run, by the
+/// factor RunStats::throughput_per_5min applies to commits.
+inline double Per5Min(const RunStats& stats, uint64_t count) {
+  if (stats.run_duration_ms <= 0) return 0.0;
+  return static_cast<double>(count) * 300000.0 /
+         static_cast<double>(stats.run_duration_ms);
+}
+
+/// Prints `title` and a table with one line per `rows` label and one
+/// column per `columns` label; cell (r, c) is value(r, c), rounded to a
+/// whole number. Every figure and ablation table goes through here.
+inline void PrintGrid(const std::string& title, const std::string& corner,
+                      const std::vector<std::string>& rows,
+                      const std::vector<std::string>& columns,
+                      const std::function<double(size_t, size_t)>& value) {
+  size_t row_width = corner.size();
+  for (const std::string& r : rows) row_width = std::max(row_width, r.size());
+  const int label = static_cast<int>(row_width);
+  auto width = [&](size_t c) {
+    return static_cast<int>(std::max<size_t>(columns[c].size(), 9));
+  };
+  std::printf("\n## %s\n%-*s", title.c_str(), label, corner.c_str());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    std::printf(" %*s", width(c), columns[c].c_str());
+  }
+  std::printf("\n");
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::printf("%-*s", label, rows[r].c_str());
+    for (size_t c = 0; c < columns.size(); ++c) {
+      std::printf(" %*.0f", width(c), value(r, c));
+    }
+    std::printf("\n");
+  }
+}
+
 /// One CLUSTER1 run; prints an error and exits on failure.
 inline RunStats MustRun(const RunConfig& config) {
   auto stats = RunCluster1(config);
   if (!stats.ok()) {
-    std::fprintf(stderr, "benchmark run failed (%s, depth %d): %s\n",
-                 config.protocol.c_str(), config.lock_depth,
+    std::fprintf(stderr, "benchmark run failed (%s, %s, depth %d): %s\n",
+                 config.protocol.c_str(),
+                 std::string(IsolationLevelName(config.isolation)).c_str(),
+                 config.lock_depth,
                  stats.status().ToString().c_str());
     std::exit(1);
   }

@@ -7,6 +7,9 @@
 // one subtree lock plus the ancestor path. The paper measured roughly a
 // 2x execution-time penalty for the *-2PL group.
 
+#include <string>
+#include <vector>
+
 #include "bench_common.h"
 #include "protocols/protocol_registry.h"
 
@@ -17,10 +20,8 @@ int main() {
   PrintHeader("Figure 11", "CLUSTER2: TAdelBook execution time, single-user");
 
   const int deletions = FullSize() ? 40 : 12;
-  std::printf("\n%-10s %16s %16s\n", "protocol", "ms/TAdelBook",
-              "lock requests");
-  double two_pl_avg = 0, other_avg = 0;
-  int two_pl_n = 0, other_n = 0;
+  std::vector<std::string> protocols;
+  std::vector<Cluster2Result> results;
   for (std::string_view name : AllProtocolNames()) {
     RunConfig config = Cluster1Config();
     config.protocol = std::string(name);
@@ -30,29 +31,39 @@ int main() {
     config.storage.io_latency_us = 25;
     auto result = RunCluster2(config, deletions);
     if (!result.ok()) {
-      std::fprintf(stderr, "%s: %s\n", std::string(name).c_str(),
+      std::fprintf(stderr, "%s: %s\n", config.protocol.c_str(),
                    result.status().ToString().c_str());
       return 1;
     }
-    std::printf("%-10s %16.2f %16llu\n", std::string(name).c_str(),
-                result->ms_per_deletion(),
-                static_cast<unsigned long long>(result->lock_requests));
-    const bool is_two_pl =
-        name == "Node2PL" || name == "NO2PL" || name == "OO2PL";
-    if (is_two_pl) {
-      two_pl_avg += result->ms_per_deletion();
-      ++two_pl_n;
-    } else {
-      other_avg += result->ms_per_deletion();
-      ++other_n;
-    }
+    protocols.push_back(config.protocol);
+    results.push_back(*result);
   }
-  two_pl_avg /= two_pl_n;
-  other_avg /= other_n;
-  std::printf("\n## group averages\n");
-  std::printf("%-28s %10.2f ms\n", "*-2PL (Node2PL/NO2PL/OO2PL)", two_pl_avg);
-  std::printf("%-28s %10.2f ms\n", "intention-lock protocols", other_avg);
-  std::printf("%-28s %10.2fx\n", "ratio", two_pl_avg / other_avg);
+  auto us_per_deletion = [&](size_t p) {
+    return 1000 * results[p].ms_per_deletion();
+  };
+  PrintGrid("TAdelBook execution time and lock requests", "protocol",
+            protocols, {"us/TAdelBook", "lock requests"},
+            [&](size_t r, size_t c) {
+              return c == 0 ? us_per_deletion(r)
+                            : static_cast<double>(results[r].lock_requests);
+            });
+
+  // Group 0: the *-2PL group; group 1: every intention-lock protocol.
+  double sum[2] = {0, 0};
+  int n[2] = {0, 0};
+  for (size_t p = 0; p < protocols.size(); ++p) {
+    const bool is_two_pl = protocols[p] == "Node2PL" ||
+                           protocols[p] == "NO2PL" || protocols[p] == "OO2PL";
+    const int g = is_two_pl ? 0 : 1;
+    sum[g] += us_per_deletion(p);
+    ++n[g];
+  }
+  const double avg[2] = {sum[0] / n[0], sum[1] / n[1]};
+  PrintGrid("group averages", "group",
+            {"*-2PL (Node2PL/NO2PL/OO2PL)", "intention-lock protocols"},
+            {"us/TAdelBook", "% of intention-lock"}, [&](size_t r, size_t c) {
+              return c == 0 ? avg[r] : 100 * avg[r] / avg[1];
+            });
   std::printf(
       "# expected shape (paper): the *-2PL group needs roughly twice the "
       "time of all other protocols.\n");

@@ -98,59 +98,6 @@ void ClosedLoopWorker(uint16_t port, const BibInfo* info, int index,
   }
 }
 
-/// One fixed-level closed-loop run against a fresh engine + server built
-/// with `options` — the outcome-table ablation needs two servers with
-/// different resilience configs, so it cannot reuse the sweep's.
-LevelResult RunFixedLevel(const net::ServerOptions& options, int n,
-                          double seconds) {
-  LevelResult level;
-  level.connections = n;
-  Document doc;
-  auto info = GenerateBib(&doc, BibConfig::Bench());
-  if (!info.ok()) return level;
-  LockTableOptions lock_options;
-  lock_options.wait_timeout = Millis(2000);
-  std::unique_ptr<XmlProtocol> protocol =
-      CreateProtocol("taDOM3+", lock_options);
-  LockManager lock_manager(protocol.get());
-  TransactionManager tx_manager(&lock_manager);
-  NodeManager node_manager(&doc, &lock_manager);
-  net::Server server(
-      net::Server::Deps{&node_manager, &tx_manager, &protocol->table(),
-                        &*info, nullptr},
-      options);
-  if (!server.Start().ok()) return level;
-
-  std::atomic<bool> stop{false};
-  std::vector<WorkerResult> worker_results(static_cast<size_t>(n));
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers.emplace_back(ClosedLoopWorker, server.port(), &*info, i,
-                         static_cast<uint64_t>(31 + n), &stop,
-                         &worker_results[static_cast<size_t>(i)]);
-  }
-  const TimePoint start = Now();
-  SleepFor(Millis(static_cast<int64_t>(seconds * 1000.0)));
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& w : workers) w.join();
-  const double elapsed_s = static_cast<double>(ToMicros(Now() - start)) / 1e6;
-
-  LatencyHistogram merged;
-  for (const WorkerResult& w : worker_results) {
-    level.committed += w.committed;
-    level.aborted += w.aborted;
-    merged.Merge(w.latency);
-  }
-  level.throughput_per_sec =
-      elapsed_s == 0 ? 0 : static_cast<double>(level.committed) / elapsed_s;
-  level.p50_ms = static_cast<double>(merged.PercentileUs(0.50)) / 1000.0;
-  level.p95_ms = static_cast<double>(merged.PercentileUs(0.95)) / 1000.0;
-  level.p99_ms = static_cast<double>(merged.PercentileUs(0.99)) / 1000.0;
-  server.Stop();
-  return level;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -251,37 +198,6 @@ int main(int argc, char** argv) {
   server.Stop();
   const net::ServerStats stats = server.stats();
 
-  // Outcome-table ablation: what the exactly-once machinery (per-request
-  // dedup lookup + outcome recording + lease bookkeeping) costs on the
-  // happy path, where no connection ever fails. Same fixed level against
-  // the pre-resilience server and the resilient one.
-  const int ablation_conns = 8;
-  net::ServerOptions plain;
-  plain.num_workers = 32;
-  plain.outcome_table_entries = 0;  // no recording, no dedup lookups
-  net::ServerOptions resilient = plain;
-  resilient.outcome_table_entries = 8;
-  resilient.session_lease = std::chrono::seconds(30);
-  const LevelResult abl_off =
-      RunFixedLevel(plain, ablation_conns, level_seconds);
-  const LevelResult abl_on =
-      RunFixedLevel(resilient, ablation_conns, level_seconds);
-  const double overhead_pct =
-      abl_off.throughput_per_sec == 0
-          ? 0
-          : 100.0 * (abl_off.throughput_per_sec - abl_on.throughput_per_sec) /
-                abl_off.throughput_per_sec;
-  if (!json) {
-    std::printf("\n# outcome-table ablation (%d connections, happy path)\n",
-                ablation_conns);
-    std::printf("%-28s %12.0f commit/s   p50 %6.2f ms\n",
-                "table off (pre-resilience)", abl_off.throughput_per_sec,
-                abl_off.p50_ms);
-    std::printf("%-28s %12.0f commit/s   p50 %6.2f ms   overhead %.1f%%\n",
-                "table on (8 entries, lease)", abl_on.throughput_per_sec,
-                abl_on.p50_ms, overhead_pct);
-  }
-
   if (json) {
     std::printf("{\n  \"benchmark\": \"micro_server saturation sweep\",\n");
     std::printf("  \"protocol\": \"taDOM3+\",\n");
@@ -303,13 +219,6 @@ int main(int argc, char** argv) {
                   i + 1 < results.size() ? "," : "");
     }
     std::printf("  ],\n");
-    std::printf("  \"ablation_outcome_table\": {\"connections\": %d, "
-                "\"off_commit_per_sec\": %.0f, \"on_commit_per_sec\": %.0f, "
-                "\"off_p50_ms\": %.2f, \"on_p50_ms\": %.2f, "
-                "\"overhead_pct\": %.1f},\n",
-                ablation_conns, abl_off.throughput_per_sec,
-                abl_on.throughput_per_sec, abl_off.p50_ms, abl_on.p50_ms,
-                overhead_pct);
     std::printf("  \"protocol_errors\": %llu,\n",
                 static_cast<unsigned long long>(stats.protocol_errors));
     std::printf("  \"sessions_opened\": %llu\n}\n",
@@ -336,13 +245,6 @@ int main(int argc, char** argv) {
                      r.connections, kMaxInFlightTx);
         ++failures;
       }
-    }
-    if (abl_off.committed == 0 || abl_on.committed == 0) {
-      std::fprintf(stderr, "FAIL: outcome-table ablation committed nothing "
-                           "(off %llu, on %llu)\n",
-                   static_cast<unsigned long long>(abl_off.committed),
-                   static_cast<unsigned long long>(abl_on.committed));
-      ++failures;
     }
     if (stats.protocol_errors != 0) {
       std::fprintf(stderr, "FAIL: %llu protocol errors on clean clients\n",

@@ -438,8 +438,7 @@ bool Server::Process(const SessionPtr& s, const Frame& frame) {
   std::string payload;
   bool close_after = false;
   bool executed = false;
-  const bool dedupable =
-      options_.outcome_table_entries > 0 && IsTxScoped(frame.type);
+  const bool dedupable = IsTxScoped(frame.type);
   if (!frame.reject.ok()) {
     payload = StatusOnlyPayload(frame.reject);
     close_after = true;
@@ -482,7 +481,7 @@ void Server::DedupRecord(SessionCore* core, uint32_t request_id, uint8_t type,
                          const std::string& payload) {
   if (payload.size() > kOutcomeRecordMaxBytes) return;
   core->outcomes.push_back(OutcomeEntry{request_id, type, payload});
-  while (core->outcomes.size() > options_.outcome_table_entries) {
+  while (core->outcomes.size() > kOutcomeTableEntries) {
     core->outcomes.pop_front();
   }
 }

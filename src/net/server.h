@@ -95,12 +95,13 @@ struct ServerOptions {
   /// request outcomes) survives awaiting a kResume. Zero = disconnect
   /// aborts immediately (the pre-lease behavior).
   Duration session_lease = Duration::zero();
-  /// Recent response payloads remembered per session for retried
-  /// request_ids (exactly-once commit resolution). 0 disables the table;
-  /// a synchronous client only ever retries its newest request, so a
-  /// handful of entries is plenty.
-  size_t outcome_table_entries = 8;
 };
+
+/// Recent response payloads remembered per session for retried
+/// request_ids (exactly-once commit resolution). A synchronous client
+/// only ever retries its newest request, so a handful of entries is
+/// plenty.
+inline constexpr size_t kOutcomeTableEntries = 8;
 
 class Server {
  public:

@@ -30,7 +30,7 @@ class TaDomProtocol : public ProtocolBase {
  public:
   /// `edge_locks = false` drops all navigation-edge locking (ablation:
   /// what the paper's "adequate edge locks ... are mandatory" costs and
-  /// buys — see bench/ablation_edge_locks).
+  /// buys — see the edge-lock table of bench/cluster1_figures).
   TaDomProtocol(TaDomVariant variant, LockTableOptions options = {},
                 bool edge_locks = true);
 

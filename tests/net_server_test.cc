@@ -1038,6 +1038,57 @@ TEST_F(NetServerTest, DuplicatedCommitFrameIsAnsweredFromOutcomeTable) {
   ExpectQuiescent();
 }
 
+TEST_F(NetServerTest, OutcomeTableKeepsOnlyTheNewestEntries) {
+  // The table is a ring of kOutcomeTableEntries outcomes per session. A
+  // retried request_id still among the newest is answered from it; one
+  // evicted by later requests executes again.
+  StartServer();
+  RawConn conn(server_->port());
+  ASSERT_TRUE(conn.ok());
+  FrameHeader header;
+  std::string payload;
+  ASSERT_TRUE(conn.Send(
+      EncodeFrame(static_cast<uint8_t>(MsgType::kBegin), 1, BeginPayload())));
+  ASSERT_TRUE(conn.RecvFrame(&header, &payload));
+
+  // Begin plus lookups 2..N+2 record N+2 outcomes: ids 3..N+2 remain.
+  WireWriter lookup;
+  lookup.Str(info_.book_ids[0]);
+  const uint32_t last = static_cast<uint32_t>(kOutcomeTableEntries) + 2;
+  std::map<uint32_t, std::string> responses;
+  for (uint32_t id = 2; id <= last; ++id) {
+    ASSERT_TRUE(conn.Send(EncodeFrame(
+        static_cast<uint8_t>(MsgType::kGetElementById), id, lookup.str())));
+    ASSERT_TRUE(conn.RecvFrame(&header, &responses[id]));
+  }
+  EXPECT_EQ(server_->stats().dedup_hits, 0u);
+
+  const uint32_t oldest_kept = 3;
+  ASSERT_TRUE(conn.Send(EncodeFrame(
+      static_cast<uint8_t>(MsgType::kGetElementById), oldest_kept,
+      lookup.str())));
+  ASSERT_TRUE(conn.RecvFrame(&header, &payload));
+  EXPECT_EQ(header.request_id, oldest_kept);
+  EXPECT_EQ(payload, responses[oldest_kept]);
+  EXPECT_EQ(server_->stats().dedup_hits, 1u);
+
+  const uint32_t evicted = 2;
+  ASSERT_TRUE(conn.Send(EncodeFrame(
+      static_cast<uint8_t>(MsgType::kGetElementById), evicted, lookup.str())));
+  ASSERT_TRUE(conn.RecvFrame(&header, &payload));
+  EXPECT_EQ(header.request_id, evicted);
+  {
+    WireReader r(payload);
+    Status st;
+    ASSERT_TRUE(GetStatus(&r, &st));
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  EXPECT_EQ(server_->stats().dedup_hits, 1u)
+      << "an evicted request_id must execute again";
+  conn.Close();
+  ExpectQuiescent();
+}
+
 TEST_F(NetServerTest, LeaseParksDisconnectAndKeepsLocksHeld) {
   // With a lease, a disconnect is presumed transient: the transaction
   // parks with its locks HELD (a conflicting writer times out) instead
