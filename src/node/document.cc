@@ -131,7 +131,7 @@ Document::Document(const StorageOptions& options, const PageFileImage& image,
                    uint32_t dist)
     : options_(options), file_(options, image), gen_(dist) {
   buffer_ = std::make_unique<BufferManager>(&file_, options_);
-  // Trees attach later (AttachRecoveredTrees), once the log scan has
+  // Trees attach later (ReattachTrees), once the log scan has
   // produced their roots. "id" is re-interned here exactly as the
   // crashed instance's constructor did, so the surrogate matches the
   // logged vocabulary — RestoreEntry verifies the agreement.
@@ -166,23 +166,6 @@ WalTreeMeta Document::TreeMetaLocked() const {
 WalTreeMeta Document::CurrentTreeMeta() const {
   ReaderMutexLock latch(mu_);
   return TreeMetaLocked();
-}
-
-Status Document::AttachRecoveredTrees(const WalTreeMeta& meta) {
-  WriterMutexLock latch(mu_);
-  if (doc_ != nullptr) {
-    return Status::InvalidArgument("trees already attached");
-  }
-  if (meta.doc_root == kInvalidPageId || meta.elem_root == kInvalidPageId ||
-      meta.id_root == kInvalidPageId) {
-    return Status::DataLoss("recovered tree metadata is incomplete");
-  }
-  doc_ = std::make_unique<BplusTree>(buffer_.get(), meta.doc_root,
-                                     meta.doc_count);
-  elements_ = std::make_unique<ElementIndex>(buffer_.get(), meta.elem_root,
-                                             meta.elem_count);
-  ids_ = std::make_unique<IdIndex>(buffer_.get(), meta.id_root, meta.id_count);
-  return Status::OK();
 }
 
 Status Document::ReattachTrees(const WalTreeMeta& meta) {

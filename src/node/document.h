@@ -50,8 +50,8 @@ class Document {
 
   /// Restart-recovery construction: reopens the storage substrate from a
   /// crash image. The three trees stay unattached — no document operation
-  /// is legal — until AttachRecoveredTrees supplies the attach points the
-  /// log scan recovered.
+  /// is legal — until ReattachTrees supplies the attach points the log
+  /// scan recovered.
   Document(const StorageOptions& options, const PageFileImage& image,
            uint32_t dist = 2);
 
@@ -154,14 +154,10 @@ class Document {
   /// so the compensation is logged under the undone transaction's id.
   Status ApplyUndo(const UndoOp& undo) XTC_EXCLUDES(mu_);
 
-  /// Attaches the three B+-trees at the recovered roots (recovery
-  /// construction only; fails if trees are already attached).
-  Status AttachRecoveredTrees(const WalTreeMeta& meta) XTC_EXCLUDES(mu_);
-
-  /// Re-points the three B+-trees at new attach points (follower
-  /// tailing: every applied update record may move roots/counts, and its
-  /// page images may invalidate the trees' last-leaf hints). Unlike
-  /// AttachRecoveredTrees this may be called repeatedly; the caller must
+  /// Points the three B+-trees at the given attach points: once after
+  /// restart recovery's log scan, and on every applied update record
+  /// while a follower tails (it may move roots/counts, and its page
+  /// images may invalidate the trees' last-leaf hints). The caller must
   /// guarantee no operation is mid-flight (the exclusive latch makes the
   /// swap atomic against readers).
   Status ReattachTrees(const WalTreeMeta& meta) XTC_EXCLUDES(mu_);

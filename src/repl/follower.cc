@@ -6,24 +6,11 @@
 
 #include "storage/buffer_manager.h"
 #include "util/check.h"
-#include "util/crc32.h"
 #include "wal/redo_applier.h"
 
 namespace xtc {
 
 namespace {
-
-uint32_t LoadU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-bool MetaEq(const WalTreeMeta& a, const WalTreeMeta& b) {
-  return a.doc_root == b.doc_root && a.doc_count == b.doc_count &&
-         a.elem_root == b.elem_root && a.elem_count == b.elem_count &&
-         a.id_root == b.id_root && a.id_count == b.id_count;
-}
 
 /// Redo sink over the follower's buffer pool: applied after-images stay
 /// resident (replica reads see them without a flush) and only reach the
@@ -84,8 +71,8 @@ Follower::Follower(const FollowerOptions& options) : options_(options) {
 StatusOr<std::unique_ptr<Follower>> Follower::Bootstrap(
     const FollowerOptions& options, const PageFileImage& base_disk,
     const std::string& base_log) {
-  XTC_ASSIGN_OR_RETURN(std::string clean, Wal::SanitizeImage(base_log));
-  if (clean.size() <= kWalHeaderSize) {
+  XTC_RETURN_IF_ERROR(Wal::CheckHeader(base_log));
+  if (base_log.size() <= kWalHeaderSize) {
     return Status::InvalidArgument(
         "follower bootstrap: base log holds no records (seed the follower "
         "from a checkpointed primary image)");
@@ -94,12 +81,15 @@ StatusOr<std::unique_ptr<Follower>> Follower::Bootstrap(
   follower->doc_ = std::make_unique<Document>(follower->options_.storage,
                                               base_disk, options.dist);
   WriterMutexLock lock(follower->mu_);
-  follower->log_ = std::move(clean);
+  follower->log_ = base_log;
+  XTC_RETURN_IF_ERROR(follower->ApplyCompleteRecordsLocked());
+  // A torn or incomplete base tail goes; the shipper re-ships from the
+  // received watermark.
+  follower->DropUnappliedTailLocked();
   // Until the first shipped chunk reports the primary's watermark, the
   // best staleness estimate is "we have everything" relative to the
   // base images we were seeded from.
   follower->source_durable_lsn_ = follower->log_.size();
-  XTC_RETURN_IF_ERROR(follower->ApplyCompleteRecordsLocked());
   if (!follower->have_meta_) {
     return Status::DataLoss(
         "follower bootstrap: no checkpoint or update record supplied tree "
@@ -123,12 +113,9 @@ Status Follower::Ingest(std::string_view bytes, Lsn source_durable_lsn) {
 
 Status Follower::ApplyCompleteRecordsLocked() {
   while (!tail_torn_) {
-    if (scan_pos_ + 8 > log_.size()) break;
-    const uint32_t len = LoadU32(log_.data() + scan_pos_);
-    const uint32_t crc = LoadU32(log_.data() + scan_pos_ + 4);
-    if (scan_pos_ + 8 + len > log_.size()) break;  // incomplete: wait
-    const std::string_view payload(log_.data() + scan_pos_ + 8, len);
-    if (Crc32(payload) != crc) {
+    XTC_ASSIGN_OR_RETURN(WalFrame frame, Wal::ReadFrame(log_, scan_pos_));
+    if (frame.kind == WalFrameKind::kIncomplete) break;  // wait for more
+    if (frame.kind == WalFrameKind::kTorn) {
       // Torn record shipped whole: the scan parks here until the
       // harness resyncs (truncate + re-ship); it is not an error.
       tail_torn_ = true;
@@ -144,10 +131,9 @@ Status Follower::ApplyCompleteRecordsLocked() {
       return Status::IoError(
           "injected fault at crash.apply: follower killed mid apply");
     }
-    XTC_ASSIGN_OR_RETURN(WalRecord record, Wal::ReadRecordAt(log_, scan_pos_));
-    XTC_RETURN_IF_ERROR(ApplyOneLocked(record));
-    scan_pos_ += 8 + len;
-    applied_lsn_ = record.end_lsn;
+    XTC_RETURN_IF_ERROR(ApplyOneLocked(frame.record));
+    scan_pos_ = frame.record.end_lsn;
+    applied_lsn_ = frame.record.end_lsn;
     ++stats_.records_applied;
   }
   return Status::OK();
@@ -166,7 +152,7 @@ Status Follower::ApplyOneLocked(const WalRecord& record) {
       // Fresh trees start without hints.
       XTC_RETURN_IF_ERROR(
           doc_->ReattachTrees(record.meta).Annotate("follower reattach"));
-      if (!have_meta_ || !MetaEq(meta_, record.meta)) ++stats_.reattaches;
+      if (!have_meta_ || meta_ != record.meta) ++stats_.reattaches;
       meta_ = record.meta;
       have_meta_ = true;
       return Status::OK();
@@ -188,7 +174,7 @@ Status Follower::ApplyOneLocked(const WalRecord& record) {
                                 .RestoreEntry(surrogate, name)
                                 .Annotate("follower checkpoint vocab"));
       }
-      if (!have_meta_ || !MetaEq(meta_, record.meta)) {
+      if (!have_meta_ || meta_ != record.meta) {
         XTC_RETURN_IF_ERROR(doc_->ReattachTrees(record.meta)
                                 .Annotate("follower checkpoint reattach"));
         meta_ = record.meta;
@@ -206,11 +192,16 @@ Status Follower::ApplyOneLocked(const WalRecord& record) {
   return Status::DataLoss("follower: unknown record type");
 }
 
-uint64_t Follower::ResyncToCompleteRecord() {
-  WriterMutexLock lock(mu_);
+uint64_t Follower::DropUnappliedTailLocked() {
   const uint64_t dropped = log_.size() - scan_pos_;
   log_.resize(scan_pos_);
   tail_torn_ = false;
+  return dropped;
+}
+
+uint64_t Follower::ResyncToCompleteRecord() {
+  WriterMutexLock lock(mu_);
+  const uint64_t dropped = DropUnappliedTailLocked();
   if (dropped > 0) ++stats_.resyncs;
   return dropped;
 }
@@ -264,14 +255,13 @@ StatusOr<OpenResult> Follower::Promote(const StorageOptions& storage,
         "first");
   }
   // Persist the applied-but-buffered state, then run ordinary restart
-  // recovery over (stored pages, sanitized local log): redo is a no-op
-  // for everything flushed, and the undo pass rolls back transactions
-  // whose commit never shipped.
+  // recovery over (stored pages, local log): redo is a no-op for
+  // everything flushed, the scan drops a torn shipped tail, and the undo
+  // pass rolls back transactions whose commit never shipped.
   XTC_RETURN_IF_ERROR(
       doc_->buffer().FlushAll().Annotate("promote: follower flush"));
-  XTC_ASSIGN_OR_RETURN(std::string log, Wal::SanitizeImage(log_));
   StatusOr<OpenResult> opened =
-      OpenDatabase(storage, wal_options, doc_->page_file().CloneImage(), log,
+      OpenDatabase(storage, wal_options, doc_->page_file().CloneImage(), log_,
                    options_.dist, nullptr, recovery);
   if (opened.ok()) promoted_ = true;
   return opened;

@@ -25,10 +25,12 @@
 // by more than a configured bound (bounded staleness).
 //
 // Promotion (failover) turns the follower into a primary: flush the
-// buffer pool, sanitize the local log (torn shipped tail truncated,
-// master pointer repaired), and run ordinary restart recovery over the
-// result — the existing undo pass rolls back transactions that never
-// shipped a commit. Commit records are forced durable on the primary
+// buffer pool and run ordinary restart recovery over the stored pages
+// and the local log — its scan drops a torn shipped tail, and the undo
+// pass rolls back transactions that never shipped a commit.
+//
+// Tailing, bootstrap and restart all read the log through Wal::ReadFrame,
+// so each record's CRC is checked once and the record decoded once. Commit records are forced durable on the primary
 // before the client learns of them, and failover drains the primary's
 // surviving durable log before promoting, so promotion never loses an
 // acknowledged commit.
@@ -85,11 +87,11 @@ class Follower {
  public:
   /// Builds a follower from a base pair of images — either the primary's
   /// base checkpoint images (initial seeding) or a dead follower's own
-  /// crash artifacts (restart). The log is sanitized (a pending torn
-  /// tail truncates — the shipper re-ships from the new received
-  /// watermark) and replayed through the same conditioned apply path
-  /// tailing uses. The log must contain at least one checkpoint so tree
-  /// attach points exist.
+  /// crash artifacts (restart). The log is replayed through the same
+  /// conditioned apply path tailing uses, then a torn or incomplete tail
+  /// truncates (the shipper re-ships from the new received watermark).
+  /// The log must contain at least one checkpoint so tree attach points
+  /// exist.
   static StatusOr<std::unique_ptr<Follower>> Bootstrap(
       const FollowerOptions& options, const PageFileImage& base_disk,
       const std::string& base_log);
@@ -127,8 +129,8 @@ class Follower {
 
   // --- failover ----------------------------------------------------------
 
-  /// Promotes the follower: flush the pool, sanitize the local log, and
-  /// run restart recovery (losers roll back; parallel redo honoured via
+  /// Promotes the follower: flush the pool and run restart recovery over
+  /// the local log (losers roll back; parallel redo honoured via
   /// `recovery.redo_workers`). `storage`/`wal_options` configure the
   /// *new primary* — pass a fresh (or no) crash switch. The follower
   /// must not itself be crashed (restart it first). The follower is
@@ -166,6 +168,9 @@ class Follower {
   /// incomplete or torn tail (not an error) or a crash.apply kill.
   Status ApplyCompleteRecordsLocked() XTC_REQUIRES(mu_);
   Status ApplyOneLocked(const WalRecord& record) XTC_REQUIRES(mu_);
+  /// Truncates log_ to scan_pos_ and clears the parked torn tail;
+  /// returns the number of bytes dropped.
+  uint64_t DropUnappliedTailLocked() XTC_REQUIRES(mu_);
   uint64_t LagBytesLocked() const XTC_REQUIRES_SHARED(mu_);
   Status CheckReadableLocked() const XTC_REQUIRES_SHARED(mu_);
 

@@ -242,16 +242,14 @@ Status RunNet(uint64_t seed, const RunConfig& base, FuzzOutcome* out) {
   if (report.log_image.empty()) {
     return Status::Internal("run produced no durable log image");
   }
-  bool torn_tail = false;
-  XTC_ASSIGN_OR_RETURN(std::vector<WalRecord> records,
-                       Wal::ScanDurable(report.log_image, &torn_tail));
-  if (torn_tail) {
+  XTC_ASSIGN_OR_RETURN(WalScan scan, Wal::ScanDurable(report.log_image));
+  if (scan.torn_tail) {
     // The server shut down cleanly (Drain syncs); a torn durable tail
     // here means the log itself is broken.
     return Status::Internal("clean shutdown left a torn WAL tail");
   }
   std::vector<RecoveredCommit> wal_commits;
-  for (const WalRecord& r : records) {
+  for (const WalRecord& r : scan.records) {
     if (r.type != WalRecordType::kCommit) continue;
     wal_commits.push_back(RecoveredCommit{r.tx, r.commit_seq, r.payload});
   }

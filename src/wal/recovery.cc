@@ -37,29 +37,26 @@ StatusOr<OpenResult> OpenDatabase(const StorageOptions& storage,
   }
 
   // --- Analysis -----------------------------------------------------------
-  bool torn = false;
-  auto records_or = Wal::ScanDurable(log_image, &torn);
-  if (!records_or.ok()) {
-    return records_or.status().Annotate("recovery: log scan");
-  }
-  const std::vector<WalRecord>& records = *records_or;
+  auto scan = Wal::ScanDurable(log_image);
+  if (!scan.ok()) return scan.status().Annotate("recovery: log scan");
+  const std::vector<WalRecord>& records = scan->records;
+  // The reopened log keeps only the complete records: appending after a
+  // torn tail would leave every later record behind mid-log garbage,
+  // invisible to the next restart's scan.
+  auto reopen_wal = [&] {
+    return std::make_unique<Wal>(wal_options,
+                                 log_image.substr(0, scan->clean_end));
+  };
 
-  // The last complete checkpoint governs recovery. (The master pointer
-  // names the last one whose header update finished; a later checkpoint
-  // record that became fully durable is just as valid a snapshot, so the
-  // scan's last one wins.)
+  // The last complete checkpoint governs recovery.
   const WalRecord* checkpoint = nullptr;
   for (const WalRecord& r : records) {
     if (r.type == WalRecordType::kCheckpoint) checkpoint = &r;
   }
   if (checkpoint == nullptr) {
     if (disk_image.pages.empty() && records.empty()) {
-      // A bare log header over an empty disk: nothing ever happened
-      // (sanitize drops a torn first record so appends go after the
-      // header, not after garbage).
-      auto bare = Wal::SanitizeImage(log_image);
-      if (!bare.ok()) return bare.status().Annotate("recovery: log sanitize");
-      result.wal = std::make_unique<Wal>(wal_options, std::move(*bare));
+      // A bare log header over an empty disk: nothing ever happened.
+      result.wal = reopen_wal();
       result.doc = std::make_unique<Document>(storage, dist);
       result.doc->AttachWal(result.wal.get());
       return result;
@@ -69,7 +66,7 @@ StatusOr<OpenResult> OpenDatabase(const StorageOptions& storage,
   }
 
   result.stats.performed = true;
-  result.stats.torn_log_tail = torn;
+  result.stats.torn_log_tail = scan->torn_tail;
   result.stats.records_scanned = records.size();
   result.stats.checkpoint_lsn = checkpoint->lsn;
 
@@ -144,25 +141,15 @@ StatusOr<OpenResult> OpenDatabase(const StorageOptions& storage,
                             .RestoreEntry(r.surrogate, r.name)
                             .Annotate("recovery: logged vocabulary"));
   }
-  XTC_RETURN_IF_ERROR(doc.AttachRecoveredTrees(meta));
+  XTC_RETURN_IF_ERROR(doc.ReattachTrees(meta));
 
   // --- Undo ---------------------------------------------------------------
   // Losers: transactions with updates but neither commit nor end. Their
   // compensations are logged through the reopened wal (under the loser's
   // id), so a crash mid-undo just grows the chains and a repeat run
   // converges. Tx 0 is system work (bib generation, checkpoints) and is
-  // never undone.
-  //
-  // The wal reopens from the *sanitized* image: a torn tail must be
-  // truncated (not appended after), or every record this recovery and
-  // the recovered instance write afterwards would sit beyond mid-log
-  // garbage, invisible to the next restart's scan — commits made after
-  // a recovery would silently vanish at the restart after that.
-  auto sanitized = Wal::SanitizeImage(log_image);
-  if (!sanitized.ok()) {
-    return sanitized.status().Annotate("recovery: log sanitize");
-  }
-  result.wal = std::make_unique<Wal>(wal_options, std::move(*sanitized));
+  // never undone. Each chain step is found among the scanned records.
+  result.wal = reopen_wal();
   doc.AttachWal(result.wal.get());
   auto failed = [&](const Status& st) {
     if (crash_artifacts != nullptr && Crashed(storage)) {
@@ -182,10 +169,14 @@ StatusOr<OpenResult> OpenDatabase(const StorageOptions& storage,
   while (!frontier.empty()) {
     const auto [lsn, tx] = frontier.top();
     frontier.pop();
-    auto rec = Wal::ReadRecordAt(log_image, lsn);
-    if (!rec.ok()) {
-      return rec.status().Annotate("recovery undo: record of tx " +
-                                   std::to_string(tx));
+    const auto rec = std::lower_bound(
+        records.begin(), records.end(), lsn,
+        [](const WalRecord& r, Lsn target) { return r.lsn < target; });
+    if (rec == records.end() || rec->lsn != lsn) {
+      return Status::DataLoss("recovery undo: prev-LSN chain of tx " +
+                              std::to_string(tx) + " names offset " +
+                              std::to_string(lsn) +
+                              ", which starts no complete record");
     }
     XTC_CHECK(rec->type == WalRecordType::kUpdate && rec->tx == tx,
               "recovery undo: prev-LSN chain reached a foreign record");

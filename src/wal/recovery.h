@@ -2,10 +2,12 @@
 // Document from the two artifacts a hard kill leaves behind — the page
 // file's stored bytes and the durable prefix of the log.
 //
-//   1. Analysis   scan the durable log from the master checkpoint:
-//                 loser transactions (updates but neither commit nor
-//                 end), committed transactions (+ their payloads), the
-//                 latest tree attach points and vocabulary.
+//   1. Analysis   one scan of the whole durable log; the last complete
+//                 checkpoint seeds the tables, and the records after it
+//                 yield the loser transactions (updates but neither
+//                 commit nor end), the latest tree attach points and
+//                 vocabulary. Committed transactions (+ their payloads)
+//                 come from the whole log. The torn tail is dropped.
 //   2. Redo       replay full-page after-images from the minimum
 //                 recovery LSN, conditioned on each stored page's LSN —
 //                 torn or lost pages (checksum mismatch / short file)

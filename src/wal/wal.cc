@@ -242,26 +242,17 @@ uint32_t LoadU32(const char* p) {
 
 }  // namespace
 
-Wal::Wal(WalOptions options) : options_(options) {
-  MutexLock guard(mu_);
-  PutInt<uint64_t>(&buffer_, kWalMagic);
-  PutInt<uint64_t>(&buffer_, 0);  // master checkpoint pointer
-  durable_ = buffer_.size();
-  appended_lsn_.store(buffer_.size(), std::memory_order_release);
-  durable_lsn_.store(durable_, std::memory_order_release);
-}
+Wal::Wal(WalOptions options) : Wal(options, std::string()) {}
 
 Wal::Wal(WalOptions options, std::string durable_image) : options_(options) {
   MutexLock guard(mu_);
   if (durable_image.empty()) {
     PutInt<uint64_t>(&buffer_, kWalMagic);
-    PutInt<uint64_t>(&buffer_, 0);
+    PutInt<uint64_t>(&buffer_, 0);  // reserved
   } else {
-    XTC_CHECK(durable_image.size() >= kWalHeaderSize &&
-                  LoadU64(durable_image.data()) == kWalMagic,
+    XTC_CHECK(CheckHeader(durable_image).ok(),
               "wal: reopening from an image with a bad header");
     buffer_ = std::move(durable_image);
-    last_checkpoint_ = LoadU64(buffer_.data() + 8);
   }
   durable_ = buffer_.size();
   appended_lsn_.store(buffer_.size(), std::memory_order_release);
@@ -440,16 +431,10 @@ Status Wal::AppendCheckpoint(
     PutBytes32(&record, name);
   }
   PutMeta(&record, meta);
-  const Lsn start = buffer_.size();
   AppendRecordLocked(std::move(record));
   XTC_RETURN_IF_ERROR(
       SyncToLocked(buffer_.size(), /*allow_clean_failure=*/true)
           .Annotate("checkpoint flush"));
-  // The checkpoint is durable; advance the master pointer (modelled as
-  // an atomic 8-byte in-place header write, the standard assumption for
-  // a sector-sized metadata update).
-  last_checkpoint_ = start;
-  std::memcpy(&buffer_[8], &start, sizeof(start));
   stats_.checkpoints_taken++;
   return Status::OK();
 }
@@ -477,11 +462,6 @@ std::string Wal::DurableSuffix(Lsn from, uint64_t max_bytes) const {
   return buffer_.substr(from, len);
 }
 
-Lsn Wal::last_checkpoint_lsn() const {
-  MutexLock guard(mu_);
-  return last_checkpoint_;
-}
-
 WalStats Wal::stats() const {
   MutexLock guard(mu_);
   return stats_;
@@ -500,97 +480,58 @@ std::vector<std::pair<uint64_t, Lsn>> Wal::ActiveTxTable() const {
   return {tx_last_lsn_.begin(), tx_last_lsn_.end()};
 }
 
-Lsn Wal::MasterPointer(std::string_view image) {
-  if (image.size() < kWalHeaderSize) return 0;
-  return LoadU64(image.data() + 8);
-}
-
-StatusOr<std::vector<WalRecord>> Wal::ScanDurable(std::string_view image,
-                                                  bool* torn_tail) {
-  if (torn_tail != nullptr) *torn_tail = false;
-  std::vector<WalRecord> records;
-  if (image.empty()) return records;
+Status Wal::CheckHeader(std::string_view image) {
+  if (image.empty()) return Status::OK();
   if (image.size() < kWalHeaderSize || LoadU64(image.data()) != kWalMagic) {
     return Status::DataLoss("wal: log header missing or corrupt");
   }
-  size_t pos = kWalHeaderSize;
-  while (pos < image.size()) {
-    if (pos + 8 > image.size()) {
-      if (torn_tail != nullptr) *torn_tail = true;
-      break;
-    }
-    const uint32_t len = LoadU32(image.data() + pos);
-    const uint32_t crc = LoadU32(image.data() + pos + 4);
-    if (pos + 8 + len > image.size()) {
-      if (torn_tail != nullptr) *torn_tail = true;
-      break;
-    }
-    const std::string_view payload = image.substr(pos + 8, len);
-    if (Crc32(payload) != crc) {
-      // A torn flush can leave stale bytes where the length field used
-      // to be, making `len` garbage that still fits — the CRC is what
-      // actually delimits the durable tail.
-      if (torn_tail != nullptr) *torn_tail = true;
-      break;
-    }
-    auto record = DecodeRecord(payload, pos, pos + 8 + len);
-    if (!record.ok()) {
-      return record.status().Annotate("wal: record at offset " +
-                                      std::to_string(pos));
-    }
-    records.push_back(std::move(*record));
-    pos += 8 + len;
-  }
-  return records;
+  return Status::OK();
 }
 
-StatusOr<std::string> Wal::SanitizeImage(std::string image) {
-  if (image.empty()) return image;
-  if (image.size() < kWalHeaderSize || LoadU64(image.data()) != kWalMagic) {
-    return Status::DataLoss("wal: log header missing or corrupt");
+StatusOr<WalFrame> Wal::ReadFrame(std::string_view image, Lsn pos) {
+  WalFrame frame;
+  if (pos + 8 > image.size()) return frame;
+  const uint32_t len = LoadU32(image.data() + pos);
+  const uint32_t crc = LoadU32(image.data() + pos + 4);
+  if (len == 0) {
+    // Every record starts with its type byte.
+    frame.kind = WalFrameKind::kTorn;
+    return frame;
   }
-  // Walk the frames exactly as ScanDurable does (CRC delimits the
-  // durable tail), tracking the end of the last complete record and the
-  // LSN of the last complete checkpoint.
-  size_t clean_end = kWalHeaderSize;
-  Lsn last_checkpoint = 0;
-  size_t pos = kWalHeaderSize;
-  while (pos + 8 <= image.size()) {
-    const uint32_t len = LoadU32(image.data() + pos);
-    const uint32_t crc = LoadU32(image.data() + pos + 4);
-    if (pos + 8 + len > image.size()) break;
-    const std::string_view payload =
-        std::string_view(image).substr(pos + 8, len);
-    if (Crc32(payload) != crc) break;
-    if (len > 0 && static_cast<WalRecordType>(static_cast<uint8_t>(
-                       payload[0])) == WalRecordType::kCheckpoint) {
-      last_checkpoint = pos;
-    }
-    pos += 8 + len;
-    clean_end = pos;
-  }
-  image.resize(clean_end);
-  // Canonical master pointer: the last checkpoint that survived the
-  // truncation. This also repairs the torn-checkpoint case, where the
-  // in-place header update finished but the record itself tore.
-  std::memcpy(image.data() + 8, &last_checkpoint, sizeof(last_checkpoint));
-  return image;
-}
-
-StatusOr<WalRecord> Wal::ReadRecordAt(std::string_view image, Lsn lsn) {
-  if (lsn < kWalHeaderSize || lsn + 8 > image.size()) {
-    return Status::InvalidArgument("wal: record offset out of range");
-  }
-  const uint32_t len = LoadU32(image.data() + lsn);
-  const uint32_t crc = LoadU32(image.data() + lsn + 4);
-  if (lsn + 8 + len > image.size()) {
-    return Status::DataLoss("wal: record truncated");
-  }
-  const std::string_view payload = image.substr(lsn + 8, len);
+  if (pos + 8 + len > image.size()) return frame;
+  const std::string_view payload = image.substr(pos + 8, len);
   if (Crc32(payload) != crc) {
-    return Status::DataLoss("wal: record checksum mismatch");
+    // A torn flush can leave stale bytes where the length field used to
+    // be, making `len` garbage that still fits — the CRC is what
+    // actually delimits the durable tail.
+    frame.kind = WalFrameKind::kTorn;
+    return frame;
   }
-  return DecodeRecord(payload, lsn, lsn + 8 + len);
+  auto record = DecodeRecord(payload, pos, pos + 8 + len);
+  if (!record.ok()) {
+    return record.status().Annotate("wal: record at offset " +
+                                    std::to_string(pos));
+  }
+  frame.kind = WalFrameKind::kRecord;
+  frame.record = std::move(*record);
+  return frame;
+}
+
+StatusOr<WalScan> Wal::ScanDurable(std::string_view image) {
+  XTC_RETURN_IF_ERROR(CheckHeader(image));
+  WalScan scan;
+  if (image.empty()) return scan;
+  scan.clean_end = kWalHeaderSize;
+  while (scan.clean_end < image.size()) {
+    XTC_ASSIGN_OR_RETURN(WalFrame frame, ReadFrame(image, scan.clean_end));
+    if (frame.kind != WalFrameKind::kRecord) {
+      scan.torn_tail = true;
+      break;
+    }
+    scan.clean_end = frame.record.end_lsn;
+    scan.records.push_back(std::move(frame.record));
+  }
+  return scan;
 }
 
 }  // namespace xtc

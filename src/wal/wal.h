@@ -1,8 +1,8 @@
 // ARIES-lite write-ahead log (DESIGN.md §6).
 //
 // The log is a single sequential byte stream: a 16-byte header
-// ([magic u64][master u64] — the master pointer names the LSN of the
-// last durable checkpoint) followed by CRC-framed records. A record's
+// ([magic u64][reserved u64, written as zero]) followed by CRC-framed
+// records, each [u32 len][u32 crc][payload]. A record's
 // LSN is its start offset; its *end offset* (start + frame + payload)
 // is what gets stamped into the page header of every page whose
 // after-image it carries, so "page reflects record" is the simple
@@ -109,6 +109,8 @@ struct WalTreeMeta {
   uint64_t elem_count = 0;
   PageId id_root = kInvalidPageId;
   uint64_t id_count = 0;
+
+  bool operator==(const WalTreeMeta&) const = default;
 };
 
 // --- decoded records (recovery) --------------------------------------------
@@ -142,6 +144,28 @@ struct WalRecord {
   std::vector<std::pair<uint64_t, Lsn>> active_txs;     // kCheckpoint
   std::vector<std::pair<PageId, Lsn>> dirty_pages;      // kCheckpoint
   std::vector<std::pair<uint32_t, std::string>> vocab;  // kCheckpoint
+};
+
+/// What the bytes at one log offset hold (Wal::ReadFrame).
+enum class WalFrameKind : uint8_t {
+  kRecord,      // a complete record whose CRC matched
+  kIncomplete,  // the image ends inside the frame; more bytes may follow
+  kTorn,        // CRC mismatch or impossible length: the log ends here
+};
+
+struct WalFrame {
+  WalFrameKind kind = WalFrameKind::kIncomplete;
+  WalRecord record;  // kRecord only; record.end_lsn is the next offset
+};
+
+/// Every complete record of a log image (Wal::ScanDurable).
+struct WalScan {
+  std::vector<WalRecord> records;  // ascending lsn
+  /// Offset just past the last complete record: the prefix a reopened
+  /// log keeps (0 for the empty image).
+  Lsn clean_end = 0;
+  /// Bytes past clean_end hold an incomplete or torn record.
+  bool torn_tail = false;
 };
 
 struct WalStats {
@@ -189,7 +213,8 @@ class Wal : public WalBackend {
  public:
   explicit Wal(WalOptions options = {});
   /// Reopens from the durable image of a crashed instance. The image's
-  /// existing bytes are all considered durable; new appends follow.
+  /// existing bytes are all considered durable; new appends follow, so
+  /// the image must end on a record boundary (ScanDurable's clean_end).
   Wal(WalOptions options, std::string durable_image);
 
   Wal(const Wal&) = delete;
@@ -236,9 +261,9 @@ class Wal : public WalBackend {
   void AppendVocab(uint32_t surrogate, std::string_view name)
       XTC_EXCLUDES(mu_);
 
-  /// Appends a fuzzy checkpoint, forces it durable, and advances the
-  /// master pointer. The caller (Document::LogCheckpoint) holds the
-  /// document latch so tables and attach points are consistent.
+  /// Appends a fuzzy checkpoint and forces it durable. The caller
+  /// (Document::LogCheckpoint) holds the document latch so tables and
+  /// attach points are consistent.
   Status AppendCheckpoint(
       const std::vector<std::pair<PageId, Lsn>>& dirty_pages,
       const std::vector<std::pair<uint32_t, std::string>>& vocab,
@@ -261,7 +286,6 @@ class Wal : public WalBackend {
   std::string DurableSuffix(Lsn from, uint64_t max_bytes = 0) const
       XTC_EXCLUDES(mu_);
 
-  Lsn last_checkpoint_lsn() const XTC_EXCLUDES(mu_);
   WalStats stats() const XTC_EXCLUDES(mu_);
   void SetRecoveryCounters(uint64_t records_redone, uint64_t pages_redone,
                            uint64_t losers_undone) XTC_EXCLUDES(mu_);
@@ -270,26 +294,21 @@ class Wal : public WalBackend {
   std::vector<std::pair<uint64_t, Lsn>> ActiveTxTable() const
       XTC_EXCLUDES(mu_);
 
-  // --- log-image parsing (static; used by restart recovery) ---
-  /// Master checkpoint pointer of an image (0 if none/short header).
-  static Lsn MasterPointer(std::string_view image);
-  /// Decodes every complete record. A torn or corrupt tail record ends
-  /// the scan (*torn_tail = true); it is not an error. A bad header is.
-  static StatusOr<std::vector<WalRecord>> ScanDurable(std::string_view image,
-                                                      bool* torn_tail);
-  /// Random-access decode of the record starting at `lsn` (undo follows
-  /// prev-LSN chains backwards).
-  static StatusOr<WalRecord> ReadRecordAt(std::string_view image, Lsn lsn);
-
-  /// Truncates a crash image to its last complete record and repairs the
-  /// master pointer: a torn tail can leave garbage bytes mid-buffer (a
-  /// reopened log would append *after* them, hiding every later record
-  /// from the next scan), and a checkpoint whose record tore after its
-  /// in-place header update leaves the master pointing into the torn
-  /// region. The result always satisfies ScanDurable with no torn tail
-  /// and master = LSN of the last complete checkpoint (0 if none).
-  /// Recovery and follower promotion reopen from the sanitized image.
-  static StatusOr<std::string> SanitizeImage(std::string image);
+  // --- log-image parsing (static) ---
+  /// OK for the empty image (a fresh log) or a valid header; DataLoss
+  /// otherwise.
+  static Status CheckHeader(std::string_view image);
+  /// Reads the frame at `pos`: the one decoder of the frame layout,
+  /// shared by restart, follower tailing and bootstrap. Checks the CRC
+  /// once and decodes the record once; an error means a record whose
+  /// CRC matched but whose payload does not parse.
+  static StatusOr<WalFrame> ReadFrame(std::string_view image, Lsn pos);
+  /// Decodes every complete record after a valid header. A torn or
+  /// incomplete tail ends the scan (torn_tail); it is not an error. A
+  /// bad header is. Reopening a log from image.substr(0, clean_end)
+  /// drops the torn tail, so later appends stay visible to the next
+  /// scan.
+  static StatusOr<WalScan> ScanDurable(std::string_view image);
 
  private:
   Lsn AppendRecordLocked(std::string payload) XTC_REQUIRES(mu_);
@@ -303,7 +322,6 @@ class Wal : public WalBackend {
   /// disk"; the rest is the group-commit buffer.
   std::string buffer_ XTC_GUARDED_BY(mu_);
   Lsn durable_ XTC_GUARDED_BY(mu_) = kWalHeaderSize;
-  Lsn last_checkpoint_ XTC_GUARDED_BY(mu_) = 0;
   std::unordered_map<uint64_t, Lsn> tx_last_lsn_ XTC_GUARDED_BY(mu_);
   WalStats stats_ XTC_GUARDED_BY(mu_);
   // Lock-free mirrors of buffer_.size()/durable_ so the buffer manager

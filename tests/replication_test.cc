@@ -1,10 +1,12 @@
 // Replication tests (DESIGN.md §7): follower bootstrap and tailing,
-// replica reads with bounded staleness, torn-chunk resync, promotion,
-// and follower restart from its own artifacts. The paired crash-restart
-// round trips over every kill site run in fuzz_test.
+// replica reads with bounded staleness, torn-chunk resync, bootstrap
+// from a torn base log, promotion, and follower restart from its own
+// artifacts. The paired crash-restart round trips over every kill site
+// run in fuzz_test.
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -227,6 +229,49 @@ TEST(ReplicationTest, TornChunkParksTheScanAndResyncRecovers) {
   EXPECT_EQ((*follower)->committed().size(), 1u);
   EXPECT_EQ((*follower)->applied_lsn(), p.wal->DurableLsn());
   EXPECT_GE((*follower)->stats().resyncs, 1u);
+}
+
+TEST(ReplicationTest, BootstrapFromTornBaseLogTruncatesAndCatchesUp) {
+  MiniPrimary p = MakeMiniPrimary();
+  CommitRename(&p, 1, 1, "chapter");
+  CommitRename(&p, 2, 2, "title");
+  const std::string base_log = p.wal->DurableImage();
+  auto scan = Wal::ScanDurable(base_log);
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan->records.back().type, WalRecordType::kCommit);
+  const Lsn last_start = scan->records.back().lsn;
+  std::vector<std::pair<uint64_t, std::string>> primary_commits;
+  for (const WalRecord& r : scan->records) {
+    if (r.type == WalRecordType::kCommit) {
+      primary_commits.emplace_back(r.commit_seq, r.payload);
+    }
+  }
+  ASSERT_EQ(primary_commits.size(), 2u);
+  auto primary_fp = DocumentFingerprint(*p.doc);
+  ASSERT_TRUE(primary_fp.ok());
+
+  // Every cut inside the final record: the follower keeps the complete
+  // prefix, and a drain re-ships the rest.
+  for (size_t end = last_start + 1; end < base_log.size(); ++end) {
+    auto follower = Follower::Bootstrap(MiniFollowerOptions(p), p.base_disk,
+                                        base_log.substr(0, end));
+    ASSERT_TRUE(follower.ok()) << "cut at " << end << ": "
+                               << follower.status().message();
+    EXPECT_EQ((*follower)->received_lsn(), last_start) << "cut at " << end;
+    EXPECT_EQ((*follower)->applied_lsn(), last_start) << "cut at " << end;
+
+    LogShipper shipper(p.wal.get(), follower->get());
+    ASSERT_TRUE(shipper.Drain().ok()) << "cut at " << end;
+    EXPECT_EQ((*follower)->applied_lsn(), p.wal->DurableLsn());
+    std::vector<std::pair<uint64_t, std::string>> follower_commits;
+    for (const RecoveredCommit& c : (*follower)->committed()) {
+      follower_commits.emplace_back(c.seq, c.payload);
+    }
+    EXPECT_EQ(follower_commits, primary_commits) << "cut at " << end;
+    auto follower_fp = DocumentFingerprint((*follower)->document());
+    ASSERT_TRUE(follower_fp.ok()) << follower_fp.status().message();
+    EXPECT_EQ(*follower_fp, *primary_fp) << "cut at " << end;
+  }
 }
 
 TEST(ReplicationTest, PromoteRollsBackUnshippedLosers) {

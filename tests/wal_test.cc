@@ -58,18 +58,19 @@ TEST(WalTest, FramingRoundTrip) {
                                           page_size, FakeReader(page_size));
   ASSERT_TRUE(wal.AppendCommit(7, 1, "payload").ok());
 
-  bool torn = true;
-  auto records = Wal::ScanDurable(wal.DurableImage(), &torn);
-  ASSERT_TRUE(records.ok()) << records.status().message();
-  EXPECT_FALSE(torn);
-  ASSERT_EQ(records->size(), 3u);
+  const std::string image = wal.DurableImage();
+  auto scan = Wal::ScanDurable(image);
+  ASSERT_TRUE(scan.ok()) << scan.status().message();
+  EXPECT_FALSE(scan->torn_tail);
+  const std::vector<WalRecord>& records = scan->records;
+  ASSERT_EQ(records.size(), 3u);
 
-  const WalRecord& vocab = (*records)[0];
+  const WalRecord& vocab = records[0];
   EXPECT_EQ(vocab.type, WalRecordType::kVocab);
   EXPECT_EQ(vocab.surrogate, 2u);
   EXPECT_EQ(vocab.name, "chapter");
 
-  const WalRecord& update = (*records)[1];
+  const WalRecord& update = records[1];
   EXPECT_EQ(update.type, WalRecordType::kUpdate);
   // AppendUpdate returns the END lsn (the value stamped into pages);
   // the scan reports the record's start offset as its lsn.
@@ -88,17 +89,27 @@ TEST(WalTest, FramingRoundTrip) {
                 update.pages[0].bytes.data())),
             update.end_lsn);
 
-  const WalRecord& commit = (*records)[2];
+  const WalRecord& commit = records[2];
   EXPECT_EQ(commit.type, WalRecordType::kCommit);
   EXPECT_EQ(commit.tx, 7u);
   EXPECT_EQ(commit.commit_seq, 1u);
   EXPECT_EQ(commit.payload, "payload");
 
-  // Point read at the update's start offset returns the same record.
-  auto direct = Wal::ReadRecordAt(wal.DurableImage(), update.lsn);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(direct->tx, 7u);
-  EXPECT_EQ(direct->pages.size(), 2u);
+  // Records tile the image: each starts where the previous one ended,
+  // and the clean end is the end of the last.
+  EXPECT_EQ(vocab.lsn, kWalHeaderSize);
+  EXPECT_EQ(update.lsn, vocab.end_lsn);
+  EXPECT_EQ(commit.lsn, update.end_lsn);
+  EXPECT_EQ(scan->clean_end, commit.end_lsn);
+  EXPECT_EQ(scan->clean_end, image.size());
+
+  // The frame reader at the update's start offset yields the same record.
+  auto frame = Wal::ReadFrame(image, update.lsn);
+  ASSERT_TRUE(frame.ok());
+  ASSERT_EQ(frame->kind, WalFrameKind::kRecord);
+  EXPECT_EQ(frame->record.tx, 7u);
+  EXPECT_EQ(frame->record.end_lsn, update.end_lsn);
+  EXPECT_EQ(frame->record.pages.size(), 2u);
 
   // Two chained updates of one tx link through prev_lsn (start lsns).
   wal.AppendUpdate(8, undo, SomeMeta(), {4}, page_size,
@@ -106,11 +117,11 @@ TEST(WalTest, FramingRoundTrip) {
   const Lsn third_end = wal.AppendUpdate(8, undo, SomeMeta(), {9}, page_size,
                                          FakeReader(page_size));
   ASSERT_TRUE(wal.Sync().ok());
-  auto again = Wal::ScanDurable(wal.DurableImage(), &torn);
+  auto again = Wal::ScanDurable(wal.DurableImage());
   ASSERT_TRUE(again.ok());
-  ASSERT_EQ(again->size(), 5u);
-  EXPECT_EQ(again->back().end_lsn, third_end);
-  EXPECT_EQ(again->back().prev_lsn, (*again)[3].lsn);
+  ASSERT_EQ(again->records.size(), 5u);
+  EXPECT_EQ(again->records.back().end_lsn, third_end);
+  EXPECT_EQ(again->records.back().prev_lsn, again->records[3].lsn);
 }
 
 TEST(WalTest, TornTailIsDetectedAndBounded) {
@@ -128,19 +139,21 @@ TEST(WalTest, TornTailIsDetectedAndBounded) {
   // back as a clean torn tail exposing exactly the first two records.
   for (size_t cut = 1; cut < 40; cut += 7) {
     std::string torn_image = image.substr(0, image.size() - cut);
-    bool torn = false;
-    auto records = Wal::ScanDurable(torn_image, &torn);
-    ASSERT_TRUE(records.ok()) << records.status().message();
-    EXPECT_TRUE(torn);
-    ASSERT_EQ(records->size(), 2u) << "cut=" << cut;
-    EXPECT_EQ((*records)[1].type, WalRecordType::kCommit);
+    auto scan = Wal::ScanDurable(torn_image);
+    ASSERT_TRUE(scan.ok()) << scan.status().message();
+    EXPECT_TRUE(scan->torn_tail);
+    ASSERT_EQ(scan->records.size(), 2u) << "cut=" << cut;
+    EXPECT_EQ(scan->records[1].type, WalRecordType::kCommit);
   }
 
-  // A bad magic header is data loss, not a torn tail.
-  std::string bad = image;
-  bad[0] ^= 0xff;
-  bool torn = false;
-  EXPECT_FALSE(Wal::ScanDurable(bad, &torn).ok());
+  // A zeroed frame (length 0) cannot hold a record: it ends the log
+  // like a torn tail instead of failing to decode.
+  const std::string zeroed = image + std::string(16, '\0');
+  auto scan = Wal::ScanDurable(zeroed);
+  ASSERT_TRUE(scan.ok()) << scan.status().message();
+  EXPECT_TRUE(scan->torn_tail);
+  EXPECT_EQ(scan->clean_end, image.size());
+  EXPECT_EQ(scan->records.size(), 3u);
 }
 
 TEST(WalTest, GroupCommitBuffersUntilOneForcedSync) {
@@ -156,11 +169,10 @@ TEST(WalTest, GroupCommitBuffersUntilOneForcedSync) {
   EXPECT_EQ(wal.stats().syncs, 0u);
   ASSERT_TRUE(wal.Sync().ok());
   EXPECT_EQ(wal.stats().syncs, 1u);
-  bool torn = false;
-  auto records = Wal::ScanDurable(wal.DurableImage(), &torn);
-  ASSERT_TRUE(records.ok());
-  EXPECT_FALSE(torn);
-  EXPECT_EQ(records->size(), 5u);  // one sync made all five durable
+  auto scan = Wal::ScanDurable(wal.DurableImage());
+  ASSERT_TRUE(scan.ok());
+  EXPECT_FALSE(scan->torn_tail);
+  EXPECT_EQ(scan->records.size(), 5u);  // one sync made all five durable
 }
 
 TEST(WalTest, CommitRecordExactlyAtFlushChunkBoundary) {
@@ -180,12 +192,11 @@ TEST(WalTest, CommitRecordExactlyAtFlushChunkBoundary) {
     Wal wal(options);
     ASSERT_TRUE(wal.AppendCommit(1, 1, "boundary!").ok());
     EXPECT_EQ(wal.DurableImage().size(), exact) << "chunk=" << chunk;
-    bool torn = false;
-    auto records = Wal::ScanDurable(wal.DurableImage(), &torn);
-    ASSERT_TRUE(records.ok()) << records.status().message();
-    EXPECT_FALSE(torn);
-    ASSERT_EQ(records->size(), 1u);
-    EXPECT_EQ((*records)[0].payload, "boundary!");
+    auto scan = Wal::ScanDurable(wal.DurableImage());
+    ASSERT_TRUE(scan.ok()) << scan.status().message();
+    EXPECT_FALSE(scan->torn_tail);
+    ASSERT_EQ(scan->records.size(), 1u);
+    EXPECT_EQ(scan->records[0].payload, "boundary!");
   }
 }
 
@@ -242,12 +253,11 @@ TEST(WalTest, WalBeforeDataForcesTheLogOnWriteBack) {
 
   // Every update record that covered a page is durable now: the scan of
   // the durable prefix sees the content update.
-  bool torn = false;
-  auto records = Wal::ScanDurable(wal.DurableImage(), &torn);
-  ASSERT_TRUE(records.ok());
-  EXPECT_FALSE(torn);
+  auto scan = Wal::ScanDurable(wal.DurableImage());
+  ASSERT_TRUE(scan.ok());
+  EXPECT_FALSE(scan->torn_tail);
   bool saw_update = false;
-  for (const WalRecord& r : *records) {
+  for (const WalRecord& r : scan->records) {
     saw_update |= r.type == WalRecordType::kUpdate;
   }
   EXPECT_TRUE(saw_update);
@@ -270,7 +280,7 @@ TEST(WalTest, BareHeaderLogOverEmptyDiskOpensFresh) {
   std::string header_only;
   {
     Wal wal(WalOptions{});
-    header_only = wal.DurableImage();  // magic + master, no records
+    header_only = wal.DurableImage();  // magic + reserved, no records
   }
   StorageOptions storage;
   auto opened =
@@ -307,7 +317,7 @@ TEST(WalTest, CheckpointOnlyLogRecovers) {
   EXPECT_FALSE(subtree->empty());
 }
 
-TEST(WalTest, SanitizeImageTruncatesEveryTornTailCutPoint) {
+TEST(WalTest, CleanEndIsTheLastRecordStartForEveryCutPoint) {
   Wal wal(WalOptions{});
   const uint32_t page_size = 128;
   wal.AppendUpdate(1, UndoOp{}, SomeMeta(), {1}, page_size,
@@ -317,76 +327,21 @@ TEST(WalTest, SanitizeImageTruncatesEveryTornTailCutPoint) {
                    FakeReader(page_size));
   ASSERT_TRUE(wal.Sync().ok());
   const std::string image = wal.DurableImage();
-  bool torn = false;
-  auto full = Wal::ScanDurable(image, &torn);
+  auto full = Wal::ScanDurable(image);
   ASSERT_TRUE(full.ok());
-  const Lsn last_start = full->back().lsn;
+  EXPECT_EQ(full->clean_end, image.size());
+  const Lsn last_start = full->records.back().lsn;
 
   // Every truncation point inside the final record — including cuts
-  // through the length field, the CRC and the payload — must sanitize
-  // to an image that scans clean with exactly the first two records.
+  // through the length field, the CRC and the payload — scans to the
+  // first two records, with the clean end where the torn record began.
   for (size_t end = last_start + 1; end < image.size(); ++end) {
-    auto clean = Wal::SanitizeImage(image.substr(0, end));
-    ASSERT_TRUE(clean.ok()) << "cut at " << end;
-    EXPECT_EQ(clean->size(), last_start) << "cut at " << end;
-    bool still_torn = true;
-    auto records = Wal::ScanDurable(*clean, &still_torn);
-    ASSERT_TRUE(records.ok()) << "cut at " << end;
-    EXPECT_FALSE(still_torn);
-    ASSERT_EQ(records->size(), 2u) << "cut at " << end;
+    auto scan = Wal::ScanDurable(image.substr(0, end));
+    ASSERT_TRUE(scan.ok()) << "cut at " << end;
+    EXPECT_TRUE(scan->torn_tail) << "cut at " << end;
+    EXPECT_EQ(scan->clean_end, last_start) << "cut at " << end;
+    ASSERT_EQ(scan->records.size(), 2u) << "cut at " << end;
   }
-}
-
-TEST(WalTest, SanitizeImageRepairsMasterPointingIntoTornCheckpoint) {
-  // A kill can tear the checkpoint record itself *after* the in-place
-  // master-pointer update reached the header: the master then points
-  // into the torn region. Sanitizing must fall back to the previous
-  // complete checkpoint (here: the first one).
-  Wal wal(WalOptions{});
-  ASSERT_TRUE(wal.AppendCheckpoint({}, {{1, "bib"}}, SomeMeta()).ok());
-  const Lsn first_checkpoint = wal.last_checkpoint_lsn();
-  const uint32_t page_size = 128;
-  wal.AppendUpdate(1, UndoOp{}, SomeMeta(), {1}, page_size,
-                   FakeReader(page_size));
-  ASSERT_TRUE(wal.AppendCommit(1, 1, "x").ok());
-  ASSERT_TRUE(wal.AppendCheckpoint({}, {{1, "bib"}}, SomeMeta()).ok());
-  const std::string image = wal.DurableImage();
-  const Lsn second_checkpoint = wal.last_checkpoint_lsn();
-  ASSERT_GT(second_checkpoint, first_checkpoint);
-  ASSERT_EQ(Wal::MasterPointer(image), second_checkpoint);
-
-  for (size_t end = second_checkpoint + 1; end < image.size(); end += 5) {
-    auto clean = Wal::SanitizeImage(image.substr(0, end));
-    ASSERT_TRUE(clean.ok()) << "cut at " << end;
-    EXPECT_EQ(Wal::MasterPointer(*clean), first_checkpoint)
-        << "cut at " << end;
-    EXPECT_EQ(clean->size(), second_checkpoint);
-  }
-
-  // ... and when no complete checkpoint survives, master goes to 0.
-  Wal fresh(WalOptions{});
-  fresh.AppendUpdate(1, UndoOp{}, SomeMeta(), {1}, page_size,
-                     FakeReader(page_size));
-  ASSERT_TRUE(fresh.Sync().ok());
-  std::string torn_cp = fresh.DurableImage();
-  ASSERT_TRUE(fresh.AppendCheckpoint({}, {}, SomeMeta()).ok());
-  const std::string with_cp = fresh.DurableImage();
-  auto clean = Wal::SanitizeImage(with_cp.substr(0, with_cp.size() - 3));
-  ASSERT_TRUE(clean.ok());
-  EXPECT_EQ(Wal::MasterPointer(*clean), 0u);
-  EXPECT_EQ(clean->size(), torn_cp.size());
-}
-
-TEST(WalTest, SanitizeImageRejectsCorruptHeader) {
-  Wal wal(WalOptions{});
-  std::string image = wal.DurableImage();
-  image[0] ^= 0xff;
-  EXPECT_FALSE(Wal::SanitizeImage(image).ok());
-  EXPECT_FALSE(Wal::SanitizeImage("short").ok());
-  // The empty image stays empty (fresh database).
-  auto empty = Wal::SanitizeImage("");
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
 }
 
 TEST(WalTest, CommitsAppendedAfterTornTailReopenStayVisible) {
@@ -394,6 +349,8 @@ TEST(WalTest, CommitsAppendedAfterTornTailReopenStayVisible) {
   // record used to append *after* the garbage, so every record appended
   // by the recovered instance was invisible to the next restart's scan
   // — commits accepted after a recovery were lost at the second crash.
+  // Reopening from the scan's clean end, at every cut point of the
+  // final record, keeps them visible.
   Wal wal(WalOptions{});
   const uint32_t page_size = 128;
   wal.AppendUpdate(1, UndoOp{}, SomeMeta(), {1}, page_size,
@@ -402,24 +359,133 @@ TEST(WalTest, CommitsAppendedAfterTornTailReopenStayVisible) {
   wal.AppendUpdate(2, UndoOp{}, SomeMeta(), {2}, page_size,
                    FakeReader(page_size));
   ASSERT_TRUE(wal.Sync().ok());
-  std::string image = wal.DurableImage();
-  image.resize(image.size() - 11);  // tear the final record
+  const std::string image = wal.DurableImage();
+  const Lsn last_start = Wal::ScanDurable(image)->records.back().lsn;
 
-  auto clean = Wal::SanitizeImage(std::move(image));
-  ASSERT_TRUE(clean.ok());
-  Wal reopened(WalOptions{}, std::move(*clean));
-  reopened.AppendUpdate(3, UndoOp{}, SomeMeta(), {3}, page_size,
-                        FakeReader(page_size));
-  ASSERT_TRUE(reopened.AppendCommit(3, 2, "second").ok());
+  for (size_t end = last_start + 1; end < image.size(); ++end) {
+    const std::string cut = image.substr(0, end);
+    auto scan = Wal::ScanDurable(cut);
+    ASSERT_TRUE(scan.ok()) << "cut at " << end;
+    Wal reopened(WalOptions{}, cut.substr(0, scan->clean_end));
+    reopened.AppendUpdate(3, UndoOp{}, SomeMeta(), {3}, page_size,
+                          FakeReader(page_size));
+    ASSERT_TRUE(reopened.AppendCommit(3, 2, "second").ok());
 
-  bool torn = true;
-  auto records = Wal::ScanDurable(reopened.DurableImage(), &torn);
-  ASSERT_TRUE(records.ok()) << records.status().message();
-  EXPECT_FALSE(torn);
-  // vocab-free stream: update, commit("first"), update, commit("second")
-  ASSERT_EQ(records->size(), 4u);
-  EXPECT_EQ(records->back().type, WalRecordType::kCommit);
-  EXPECT_EQ(records->back().payload, "second");
+    auto again = Wal::ScanDurable(reopened.DurableImage());
+    ASSERT_TRUE(again.ok()) << again.status().message();
+    EXPECT_FALSE(again->torn_tail) << "cut at " << end;
+    // vocab-free stream: update, commit("first"), update, commit("second")
+    ASSERT_EQ(again->records.size(), 4u) << "cut at " << end;
+    EXPECT_EQ(again->records.back().type, WalRecordType::kCommit);
+    EXPECT_EQ(again->records.back().payload, "second");
+  }
+}
+
+/// Renames the first `from` element to `to` under `tx` and commits it.
+void CommitRename(Document* doc, Wal* wal, uint64_t tx, uint64_t seq,
+                  const std::string& from, const std::string& to) {
+  auto target = doc->NthElementByName(from, 0);
+  ASSERT_TRUE(target.has_value());
+  const NameSurrogate name = doc->vocabulary().Intern(to);
+  {
+    ScopedWalTx scope(tx);
+    ASSERT_TRUE(doc->RenameElement(*target, name).ok());
+  }
+  ASSERT_TRUE(wal->AppendCommit(tx, seq, "payload-" + to).ok());
+}
+
+std::vector<uint64_t> CommitSeqs(const OpenResult& opened) {
+  std::vector<uint64_t> seqs;
+  for (const RecoveredCommit& c : opened.committed) seqs.push_back(c.seq);
+  return seqs;
+}
+
+TEST(WalTest, TornFinalCheckpointRecoversFromThePreviousOne) {
+  // A kill can tear the final checkpoint record itself. Recovery then
+  // runs from the previous complete checkpoint and reaches the same
+  // document and committed set as from the whole log.
+  StorageOptions storage;
+  Document doc(storage);
+  ASSERT_TRUE(GenerateBib(&doc, BibConfig::Tiny()).ok());
+  Wal wal(WalOptions{});
+  doc.AttachWal(&wal);
+  ASSERT_TRUE(doc.buffer().FlushAll().ok());
+  ASSERT_TRUE(doc.LogCheckpoint().ok());
+  CommitRename(&doc, &wal, 1, 1, "title", "chapter");
+  CommitRename(&doc, &wal, 2, 2, "chapter", "title");
+  ASSERT_TRUE(doc.LogCheckpoint().ok());
+  auto fingerprint = DocumentFingerprint(doc);
+  ASSERT_TRUE(fingerprint.ok());
+  const PageFileImage disk = doc.page_file().CloneImage();
+  const std::string image = wal.DurableImage();
+
+  auto scan = Wal::ScanDurable(image);
+  ASSERT_TRUE(scan.ok());
+  std::vector<Lsn> checkpoints;
+  for (const WalRecord& r : scan->records) {
+    if (r.type == WalRecordType::kCheckpoint) checkpoints.push_back(r.lsn);
+  }
+  ASSERT_EQ(checkpoints.size(), 2u);
+  ASSERT_EQ(scan->records.back().lsn, checkpoints[1]);
+
+  auto whole = OpenDatabase(storage, WalOptions{}, disk, image);
+  ASSERT_TRUE(whole.ok()) << whole.status().message();
+  EXPECT_EQ(whole->stats.checkpoint_lsn, checkpoints[1]);
+  const std::vector<uint64_t> committed = CommitSeqs(*whole);
+  EXPECT_EQ(committed, (std::vector<uint64_t>{1, 2}));
+
+  for (size_t end = checkpoints[1] + 1; end < image.size(); end += 3) {
+    auto opened = OpenDatabase(storage, WalOptions{}, disk,
+                               image.substr(0, end));
+    ASSERT_TRUE(opened.ok()) << "cut at " << end << ": "
+                             << opened.status().message();
+    EXPECT_TRUE(opened->stats.torn_log_tail) << "cut at " << end;
+    EXPECT_EQ(opened->stats.checkpoint_lsn, checkpoints[0])
+        << "cut at " << end;
+    EXPECT_EQ(CommitSeqs(*opened), committed) << "cut at " << end;
+    auto recovered_fp = DocumentFingerprint(*opened->doc);
+    ASSERT_TRUE(recovered_fp.ok());
+    EXPECT_EQ(*recovered_fp, *fingerprint) << "cut at " << end;
+  }
+}
+
+TEST(WalTest, BadOrShortHeaderIsRejected) {
+  Wal wal(WalOptions{});
+  ASSERT_TRUE(wal.AppendCommit(1, 1, "x").ok());
+  std::string bad = wal.DurableImage();
+  bad[0] ^= 0xff;
+  StorageOptions storage;
+  for (const std::string& image : {bad, std::string("short")}) {
+    auto scan = Wal::ScanDurable(image);
+    ASSERT_FALSE(scan.ok());
+    EXPECT_TRUE(scan.status().IsDataLoss());
+    auto opened = OpenDatabase(storage, WalOptions{}, PageFileImage{}, image);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_TRUE(opened.status().IsDataLoss());
+  }
+  // The empty image is a fresh log, not a bad one.
+  auto empty = Wal::ScanDurable("");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->records.empty());
+  EXPECT_EQ(empty->clean_end, 0u);
+}
+
+TEST(WalTest, UndoChainNamingNoRecordStartIsDataLoss) {
+  // A loser's chain head that starts no scanned record (here: an offset
+  // inside the header) cannot be undone; recovery reports data loss.
+  StorageOptions storage;
+  Document doc(storage);
+  ASSERT_TRUE(GenerateBib(&doc, BibConfig::Tiny()).ok());
+  Wal wal(WalOptions{});
+  doc.AttachWal(&wal);
+  ASSERT_TRUE(doc.buffer().FlushAll().ok());
+  wal.SeedTxChain(99, 5);
+  ASSERT_TRUE(doc.LogCheckpoint().ok());
+
+  auto opened = OpenDatabase(storage, WalOptions{},
+                             doc.page_file().CloneImage(), wal.DurableImage());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsDataLoss()) << opened.status().message();
 }
 
 // --- Undo parity ----------------------------------------------------------
