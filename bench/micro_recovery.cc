@@ -1,7 +1,8 @@
 // Microbenchmark: parallel restart redo and follower catch-up.
 //
-// Three measurements, all against the simulated page device with a
-// realistic per-I/O latency (DESIGN.md §2) so redo cost is I/O-shaped:
+// The first three measurements run against the simulated page device
+// with a realistic per-I/O latency (DESIGN.md §2) so redo cost is
+// I/O-shaped:
 //   1. Raw RedoApplier::ApplyAll over a synthetic update batch at
 //      worker counts 1/2/4/8 — the partitioned redo scan's scaling
 //      (per-page LSN order preserved; see wal/redo_applier.h).
@@ -10,14 +11,19 @@
 //      4 redo workers — what a real restart saves.
 //   3. Follower catch-up: draining the same log into a bootstrapped
 //      follower in flush-chunk units — the log-shipping apply rate.
+//   4. Restore vs generate: the paper-sized bib document reopened from
+//      its DocumentSnapshot against generating it, on c1-local's storage
+//      (4096 frames, no simulated latency). Median of 3 each.
 //
 //   ./bench/micro_recovery            full run, human-readable table
 //   ./bench/micro_recovery --smoke    quick CI run; exits non-zero if
-//                                     4-worker redo speedup < 2x or any
+//                                     4-worker redo speedup < 2x, restore
+//                                     takes > 0.05x of generate, or any
 //                                     phase loses data
 //   ./bench/micro_recovery --json     machine-readable results
 //                                     (committed as BENCH_replication.json)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -210,6 +216,42 @@ CatchUp TimeCatchUp(const Artifacts& a, uint64_t chunk_bytes) {
   return c;
 }
 
+// --- 4. Restore vs generate ------------------------------------------------
+
+struct RestoreTiming {
+  double generate_secs = 0;
+  double restore_secs = 0;
+};
+
+RestoreTiming TimeRestore() {
+  const StorageOptions storage;  // c1-local: 4096 frames, no latency
+  double generate[3] = {};
+  double restore[3] = {};
+  for (int i = 0; i < 3; ++i) {
+    auto start = std::chrono::steady_clock::now();
+    Document doc(storage);
+    auto info = GenerateBib(&doc, BibConfig::Paper());
+    if (!info.ok()) Die("GenerateBib", info.status());
+    generate[i] = Seconds(std::chrono::steady_clock::now() - start);
+
+    auto snapshot = doc.Snapshot();
+    if (!snapshot.ok()) Die("Snapshot", snapshot.status());
+    start = std::chrono::steady_clock::now();
+    auto restored = Document::Open(storage, *snapshot);
+    restore[i] = Seconds(std::chrono::steady_clock::now() - start);
+    if (!restored.ok()) Die("Document::Open", restored.status());
+    // Open reads no page (the pool fetches on demand); this check reads
+    // the element index back, outside the timing.
+    if ((*restored)->num_nodes() != doc.num_nodes() ||
+        (*restored)->ElementsByName("book") != doc.ElementsByName("book")) {
+      Die("restore", Status::DataLoss("restored bib differs"));
+    }
+  }
+  std::sort(generate, generate + 3);
+  std::sort(restore, restore + 3);
+  return RestoreTiming{generate[1], restore[1]};  // medians
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -259,6 +301,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // 4. Restore vs generate.
+  const RestoreTiming restore = TimeRestore();
+  const double restore_ratio = restore.generate_secs == 0
+                                   ? 0
+                                   : restore.restore_secs /
+                                         restore.generate_secs;
+
   if (json) {
     std::printf("{\n  \"benchmark\": \"micro_recovery parallel redo\",\n");
     std::printf("  \"io_latency_us\": %u,\n", kIoLatencyUs);
@@ -279,7 +328,11 @@ int main(int argc, char** argv) {
     std::printf("  \"catchup_log_bytes\": %llu,\n",
                 static_cast<unsigned long long>(catch_up.log_bytes));
     std::printf("  \"catchup_ms\": %.1f,\n", catch_up.secs * 1000.0);
-    std::printf("  \"catchup_mib_per_sec\": %.1f\n}\n", catch_up.mib_per_sec);
+    std::printf("  \"catchup_mib_per_sec\": %.1f,\n", catch_up.mib_per_sec);
+    std::printf("  \"doc_generate_ms\": %.1f,\n",
+                restore.generate_secs * 1000.0);
+    std::printf("  \"doc_restore_ms\": %.1f\n}\n",
+                restore.restore_secs * 1000.0);
   } else {
     std::printf("\nraw partitioned redo: %d records over %d pages, "
                 "%u us/io\n",
@@ -300,6 +353,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(catch_up.commits_applied));
     std::printf("  %7.1f ms  (%.1f MiB/s applied)\n", catch_up.secs * 1000.0,
                 catch_up.mib_per_sec);
+    std::printf("\npaper bib document: generate %.1f ms, restore from "
+                "snapshot %.1f ms (%.3fx)\n",
+                restore.generate_secs * 1000.0, restore.restore_secs * 1000.0,
+                restore_ratio);
   }
 
   if (smoke && speedup4 < 2.0) {
@@ -307,6 +364,13 @@ int main(int argc, char** argv) {
                  "FAIL: 4-worker redo speedup %.2fx < 2x — the partitioned "
                  "scan is not overlapping page I/O\n",
                  speedup4);
+    return 1;
+  }
+  if (smoke && restore_ratio > 0.05) {
+    std::fprintf(stderr,
+                 "FAIL: restoring the bib document takes %.3fx of "
+                 "generating it (> 0.05x)\n",
+                 restore_ratio);
     return 1;
   }
   return 0;

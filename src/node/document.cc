@@ -131,11 +131,27 @@ Document::Document(const StorageOptions& options, const PageFileImage& image,
                    uint32_t dist)
     : options_(options), file_(options, image), gen_(dist) {
   buffer_ = std::make_unique<BufferManager>(&file_, options_);
-  // Trees attach later (ReattachTrees), once the log scan has
-  // produced their roots. "id" is re-interned here exactly as the
-  // crashed instance's constructor did, so the surrogate matches the
-  // logged vocabulary — RestoreEntry verifies the agreement.
+  // Open attaches the trees. "id" is re-interned as the original's
+  // constructor did; Open's RestoreEntry checks the surrogates agree.
   id_attr_name_ = vocab_.Intern("id");
+}
+
+StatusOr<std::unique_ptr<Document>> Document::Open(
+    const StorageOptions& options, const DocumentSnapshot& snapshot,
+    uint32_t dist) {
+  std::unique_ptr<Document> doc(new Document(options, snapshot.pages, dist));
+  for (const auto& [surrogate, name] : snapshot.vocab) {
+    XTC_RETURN_IF_ERROR(doc->vocab_.RestoreEntry(surrogate, name));
+  }
+  XTC_RETURN_IF_ERROR(doc->ReattachTrees(snapshot.meta));
+  return doc;
+}
+
+StatusOr<DocumentSnapshot> Document::Snapshot() {
+  XTC_RETURN_IF_ERROR(buffer_->FlushAll());
+  ReaderMutexLock latch(mu_);
+  return DocumentSnapshot{file_.CloneImage(), vocab_.Snapshot(),
+                          TreeMetaLocked()};
 }
 
 void Document::AttachWal(Wal* wal) {
@@ -161,11 +177,6 @@ WalTreeMeta Document::TreeMetaLocked() const {
   meta.id_root = ids_->tree().root();
   meta.id_count = ids_->size();
   return meta;
-}
-
-WalTreeMeta Document::CurrentTreeMeta() const {
-  ReaderMutexLock latch(mu_);
-  return TreeMetaLocked();
 }
 
 Status Document::ReattachTrees(const WalTreeMeta& meta) {

@@ -44,16 +44,22 @@ struct SubtreeSpec {
   std::vector<SubtreeSpec> children;
 };
 
+/// Document::Open's input: page images, vocabulary entries, attach points.
+struct DocumentSnapshot {
+  PageFileImage pages;
+  std::vector<std::pair<NameSurrogate, std::string>> vocab;
+  WalTreeMeta meta;
+};
+
 class Document {
  public:
   explicit Document(const StorageOptions& options = {}, uint32_t dist = 2);
 
-  /// Restart-recovery construction: reopens the storage substrate from a
-  /// crash image. The three trees stay unattached — no document operation
-  /// is legal — until ReattachTrees supplies the attach points the log
-  /// scan recovered.
-  Document(const StorageOptions& options, const PageFileImage& image,
-           uint32_t dist = 2);
+  /// The one way to reopen a document from stored bytes. kDataLoss on a
+  /// contradictory vocabulary or incomplete attach points.
+  static StatusOr<std::unique_ptr<Document>> Open(
+      const StorageOptions& options, const DocumentSnapshot& snapshot,
+      uint32_t dist = 2);
 
   Document(const Document&) = delete;
   Document& operator=(const Document&) = delete;
@@ -154,16 +160,15 @@ class Document {
   /// so the compensation is logged under the undone transaction's id.
   Status ApplyUndo(const UndoOp& undo) XTC_EXCLUDES(mu_);
 
-  /// Points the three B+-trees at the given attach points: once after
-  /// restart recovery's log scan, and on every applied update record
-  /// while a follower tails (it may move roots/counts, and its page
-  /// images may invalidate the trees' last-leaf hints). The caller must
-  /// guarantee no operation is mid-flight (the exclusive latch makes the
-  /// swap atomic against readers).
+  /// Points the three B+-trees at the given attach points: in Open, and
+  /// on every update record a follower applies (it may move roots/counts,
+  /// and its page images may invalidate the trees' last-leaf hints). No
+  /// operation may be mid-flight (the exclusive latch makes the swap
+  /// atomic against readers).
   Status ReattachTrees(const WalTreeMeta& meta) XTC_EXCLUDES(mu_);
 
-  /// Current tree attach points (harness / checkpointing).
-  WalTreeMeta CurrentTreeMeta() const XTC_EXCLUDES(mu_);
+  /// Flushes the pool and returns what Open reopens. Setup only.
+  StatusOr<DocumentSnapshot> Snapshot() XTC_EXCLUDES(mu_);
 
   /// Takes a fuzzy checkpoint: dirty-page table, vocabulary snapshot and
   /// tree attach points, appended and forced under the exclusive latch
@@ -222,6 +227,9 @@ class Document {
   Status Validate() const XTC_EXCLUDES(mu_);
 
  private:
+  Document(const StorageOptions& options, const PageFileImage& image,
+           uint32_t dist);
+
   // WalScope (document.cc) brackets each mutating operation: it opens a
   // buffer-pool capture in its constructor and logs the captured pages +
   // logical undo from its destructor, still under the writer latch.

@@ -72,15 +72,22 @@ StatusOr<std::unique_ptr<Follower>> Follower::Bootstrap(
     const FollowerOptions& options, const PageFileImage& base_disk,
     const std::string& base_log) {
   XTC_RETURN_IF_ERROR(Wal::CheckHeader(base_log));
-  if (base_log.size() <= kWalHeaderSize) {
+  // The base checkpoint opens every follower log; the document opens from it.
+  XTC_ASSIGN_OR_RETURN(const WalFrame first,
+                       Wal::ReadFrame(base_log, kWalHeaderSize));
+  if (first.kind != WalFrameKind::kRecord ||
+      first.record.type != WalRecordType::kCheckpoint) {
     return Status::InvalidArgument(
-        "follower bootstrap: base log holds no records (seed the follower "
-        "from a checkpointed primary image)");
+        "follower bootstrap: base log does not open with a complete "
+        "checkpoint (seed the follower from a checkpointed primary image)");
   }
   std::unique_ptr<Follower> follower(new Follower(options));
-  follower->doc_ = std::make_unique<Document>(follower->options_.storage,
-                                              base_disk, options.dist);
+  XTC_ASSIGN_OR_RETURN(follower->doc_, Document::Open(
+      follower->options_.storage,
+      DocumentSnapshot{base_disk, first.record.vocab, first.record.meta},
+      options.dist));
   WriterMutexLock lock(follower->mu_);
+  follower->meta_ = first.record.meta;
   follower->log_ = base_log;
   XTC_RETURN_IF_ERROR(follower->ApplyCompleteRecordsLocked());
   // A torn or incomplete base tail goes; the shipper re-ships from the
@@ -90,11 +97,6 @@ StatusOr<std::unique_ptr<Follower>> Follower::Bootstrap(
   // best staleness estimate is "we have everything" relative to the
   // base images we were seeded from.
   follower->source_durable_lsn_ = follower->log_.size();
-  if (!follower->have_meta_) {
-    return Status::DataLoss(
-        "follower bootstrap: no checkpoint or update record supplied tree "
-        "attach points");
-  }
   return follower;
 }
 
@@ -152,9 +154,8 @@ Status Follower::ApplyOneLocked(const WalRecord& record) {
       // Fresh trees start without hints.
       XTC_RETURN_IF_ERROR(
           doc_->ReattachTrees(record.meta).Annotate("follower reattach"));
-      if (!have_meta_ || meta_ != record.meta) ++stats_.reattaches;
+      if (meta_ != record.meta) ++stats_.reattaches;
       meta_ = record.meta;
-      have_meta_ = true;
       return Status::OK();
     }
     case WalRecordType::kCommit:
@@ -174,11 +175,10 @@ Status Follower::ApplyOneLocked(const WalRecord& record) {
                                 .RestoreEntry(surrogate, name)
                                 .Annotate("follower checkpoint vocab"));
       }
-      if (!have_meta_ || meta_ != record.meta) {
+      if (meta_ != record.meta) {
         XTC_RETURN_IF_ERROR(doc_->ReattachTrees(record.meta)
                                 .Annotate("follower checkpoint reattach"));
         meta_ = record.meta;
-        have_meta_ = true;
         ++stats_.reattaches;
       }
       // Mirror the primary's checkpoint on the replica: flush the pool

@@ -1,13 +1,13 @@
 // Replication follower (DESIGN.md §7): one warm standby fed by a
 // LogShipper tailing the primary's durable log.
 //
-// The follower owns a full storage substrate (page file + buffer pool +
-// Document in recovery construction) plus a local copy of the shipped
-// log. Ingest appends shipped bytes and immediately applies every newly
-// *complete* record through the shared RedoApplier — page after-images
-// land in the follower's buffer pool (no flush required), the trees are
-// reattached at each update record's attach points (which also drops
-// their last-leaf hints, blind to pages the images changed), vocabulary and
+// The follower owns a Document opened from its base images (page file +
+// buffer pool + trees) plus a local copy of the shipped log. Ingest
+// appends shipped bytes and immediately applies every newly *complete*
+// record through the shared RedoApplier — page after-images land in the
+// follower's buffer pool (no flush required), the trees are reattached
+// at each update record's attach points (which also drops their
+// last-leaf hints, blind to pages the images changed), vocabulary and
 // checkpoint records restore their snapshots, and commit records extend
 // the follower's committed list and advance the applied watermark.
 //
@@ -90,8 +90,8 @@ class Follower {
   /// crash artifacts (restart). The log is replayed through the same
   /// conditioned apply path tailing uses, then a torn or incomplete tail
   /// truncates (the shipper re-ships from the new received watermark).
-  /// The log must contain at least one checkpoint so tree attach points
-  /// exist.
+  /// The log opens with its base checkpoint, whose vocabulary and tree
+  /// attach points the document opens with.
   static StatusOr<std::unique_ptr<Follower>> Bootstrap(
       const FollowerOptions& options, const PageFileImage& base_disk,
       const std::string& base_log);
@@ -184,8 +184,7 @@ class Follower {
   Lsn source_durable_lsn_ XTC_GUARDED_BY(mu_) = 0;
   bool tail_torn_ XTC_GUARDED_BY(mu_) = false;  // CRC mismatch pending
   bool promoted_ XTC_GUARDED_BY(mu_) = false;
-  WalTreeMeta meta_ XTC_GUARDED_BY(mu_);
-  bool have_meta_ XTC_GUARDED_BY(mu_) = false;
+  WalTreeMeta meta_ XTC_GUARDED_BY(mu_);  // attach points of the trees
   std::vector<RecoveredCommit> committed_ XTC_GUARDED_BY(mu_);
   ReplicationStats stats_ XTC_GUARDED_BY(mu_);
 };

@@ -45,7 +45,7 @@ PageFile::PageFile(const StorageOptions& options) : options_(options) {}
 
 PageFile::PageFile(const StorageOptions& options, const PageFileImage& image)
     : options_(options) {
-  XTC_CHECK(image.page_size == options.page_size,
+  XTC_CHECK(image.pages.empty() || image.page_size == options.page_size,
             "page file image page size mismatch");
   MutexLock guard(mu_);
   pages_.reserve(image.pages.size());

@@ -95,8 +95,8 @@ StatusOr<std::unique_ptr<Testbed>> BuildTestbed(const RunConfig& config) {
   bed->info = std::move(*info);
   if (ResolveWalEnabled(config.wal)) {
     // The bib document is generated without a WAL; attach one, flush the
-    // generated pages and take the base checkpoint before any fault is
-    // armed, so recovery always has a durable starting point.
+    // generated pages and log the base checkpoint first, before any fault
+    // is armed: recovery and follower bootstrap both start from it.
     WalOptions wal_options;
     wal_options.fault_injector = bed->faults.get();
     wal_options.crash_switch = bed->crash.get();

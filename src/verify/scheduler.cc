@@ -72,8 +72,8 @@ SubtreeSpec ScenarioDocument() {
   return SubtreeSpec{"bib", {}, "", {topic}};
 }
 
-// Every replay rebuilds the document, and a fresh page costs two
-// checksums over its whole size: small pages and few frames keep that
+// Every replay reopens the document from one snapshot and reads each
+// page back under its checksum: small pages and few frames keep that
 // cheap, and the dozen-node document fits either way.
 StorageOptions ScenarioStorage() {
   StorageOptions options;
@@ -99,6 +99,12 @@ Execution::Execution(const Scenario& scenario, IsolationLevel isolation,
       s.ops.push_back(ScriptOp{K::kCommit, -1});
     }
   }
+  Document built(ScenarioStorage());
+  XTC_CHECK(built.BuildFromSpec(ScenarioDocument()).ok(),
+            "scenario document build failed");
+  auto snapshot = built.Snapshot();
+  XTC_CHECK(snapshot.ok(), "scenario document snapshot failed");
+  scenario_ = std::move(*snapshot);
   Reset();
   auto child = [this](const Splid& parent, size_t i) {
     return doc_->Children(parent)->at(i).splid;
@@ -121,9 +127,9 @@ void Execution::Reset() {
   txs_.clear();
   nodes_.reset();
   txm_.reset();
-  doc_ = std::make_unique<Document>(ScenarioStorage());
-  XTC_CHECK(doc_->BuildFromSpec(ScenarioDocument()).ok(),
-            "scenario document build failed");
+  auto doc = Document::Open(ScenarioStorage(), scenario_);
+  XTC_CHECK(doc.ok(), "scenario document open failed");
+  doc_ = std::move(*doc);
   txm_ = std::make_unique<TransactionManager>(mgr_);
   nodes_ = std::make_unique<NodeManager>(doc_.get(), mgr_);
   for (int t = 0; t < num_txs(); ++t) {

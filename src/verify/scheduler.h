@@ -8,9 +8,9 @@
 // kWouldBlock where a thread would park. Every interleaving is explored
 // by depth-first search. Because neither the document nor the lock table
 // can undo, backtracking replays the schedule prefix from scratch on a
-// rebuilt document; one protocol instance (whose mode-table derivation
-// is the expensive part) is reused across replays by fully releasing all
-// transactions between runs.
+// document reopened from one snapshot; one protocol instance (whose
+// mode-table derivation is the expensive part) is reused across replays
+// by fully releasing all transactions between runs.
 //
 // Pruning, both optional and sound:
 //  * state memoization — two prefixes reaching the same canonical state
@@ -140,9 +140,9 @@ class Execution {
             LockManager* mgr, CheckProbe* probe,
             std::set<std::string>* violations);
 
-  /// Back to the initial state (rebuilt document, fresh transactions,
-  /// empty history, all transactions at pc 0). The cumulative step
-  /// counter survives.
+  /// Back to the initial state (document reopened from the scenario
+  /// snapshot, fresh transactions, empty history, all transactions at
+  /// pc 0). The cumulative step counter survives.
   void Reset();
 
   int num_txs() const { return static_cast<int>(scripts_.size()); }
@@ -197,6 +197,7 @@ class Execution {
   CheckProbe* probe_;
   std::set<std::string>* violations_;
 
+  DocumentSnapshot scenario_;  // the scenario document, taken once
   std::unique_ptr<Document> doc_;
   std::unique_ptr<TransactionManager> txm_;
   std::unique_ptr<NodeManager> nodes_;

@@ -1,7 +1,6 @@
 #include "wal/recovery.h"
 
 #include <algorithm>
-#include <cstring>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -123,25 +122,21 @@ StatusOr<OpenResult> OpenDatabase(const StorageOptions& storage,
   result.stats.records_redone = records_redone;
   result.stats.pages_redone = pages_redone;
 
-  // --- Rebuild the document over the repaired image -----------------------
-  result.doc = std::make_unique<Document>(storage, file.CloneImage(), dist);
-  Document& doc = *result.doc;
-
+  // --- Reopen the document over the repaired image -----------------------
   // Vocabulary: the checkpoint snapshot first, then every logged
   // assignment (overlap is expected and idempotent; contradiction is
-  // data loss).
-  for (const auto& [surrogate, name] : checkpoint->vocab) {
-    XTC_RETURN_IF_ERROR(doc.vocabulary()
-                            .RestoreEntry(surrogate, name)
-                            .Annotate("recovery: checkpoint vocabulary"));
+  // data loss). The snapshot's image copy dies with this block.
+  {
+    DocumentSnapshot snapshot{file.CloneImage(), checkpoint->vocab, meta};
+    for (const WalRecord& r : records) {
+      if (r.type != WalRecordType::kVocab) continue;
+      snapshot.vocab.emplace_back(r.surrogate, r.name);
+    }
+    auto opened = Document::Open(storage, snapshot, dist);
+    if (!opened.ok()) return opened.status().Annotate("recovery: reopen");
+    result.doc = std::move(*opened);
   }
-  for (const WalRecord& r : records) {
-    if (r.type != WalRecordType::kVocab) continue;
-    XTC_RETURN_IF_ERROR(doc.vocabulary()
-                            .RestoreEntry(r.surrogate, r.name)
-                            .Annotate("recovery: logged vocabulary"));
-  }
-  XTC_RETURN_IF_ERROR(doc.ReattachTrees(meta));
+  Document& doc = *result.doc;
 
   // --- Undo ---------------------------------------------------------------
   // Losers: transactions with updates but neither commit nor end. Their

@@ -238,7 +238,9 @@ TEST_F(DocumentTest, ValidateCatchesAMisfiledElementIndexEntry) {
   // per-element point lookup can see that the book is missing.
   ASSERT_TRUE(doc_.Validate().ok());
   const NameSurrogate book_name = doc_.vocabulary().Lookup("book");
-  WalTreeMeta meta = doc_.CurrentTreeMeta();
+  auto snapshot = doc_.Snapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  WalTreeMeta meta = snapshot->meta;
   ElementIndex index(&doc_.buffer(), meta.elem_root, meta.elem_count);
   ASSERT_TRUE(index.Remove(book_name, Id("b0")).ok());
   ASSERT_TRUE(index.Add(book_name, *Splid::Parse("1.99.99")).ok());
@@ -249,6 +251,63 @@ TEST_F(DocumentTest, ValidateCatchesAMisfiledElementIndexEntry) {
   ASSERT_EQ(doc_.ElementsByName("book").size(), 1u);
   const Status audit = doc_.Validate();
   EXPECT_EQ(audit.code(), StatusCode::kInternal) << audit.ToString();
+}
+
+/// Every node of the subtree as "label kind name content" lines.
+std::vector<std::string> Listing(const Document& doc, const Splid& root) {
+  auto nodes = doc.Subtree(root);
+  EXPECT_TRUE(nodes.ok()) << nodes.status().ToString();
+  std::vector<std::string> out;
+  if (!nodes.ok()) return out;
+  for (const Node& n : *nodes) {
+    out.push_back(n.splid.ToString() + " " +
+                  std::to_string(static_cast<int>(n.record.kind)) + " " +
+                  std::to_string(n.record.name) + " " + n.record.content);
+  }
+  return out;
+}
+
+TEST_F(DocumentTest, SnapshotReopensAnEqualIndependentDocument) {
+  auto snapshot = doc_.Snapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  auto reopened = Document::Open(StorageOptions{}, *snapshot);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  Document& copy = **reopened;
+
+  const std::vector<std::string> listing = Listing(doc_, root_);
+  EXPECT_EQ(Listing(copy, root_), listing);
+  EXPECT_EQ(copy.LookupId("b0"), doc_.LookupId("b0"));
+  EXPECT_EQ(copy.LookupId("t0"), doc_.LookupId("t0"));
+  EXPECT_EQ(copy.vocabulary().Snapshot(), doc_.vocabulary().Snapshot());
+  EXPECT_TRUE(copy.Validate().ok()) << copy.Validate().ToString();
+
+  // The reopened document owns its pages and vocabulary: changing it
+  // leaves the source as it was.
+  const Splid book = Id("b0");
+  ASSERT_TRUE(copy.RemoveSubtree(book).ok());
+  ASSERT_TRUE(
+      copy.RenameElement(Id("t0"), copy.vocabulary().Intern("subject")).ok());
+  EXPECT_FALSE(copy.LookupId("b0").has_value());
+  EXPECT_EQ(Listing(doc_, root_), listing);
+  EXPECT_EQ(doc_.LookupId("b0"), book);
+  EXPECT_EQ(doc_.vocabulary().Lookup("subject"), kInvalidSurrogate);
+  EXPECT_TRUE(doc_.Validate().ok());
+}
+
+TEST_F(DocumentTest, OpenRejectsAnInvalidRootAndAContradictoryVocabulary) {
+  auto snapshot = doc_.Snapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+
+  DocumentSnapshot no_root = *snapshot;
+  no_root.meta.id_root = kInvalidPageId;
+  EXPECT_EQ(Document::Open(StorageOptions{}, no_root).status().code(),
+            StatusCode::kDataLoss);
+
+  DocumentSnapshot contradiction = *snapshot;
+  const auto [surrogate, name] = contradiction.vocab.back();
+  contradiction.vocab.emplace_back(surrogate, name + "-renamed");
+  EXPECT_EQ(Document::Open(StorageOptions{}, contradiction).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST_F(DocumentTest, RemoveRejectsInnerNodes) {

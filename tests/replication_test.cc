@@ -108,6 +108,24 @@ TEST(ReplicationTest, BootstrapWithoutCheckpointFails) {
   FollowerOptions fo;
   auto follower = Follower::Bootstrap(fo, PageFileImage{}, header_only);
   EXPECT_FALSE(follower.ok());
+
+  // A base checkpoint cut short, or torn by a flipped payload byte.
+  const MiniPrimary p = MakeMiniPrimary();
+  std::string cut = p.base_log.substr(0, p.base_log.size() - 1);
+  std::string torn = p.base_log;
+  torn.back() ^= 0x5a;
+  for (const std::string& log : {cut, torn}) {
+    follower = Follower::Bootstrap(fo, PageFileImage{}, log);
+    EXPECT_FALSE(follower.ok());
+    follower = Follower::Bootstrap(MiniFollowerOptions(p), p.base_disk, log);
+    EXPECT_FALSE(follower.ok());
+  }
+
+  // A log whose first record is a commit, not the base checkpoint.
+  Wal wal(WalOptions{});
+  ASSERT_TRUE(wal.AppendCommit(1, 1, "payload").ok());
+  follower = Follower::Bootstrap(fo, PageFileImage{}, wal.DurableImage());
+  EXPECT_FALSE(follower.ok());
 }
 
 TEST(ReplicationTest, TailingAppliesCommitsAndMovesWatermarks) {

@@ -317,6 +317,22 @@ TEST(WalTest, CheckpointOnlyLogRecovers) {
   EXPECT_FALSE(subtree->empty());
 }
 
+TEST(WalTest, CheckpointedLogOverAnEmptyDiskImageIsAnError) {
+  // PageFileImage{} has page size 0 and no pages: it opens as an empty
+  // store, and recovery then fails to find the checkpoint's trees — an
+  // error status, not an abort on the page size.
+  StorageOptions storage;
+  Document doc(storage);
+  ASSERT_TRUE(GenerateBib(&doc, BibConfig::Tiny()).ok());
+  Wal wal(WalOptions{});
+  doc.AttachWal(&wal);
+  ASSERT_TRUE(doc.buffer().FlushAll().ok());
+  ASSERT_TRUE(doc.LogCheckpoint().ok());
+  auto opened = OpenDatabase(storage, WalOptions{}, PageFileImage{},
+                             wal.DurableImage());
+  EXPECT_FALSE(opened.ok());
+}
+
 TEST(WalTest, CleanEndIsTheLastRecordStartForEveryCutPoint) {
   Wal wal(WalOptions{});
   const uint32_t page_size = 128;
