@@ -14,12 +14,18 @@
 //   4. Restore vs generate: the paper-sized bib document reopened from
 //      its DocumentSnapshot against generating it, on c1-local's storage
 //      (4096 frames, no simulated latency). Median of 3 each.
+//   5. Restart per scanned record: OpenDatabase over a fixed log of
+//      committed renames, checkpointed (after a full flush) every 64
+//      commits, so nothing is redone; no simulated latency, median of 3.
+//      Unlike perfbench's update-wal restart, the log does not depend on
+//      how much a timed run happened to commit.
 //
 //   ./bench/micro_recovery            full run, human-readable table
 //   ./bench/micro_recovery --smoke    quick CI run; exits non-zero if
 //                                     4-worker redo speedup < 2x, restore
-//                                     takes > 0.05x of generate, or any
-//                                     phase loses data
+//                                     takes > 0.05x of generate, the
+//                                     checkpointed restart redoes a
+//                                     record, or any phase loses data
 //   ./bench/micro_recovery --json     machine-readable results
 //                                     (committed as BENCH_replication.json)
 
@@ -29,6 +35,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
@@ -69,26 +76,35 @@ struct ApplyResult {
 
 /// `records` update records round-robining over `pages` distinct pages,
 /// each carrying one full-page image (the WAL's physical redo unit).
-std::vector<WalRecord> SyntheticBatch(int records, int pages,
-                                      uint32_t page_size) {
-  std::vector<WalRecord> batch;
-  batch.reserve(static_cast<size_t>(records));
-  Lsn lsn = 16;
-  for (int i = 0; i < records; ++i) {
-    const Lsn end = lsn + page_size;
-    WalRecord r;
-    r.type = WalRecordType::kUpdate;
-    r.lsn = lsn;
-    r.end_lsn = end;
-    std::string bytes(page_size, static_cast<char>('a' + i % 26));
-    std::memcpy(bytes.data() + kPageLsnOffset, &end, sizeof(end));
-    r.pages.push_back(
-        WalPageImage{static_cast<PageId>(1 + i % pages), std::move(bytes)});
-    batch.push_back(std::move(r));
-    lsn = end;
+/// The images view `images`, as a decoded record's images view the log
+/// image, so the batch is built in place and never copied.
+struct SyntheticBatch {
+  SyntheticBatch(int records, int pages, uint32_t page_size) {
+    images.reserve(static_cast<size_t>(records) * page_size);
+    batch.reserve(static_cast<size_t>(records));
+    Lsn lsn = 16;
+    for (int i = 0; i < records; ++i) {
+      const Lsn end = lsn + page_size;
+      WalRecord r;
+      r.type = WalRecordType::kUpdate;
+      r.lsn = lsn;
+      r.end_lsn = end;
+      const size_t at = images.size();
+      images.append(page_size, static_cast<char>('a' + i % 26));
+      std::memcpy(images.data() + at + kPageLsnOffset, &end, sizeof(end));
+      r.pages.push_back(WalPageImage{
+          static_cast<PageId>(1 + i % pages),
+          std::string_view(images).substr(at, page_size)});
+      batch.push_back(std::move(r));
+      lsn = end;
+    }
   }
-  return batch;
-}
+  SyntheticBatch(const SyntheticBatch&) = delete;
+  SyntheticBatch& operator=(const SyntheticBatch&) = delete;
+
+  std::string images;
+  std::vector<WalRecord> batch;
+};
 
 ApplyResult TimeApplyAll(const std::vector<WalRecord>& batch, int workers) {
   StorageOptions options;
@@ -107,6 +123,31 @@ ApplyResult TimeApplyAll(const std::vector<WalRecord>& batch, int workers) {
 }
 
 // --- 2/3. A database with a long since-checkpoint redo distance ---------
+
+/// Commits rename number `i` as transaction i + 1: an element of the
+/// Tiny bib (round-robin over four names and ten occurrences) goes to
+/// "bench-renamed" and back, so every commit logs page images.
+void CommitRename(Document* doc, Wal* wal, int i) {
+  const char* names[] = {"chapter", "author", "lend", "person"};
+  const char* name = names[i % 4];
+  auto target = doc->NthElementByName(i % 8 < 4 ? name : "bench-renamed",
+                                      static_cast<size_t>(i / 8) % 10);
+  if (!target.has_value()) {
+    target = doc->NthElementByName(name, 0);
+  }
+  if (!target.has_value()) Die("rename target", Status::NotFound("none"));
+  const NameSurrogate to =
+      doc->vocabulary().Intern(i % 8 < 4 ? "bench-renamed" : name);
+  {
+    ScopedWalTx scope(static_cast<uint64_t>(i + 1));
+    if (Status st = doc->RenameElement(*target, to); !st.ok()) {
+      Die("RenameElement", st);
+    }
+  }
+  Status st = wal->AppendCommit(static_cast<uint64_t>(i + 1),
+                                static_cast<uint64_t>(i + 1), "bench");
+  if (!st.ok()) Die("AppendCommit", st);
+}
 
 struct Artifacts {
   StorageOptions storage;
@@ -135,28 +176,8 @@ Artifacts BuildLoggedDatabase(int commits) {
 
   // Committed renames scattered across the document: each logs a page
   // image the restart must redo (the disk stays at the checkpoint).
-  const char* names[] = {"chapter", "author", "lend", "person"};
-  const NameSurrogate renamed = doc.vocabulary().Intern("bench-renamed");
   for (int i = 0; i < commits; ++i) {
-    const char* name = names[i % 4];
-    auto target = doc.NthElementByName(
-        i % 8 < 4 ? name : "bench-renamed", static_cast<size_t>(i / 8) % 10);
-    if (!target.has_value()) {
-      target = doc.NthElementByName(name, 0);
-    }
-    if (!target.has_value()) Die("rename target", Status::NotFound("none"));
-    const NameSurrogate to = i % 8 < 4
-                                 ? renamed
-                                 : doc.vocabulary().Intern(name);
-    {
-      ScopedWalTx scope(static_cast<uint64_t>(i + 1));
-      if (Status st = doc.RenameElement(*target, to); !st.ok()) {
-        Die("RenameElement", st);
-      }
-    }
-    Status st = wal.AppendCommit(static_cast<uint64_t>(i + 1),
-                                 static_cast<uint64_t>(i + 1), "bench");
-    if (!st.ok()) Die("AppendCommit", st);
+    CommitRename(&doc, &wal, i);
     ++a.commits;
   }
   a.log = wal.DurableImage();
@@ -252,6 +273,57 @@ RestoreTiming TimeRestore() {
   return RestoreTiming{generate[1], restore[1]};  // medians
 }
 
+// --- 5. Restart of a checkpointed log ---------------------------------------
+
+struct CheckpointedRestart {
+  uint64_t log_bytes = 0;
+  uint64_t records_scanned = 0;
+  uint64_t records_redone = 0;
+  uint64_t commits_recovered = 0;
+  double secs = 0;  // median of 3
+};
+
+/// Restart of a fixed log with nothing to redo: `commits` committed
+/// renames (a multiple of 64), with FlushAll + LogCheckpoint after every
+/// 64th, so the disk reflects every record. What restart still pays per
+/// record is the scan (one CRC and one decode), the copy of the log into
+/// the reopened Wal, and the final checkpoint's append.
+CheckpointedRestart TimeCheckpointedRestart(int commits) {
+  const StorageOptions storage;  // 4096 frames, no simulated latency
+  Document doc(storage);
+  auto info = GenerateBib(&doc, BibConfig::Tiny());
+  if (!info.ok()) Die("GenerateBib", info.status());
+  Wal wal(WalOptions{});
+  doc.AttachWal(&wal);
+  auto checkpoint = [&] {
+    if (Status st = doc.buffer().FlushAll(); !st.ok()) Die("FlushAll", st);
+    if (Status st = doc.LogCheckpoint(); !st.ok()) Die("LogCheckpoint", st);
+  };
+  checkpoint();
+  for (int i = 0; i < commits; ++i) {
+    CommitRename(&doc, &wal, i);
+    if ((i + 1) % 64 == 0) checkpoint();
+  }
+  const PageFileImage disk = doc.page_file().CloneImage();
+  const std::string log = wal.DurableImage();
+
+  CheckpointedRestart r;
+  r.log_bytes = log.size();
+  double secs[3] = {};
+  for (double& t : secs) {
+    const auto start = std::chrono::steady_clock::now();
+    auto opened = OpenDatabase(storage, WalOptions{}, disk, log);
+    t = Seconds(std::chrono::steady_clock::now() - start);
+    if (!opened.ok()) Die("OpenDatabase", opened.status());
+    r.records_scanned = opened->stats.records_scanned;
+    r.records_redone = opened->stats.records_redone;
+    r.commits_recovered = opened->committed.size();
+  }
+  std::sort(secs, secs + 3);
+  r.secs = secs[1];
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -261,6 +333,7 @@ int main(int argc, char** argv) {
   const int raw_records = smoke ? 1200 : 4000;
   const int raw_pages = 192;
   const int commits = smoke ? 120 : 400;
+  const int checkpointed_commits = smoke ? 1024 : 4096;
 
   if (!json) {
     PrintHeader("micro_recovery",
@@ -268,12 +341,11 @@ int main(int argc, char** argv) {
   }
 
   // 1. Raw partitioned redo.
-  const std::vector<WalRecord> batch =
-      SyntheticBatch(raw_records, raw_pages, 512);
+  const SyntheticBatch synthetic(raw_records, raw_pages, 512);
   const int worker_counts[] = {1, 2, 4, 8};
   ApplyResult apply[4];
   for (int i = 0; i < 4; ++i) {
-    apply[i] = TimeApplyAll(batch, worker_counts[i]);
+    apply[i] = TimeApplyAll(synthetic.batch, worker_counts[i]);
     if (apply[i].pages_redone != apply[0].pages_redone) {
       std::fprintf(stderr, "FAIL: worker count changed redo work\n");
       return 1;
@@ -308,6 +380,25 @@ int main(int argc, char** argv) {
                                    : restore.restore_secs /
                                          restore.generate_secs;
 
+  // 5. Restart of a checkpointed log.
+  const CheckpointedRestart restart =
+      TimeCheckpointedRestart(checkpointed_commits);
+  if (restart.records_redone != 0 ||
+      restart.commits_recovered !=
+          static_cast<uint64_t>(checkpointed_commits)) {
+    std::fprintf(stderr,
+                 "FAIL: checkpointed restart redid %llu records and "
+                 "recovered %llu of %d commits\n",
+                 static_cast<unsigned long long>(restart.records_redone),
+                 static_cast<unsigned long long>(restart.commits_recovered),
+                 checkpointed_commits);
+    return 1;
+  }
+  const double restart_us_per_record =
+      restart.records_scanned == 0
+          ? 0
+          : restart.secs * 1e6 / static_cast<double>(restart.records_scanned);
+
   if (json) {
     std::printf("{\n  \"benchmark\": \"micro_recovery parallel redo\",\n");
     std::printf("  \"io_latency_us\": %u,\n", kIoLatencyUs);
@@ -331,8 +422,15 @@ int main(int argc, char** argv) {
     std::printf("  \"catchup_mib_per_sec\": %.1f,\n", catch_up.mib_per_sec);
     std::printf("  \"doc_generate_ms\": %.1f,\n",
                 restore.generate_secs * 1000.0);
-    std::printf("  \"doc_restore_ms\": %.1f\n}\n",
+    std::printf("  \"doc_restore_ms\": %.1f,\n",
                 restore.restore_secs * 1000.0);
+    std::printf("  \"restart_log_bytes\": %llu,\n",
+                static_cast<unsigned long long>(restart.log_bytes));
+    std::printf("  \"restart_ms\": %.1f,\n", restart.secs * 1000.0);
+    std::printf("  \"records_scanned\": %llu,\n",
+                static_cast<unsigned long long>(restart.records_scanned));
+    std::printf("  \"restart_us_per_record\": %.2f\n}\n",
+                restart_us_per_record);
   } else {
     std::printf("\nraw partitioned redo: %d records over %d pages, "
                 "%u us/io\n",
@@ -357,6 +455,13 @@ int main(int argc, char** argv) {
                 "snapshot %.1f ms (%.3fx)\n",
                 restore.generate_secs * 1000.0, restore.restore_secs * 1000.0,
                 restore_ratio);
+    std::printf("\ncheckpointed restart: %d commits, %.1f MiB log, %llu "
+                "records scanned, 0 redone\n",
+                checkpointed_commits,
+                static_cast<double>(restart.log_bytes) / (1024.0 * 1024.0),
+                static_cast<unsigned long long>(restart.records_scanned));
+    std::printf("  %7.1f ms  (%.2f us per scanned record)\n",
+                restart.secs * 1000.0, restart_us_per_record);
   }
 
   if (smoke && speedup4 < 2.0) {

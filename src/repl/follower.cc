@@ -21,7 +21,7 @@ class BufferPageSink : public RedoPageSink {
   BufferPageSink(PageFile* file, BufferManager* buffer)
       : file_(file), buffer_(buffer) {}
 
-  Status ApplyImage(PageId id, Lsn end_lsn, const std::string& bytes,
+  Status ApplyImage(PageId id, Lsn end_lsn, std::string_view bytes,
                     bool* applied) override {
     *applied = false;
     XTC_CHECK(bytes.size() == file_->page_size(),
@@ -133,6 +133,8 @@ Status Follower::ApplyCompleteRecordsLocked() {
       return Status::IoError(
           "injected fault at crash.apply: follower killed mid apply");
     }
+    // The record's page images view log_, so it is applied before log_
+    // changes again.
     XTC_RETURN_IF_ERROR(ApplyOneLocked(frame.record));
     scan_pos_ = frame.record.end_lsn;
     applied_lsn_ = frame.record.end_lsn;

@@ -36,15 +36,20 @@ StatusOr<OpenResult> OpenDatabase(const StorageOptions& storage,
   }
 
   // --- Analysis -----------------------------------------------------------
+  // The records' page images view log_image, which outlives them.
   auto scan = Wal::ScanDurable(log_image);
   if (!scan.ok()) return scan.status().Annotate("recovery: log scan");
   const std::vector<WalRecord>& records = scan->records;
   // The reopened log keeps only the complete records: appending after a
   // torn tail would leave every later record behind mid-log garbage,
-  // invisible to the next restart's scan.
+  // invisible to the next restart's scan. It is copied once, into a
+  // buffer with the room the first append would otherwise reallocate
+  // (and copy the whole log again) to get.
   auto reopen_wal = [&] {
-    return std::make_unique<Wal>(wal_options,
-                                 log_image.substr(0, scan->clean_end));
+    std::string image;
+    image.reserve(2 * scan->clean_end);
+    image.append(log_image, 0, scan->clean_end);
+    return std::make_unique<Wal>(wal_options, std::move(image));
   };
 
   // The last complete checkpoint governs recovery.

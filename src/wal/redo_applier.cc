@@ -13,7 +13,7 @@
 namespace xtc {
 
 Status FilePageSink::ApplyImage(PageId id, Lsn end_lsn,
-                                const std::string& bytes, bool* applied) {
+                                std::string_view bytes, bool* applied) {
   *applied = false;
   XTC_CHECK(bytes.size() == file_->page_size(),
             "redo: logged page size does not match the store");
@@ -68,14 +68,14 @@ Status RedoApplier::ApplyAll(const std::vector<WalRecord>& records,
   struct PendingImage {
     size_t record_index;
     Lsn end_lsn;
-    const std::string* bytes;
+    std::string_view bytes;
   };
   std::unordered_map<PageId, std::vector<PendingImage>> chains;
   for (size_t i = 0; i < records.size(); ++i) {
     const WalRecord& r = records[i];
     if (r.type != WalRecordType::kUpdate || r.lsn < redo_start) continue;
     for (const WalPageImage& img : r.pages) {
-      chains[img.id].push_back(PendingImage{i, r.end_lsn, &img.bytes});
+      chains[img.id].push_back(PendingImage{i, r.end_lsn, img.bytes});
     }
   }
   std::vector<PageId> page_ids;
@@ -95,8 +95,8 @@ Status RedoApplier::ApplyAll(const std::vector<WalRecord>& records,
       if (failed.load(std::memory_order_acquire)) return;
       for (const PendingImage& img : chains.at(page_ids[i])) {
         bool applied = false;
-        Status st = sink_->ApplyImage(page_ids[i], img.end_lsn, *img.bytes,
-                                      &applied);
+        Status st =
+            sink_->ApplyImage(page_ids[i], img.end_lsn, img.bytes, &applied);
         if (!st.ok()) {
           errors[static_cast<size_t>(shard)] = st;
           failed.store(true, std::memory_order_release);

@@ -21,6 +21,7 @@
 #define XTC_WAL_REDO_APPLIER_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "storage/page_file.h"
@@ -35,11 +36,12 @@ class RedoPageSink {
  public:
   virtual ~RedoPageSink() = default;
 
-  /// Applies `bytes` (a full page image covered through `end_lsn`) to
-  /// page `id` iff the stored page does not already reflect it; *applied
-  /// reports whether the write happened. Must allocate the page when the
-  /// store lost it and treat a torn stored page as "apply".
-  virtual Status ApplyImage(PageId id, Lsn end_lsn, const std::string& bytes,
+  /// Applies `bytes` (a full page image covered through `end_lsn`, a
+  /// view into the log image) to page `id` iff the stored page does not
+  /// already reflect it; *applied reports whether the write happened.
+  /// Must allocate the page when the store lost it and treat a torn
+  /// stored page as "apply".
+  virtual Status ApplyImage(PageId id, Lsn end_lsn, std::string_view bytes,
                             bool* applied) = 0;
 };
 
@@ -49,7 +51,7 @@ class RedoPageSink {
 class FilePageSink : public RedoPageSink {
  public:
   explicit FilePageSink(PageFile* file) : file_(file) {}
-  Status ApplyImage(PageId id, Lsn end_lsn, const std::string& bytes,
+  Status ApplyImage(PageId id, Lsn end_lsn, std::string_view bytes,
                     bool* applied) override;
 
  private:

@@ -87,18 +87,23 @@ class ByteReader {
     return v;
   }
 
-  std::string ReadBytes(size_t n) {
+  /// The next `n` bytes as a view into the decoded image.
+  std::string_view ReadView(size_t n) {
     if (pos_ + n > bytes_.size()) {
       ok_ = false;
       return {};
     }
-    std::string out(bytes_.data() + pos_, n);
+    const std::string_view out = bytes_.substr(pos_, n);
     pos_ += n;
     return out;
   }
 
-  std::string ReadBytes16() { return ReadBytes(ReadInt<uint16_t>()); }
-  std::string ReadBytes32() { return ReadBytes(ReadInt<uint32_t>()); }
+  std::string ReadBytes16() {
+    return std::string(ReadView(ReadInt<uint16_t>()));
+  }
+  std::string ReadBytes32() {
+    return std::string(ReadView(ReadInt<uint32_t>()));
+  }
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return ok_ && pos_ == bytes_.size(); }
@@ -180,7 +185,7 @@ StatusOr<WalRecord> DecodeRecord(std::string_view payload, Lsn lsn,
       for (uint32_t i = 0; i < npages && in.ok(); ++i) {
         WalPageImage image;
         image.id = in.ReadInt<uint32_t>();
-        image.bytes = in.ReadBytes(page_size);
+        image.bytes = in.ReadView(page_size);
         record.pages.push_back(std::move(image));
       }
       break;

@@ -123,9 +123,13 @@ enum class WalRecordType : uint8_t {
   kCheckpoint = 5,
 };
 
+/// One logged after-image. `bytes` views the log image the record was
+/// decoded from (ReadFrame/ScanDurable copy no page), so a decoded
+/// record's page images live exactly as long as that image: keep it
+/// alive and unchanged while the record is in use.
 struct WalPageImage {
   PageId id = kInvalidPageId;
-  std::string bytes;
+  std::string_view bytes;
 };
 
 struct WalRecord {
@@ -301,14 +305,18 @@ class Wal : public WalBackend {
   /// Reads the frame at `pos`: the one decoder of the frame layout,
   /// shared by restart, follower tailing and bootstrap. Checks the CRC
   /// once and decodes the record once; an error means a record whose
-  /// CRC matched but whose payload does not parse.
+  /// CRC matched but whose payload does not parse. The record's page
+  /// images view `image` (see WalPageImage), so a temporary string
+  /// does not compile here.
   static StatusOr<WalFrame> ReadFrame(std::string_view image, Lsn pos);
+  static StatusOr<WalFrame> ReadFrame(std::string&& image, Lsn pos) = delete;
   /// Decodes every complete record after a valid header. A torn or
   /// incomplete tail ends the scan (torn_tail); it is not an error. A
   /// bad header is. Reopening a log from image.substr(0, clean_end)
   /// drops the torn tail, so later appends stay visible to the next
-  /// scan.
+  /// scan. Like ReadFrame, the records' page images view `image`.
   static StatusOr<WalScan> ScanDurable(std::string_view image);
+  static StatusOr<WalScan> ScanDurable(std::string&& image) = delete;
 
  private:
   Lsn AppendRecordLocked(std::string payload) XTC_REQUIRES(mu_);

@@ -4,6 +4,7 @@
 // produce a byte-identical store).
 
 #include <cstring>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -26,14 +27,20 @@ std::string PageBytes(char tag, Lsn end_lsn) {
   return bytes;
 }
 
-WalRecord UpdateRecord(Lsn lsn, Lsn end_lsn,
+/// Backs the page images of the records a test builds: their images
+/// view these bytes, as a decoded record's images view the log image.
+/// A deque never moves the strings it already holds.
+using ImageStore = std::deque<std::string>;
+
+WalRecord UpdateRecord(ImageStore* store, Lsn lsn, Lsn end_lsn,
                        std::vector<std::pair<PageId, char>> pages) {
   WalRecord r;
   r.type = WalRecordType::kUpdate;
   r.lsn = lsn;
   r.end_lsn = end_lsn;
   for (const auto& [id, tag] : pages) {
-    r.pages.push_back(WalPageImage{id, PageBytes(tag, end_lsn)});
+    store->push_back(PageBytes(tag, end_lsn));
+    r.pages.push_back(WalPageImage{id, store->back()});
   }
   return r;
 }
@@ -61,7 +68,9 @@ TEST(RedoApplierTest, AppliesOnlyWhatTheStoreIsMissing) {
   ASSERT_TRUE(file.Write(2, stale).ok());
 
   RedoApplier redo(&sink);
-  auto applied = redo.ApplyRecord(UpdateRecord(50, 100, {{1, 'A'}, {2, 'B'}}));
+  ImageStore store;
+  auto applied =
+      redo.ApplyRecord(UpdateRecord(&store, 50, 100, {{1, 'A'}, {2, 'B'}}));
   ASSERT_TRUE(applied.ok()) << applied.status().message();
   EXPECT_TRUE(*applied);
   EXPECT_EQ(TagOf(&file, 1), 'F');  // already reflected: skipped
@@ -96,7 +105,8 @@ TEST(RedoApplierTest, TornStoredPageIsRepairedUnconditionally) {
 
   FilePageSink sink(&file);
   RedoApplier redo(&sink);
-  auto applied = redo.ApplyRecord(UpdateRecord(10, 20, {{1, 'R'}}));
+  ImageStore store;
+  auto applied = redo.ApplyRecord(UpdateRecord(&store, 10, 20, {{1, 'R'}}));
   ASSERT_TRUE(applied.ok()) << applied.status().message();
   EXPECT_TRUE(*applied);
   EXPECT_EQ(TagOf(&file, 1), 'R');
@@ -106,13 +116,15 @@ TEST(RedoApplierTest, ParallelModeMatchesSerialByteForByte) {
   // A batch with long per-page chains and shared pages across records:
   // any worker count must land the same final bytes (last image per
   // page wins, because per-page chains apply in log order).
+  ImageStore store;
   std::vector<WalRecord> records;
   Lsn lsn = 16;
   for (int round = 0; round < 8; ++round) {
     for (PageId id = 1; id <= 13; ++id) {
       const Lsn end = lsn + 100;
-      records.push_back(UpdateRecord(
-          lsn, end, {{id, static_cast<char>('a' + (round + id) % 26)}}));
+      records.push_back(
+          UpdateRecord(&store, lsn, end,
+                       {{id, static_cast<char>('a' + (round + id) % 26)}}));
       lsn = end;
     }
   }
@@ -154,9 +166,10 @@ TEST(RedoApplierTest, ParallelPreservesPerPageLsnOrder) {
   // out of order would leave an older tag.
   for (int workers : {1, 2, 4, 7}) {
     std::vector<WalRecord> records;
-    records.push_back(UpdateRecord(16, 100, {{5, 'x'}}));
-    records.push_back(UpdateRecord(100, 200, {{5, 'y'}}));
-    records.push_back(UpdateRecord(200, 300, {{5, 'z'}}));
+    ImageStore store;
+    records.push_back(UpdateRecord(&store, 16, 100, {{5, 'x'}}));
+    records.push_back(UpdateRecord(&store, 100, 200, {{5, 'y'}}));
+    records.push_back(UpdateRecord(&store, 200, 300, {{5, 'z'}}));
     StorageOptions options;
     options.page_size = kPageSize;
     PageFile file(options);

@@ -1,15 +1,19 @@
 // Unit tests for the utility layer: Status/StatusOr, RNG, clock helpers,
-// relaxed stats.
+// relaxed stats, CRC-32.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "util/clock.h"
+#include "util/crc32.h"
 #include "util/relaxed_stats.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -191,6 +195,67 @@ TEST(RelaxedStatsTest, ConcurrentAddAndMaxAreExact) {
       zero, [](const char* name, const char*, uint64_t v) {
         EXPECT_EQ(v, 0u) << name;
       });
+}
+
+// Bit-at-a-time CRC-32 over the same reflected polynomial: the
+// definition the sliced kernel must reproduce byte for byte.
+uint32_t ReferenceCrc32Update(uint32_t crc, const uint8_t* p, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc;
+}
+
+std::vector<uint8_t> RandomBytes(Rng* rng, size_t n) {
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng->Next());
+  return bytes;
+}
+
+TEST(Crc32Test, StandardCheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(std::string_view()), 0u);
+}
+
+TEST(Crc32Test, MatchesReferenceAtEveryLengthAndOffset) {
+  Rng rng(2005);
+  const std::vector<uint8_t> buffer = RandomBytes(&rng, 9000 + 8);
+  std::vector<size_t> lengths = {0, 1, 7, 8, 9, 15, 16, 17, 100, 4093, 4096,
+                                 9000};
+  for (int i = 0; i < 64; ++i) lengths.push_back(rng.Uniform(9001));
+  for (size_t n : lengths) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const uint8_t* p = buffer.data() + offset;
+      EXPECT_EQ(Crc32Update(Crc32Init(), p, n),
+                ReferenceCrc32Update(Crc32Init(), p, n))
+          << "length " << n << " offset " << offset;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedUpdatesEqualOneCall) {
+  Rng rng(1992);
+  for (int trial = 0; trial < 64; ++trial) {
+    const size_t n = rng.Uniform(9001);
+    const std::vector<uint8_t> bytes = RandomBytes(&rng, n);
+    std::vector<size_t> cuts = {0, n};
+    for (uint64_t k = rng.Uniform(6); k > 0; --k) {
+      cuts.push_back(rng.Uniform(n + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    uint32_t chained = Crc32Init();
+    for (size_t i = 1; i < cuts.size(); ++i) {
+      chained = Crc32Update(chained, bytes.data() + cuts[i - 1],
+                            cuts[i] - cuts[i - 1]);
+    }
+    EXPECT_EQ(Crc32Finish(chained), Crc32(bytes.data(), n))
+        << "trial " << trial << " length " << n;
+    EXPECT_EQ(chained, ReferenceCrc32Update(Crc32Init(), bytes.data(), n))
+        << "trial " << trial << " length " << n;
+  }
 }
 
 }  // namespace

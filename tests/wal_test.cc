@@ -117,7 +117,8 @@ TEST(WalTest, FramingRoundTrip) {
   const Lsn third_end = wal.AppendUpdate(8, undo, SomeMeta(), {9}, page_size,
                                          FakeReader(page_size));
   ASSERT_TRUE(wal.Sync().ok());
-  auto again = Wal::ScanDurable(wal.DurableImage());
+  const std::string grown = wal.DurableImage();
+  auto again = Wal::ScanDurable(grown);
   ASSERT_TRUE(again.ok());
   ASSERT_EQ(again->records.size(), 5u);
   EXPECT_EQ(again->records.back().end_lsn, third_end);
@@ -169,7 +170,8 @@ TEST(WalTest, GroupCommitBuffersUntilOneForcedSync) {
   EXPECT_EQ(wal.stats().syncs, 0u);
   ASSERT_TRUE(wal.Sync().ok());
   EXPECT_EQ(wal.stats().syncs, 1u);
-  auto scan = Wal::ScanDurable(wal.DurableImage());
+  const std::string image = wal.DurableImage();
+  auto scan = Wal::ScanDurable(image);
   ASSERT_TRUE(scan.ok());
   EXPECT_FALSE(scan->torn_tail);
   EXPECT_EQ(scan->records.size(), 5u);  // one sync made all five durable
@@ -191,8 +193,9 @@ TEST(WalTest, CommitRecordExactlyAtFlushChunkBoundary) {
     options.flush_chunk = chunk;
     Wal wal(options);
     ASSERT_TRUE(wal.AppendCommit(1, 1, "boundary!").ok());
-    EXPECT_EQ(wal.DurableImage().size(), exact) << "chunk=" << chunk;
-    auto scan = Wal::ScanDurable(wal.DurableImage());
+    const std::string image = wal.DurableImage();
+    EXPECT_EQ(image.size(), exact) << "chunk=" << chunk;
+    auto scan = Wal::ScanDurable(image);
     ASSERT_TRUE(scan.ok()) << scan.status().message();
     EXPECT_FALSE(scan->torn_tail);
     ASSERT_EQ(scan->records.size(), 1u);
@@ -253,7 +256,8 @@ TEST(WalTest, WalBeforeDataForcesTheLogOnWriteBack) {
 
   // Every update record that covered a page is durable now: the scan of
   // the durable prefix sees the content update.
-  auto scan = Wal::ScanDurable(wal.DurableImage());
+  const std::string image = wal.DurableImage();
+  auto scan = Wal::ScanDurable(image);
   ASSERT_TRUE(scan.ok());
   EXPECT_FALSE(scan->torn_tail);
   bool saw_update = false;
@@ -352,7 +356,8 @@ TEST(WalTest, CleanEndIsTheLastRecordStartForEveryCutPoint) {
   // through the length field, the CRC and the payload — scans to the
   // first two records, with the clean end where the torn record began.
   for (size_t end = last_start + 1; end < image.size(); ++end) {
-    auto scan = Wal::ScanDurable(image.substr(0, end));
+    const std::string cut = image.substr(0, end);
+    auto scan = Wal::ScanDurable(cut);
     ASSERT_TRUE(scan.ok()) << "cut at " << end;
     EXPECT_TRUE(scan->torn_tail) << "cut at " << end;
     EXPECT_EQ(scan->clean_end, last_start) << "cut at " << end;
@@ -387,7 +392,8 @@ TEST(WalTest, CommitsAppendedAfterTornTailReopenStayVisible) {
                           FakeReader(page_size));
     ASSERT_TRUE(reopened.AppendCommit(3, 2, "second").ok());
 
-    auto again = Wal::ScanDurable(reopened.DurableImage());
+    const std::string grown = reopened.DurableImage();
+    auto again = Wal::ScanDurable(grown);
     ASSERT_TRUE(again.ok()) << again.status().message();
     EXPECT_FALSE(again->torn_tail) << "cut at " << end;
     // vocab-free stream: update, commit("first"), update, commit("second")
@@ -480,7 +486,7 @@ TEST(WalTest, BadOrShortHeaderIsRejected) {
     EXPECT_TRUE(opened.status().IsDataLoss());
   }
   // The empty image is a fresh log, not a bad one.
-  auto empty = Wal::ScanDurable("");
+  auto empty = Wal::ScanDurable(std::string_view());
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->records.empty());
   EXPECT_EQ(empty->clean_end, 0u);
