@@ -18,9 +18,11 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tamix/coordinator.h"
+#include "tamix/metrics.h"
 
 namespace xtc {
 namespace bench {
@@ -53,6 +55,38 @@ inline RunConfig Cluster1Config() {
   // All paper timings scale with run duration: 5 min -> RunSeconds().
   config.time_scale = RunSeconds() / 300.0;
   return config;
+}
+
+/// The flags a micro bench with a committed record takes, in any order:
+/// --smoke (a short run whose gates exit 1) and --json (the record as
+/// ToJson instead of ToText).
+struct BenchFlags {
+  bool smoke = false;
+  bool json = false;
+};
+
+/// Parses BenchFlags; any other argument prints usage and exits 2
+/// before the bench does any work.
+inline BenchFlags ParseFlags(int argc, char** argv) {
+  BenchFlags flags;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--smoke") {
+      flags.smoke = true;
+    } else if (arg == "--json") {
+      flags.json = true;
+    } else {
+      std::fprintf(stderr, "usage: %s [--smoke] [--json]\n", argv[0]);
+      std::exit(2);
+    }
+  }
+  return flags;
+}
+
+/// Prints a bench's record through one of the engine's two exporters.
+inline void PrintMetrics(const MetricSet& metrics, const BenchFlags& flags) {
+  std::fputs((flags.json ? ToJson(metrics) : ToText(metrics)).c_str(),
+             stdout);
 }
 
 inline void PrintHeader(const char* figure, const char* what) {

@@ -20,14 +20,17 @@
 //      Unlike perfbench's update-wal restart, the log does not depend on
 //      how much a timed run happened to commit.
 //
-//   ./bench/micro_recovery            full run, human-readable table
-//   ./bench/micro_recovery --smoke    quick CI run; exits non-zero if
-//                                     4-worker redo speedup < 2x, restore
-//                                     takes > 0.05x of generate, the
-//                                     checkpointed restart redoes a
-//                                     record, or any phase loses data
-//   ./bench/micro_recovery --json     machine-readable results
+//   ./bench/micro_recovery            full run, one `name value unit`
+//                                     line per metric (ToText)
+//   ./bench/micro_recovery --smoke    quick CI run; exits 1 if 4-worker
+//                                     redo speedup < 2x or restore takes
+//                                     > 0.05x of generate
+//   ./bench/micro_recovery --json     the same metrics as ToJson
 //                                     (committed as BENCH_replication.json)
+//
+// Every mode exits 1 if a phase loses data: a worker count that changes
+// the redo work, a restart or catch-up that loses commits, or a
+// checkpointed restart that redoes a record.
 
 #include <algorithm>
 #include <chrono>
@@ -327,31 +330,37 @@ CheckpointedRestart TimeCheckpointedRestart(int commits) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
-
-  const int raw_records = smoke ? 1200 : 4000;
+  const BenchFlags flags = ParseFlags(argc, argv);
+  const int raw_records = flags.smoke ? 1200 : 4000;
   const int raw_pages = 192;
-  const int commits = smoke ? 120 : 400;
-  const int checkpointed_commits = smoke ? 1024 : 4096;
+  const int commits = flags.smoke ? 120 : 400;
+  const int checkpointed_commits = flags.smoke ? 1024 : 4096;
 
-  if (!json) {
-    PrintHeader("micro_recovery",
-                "parallel restart redo and follower catch-up");
+  if (!flags.json) {
+    std::printf("# micro_recovery — parallel restart redo and follower "
+                "catch-up%s\n", flags.smoke ? " (smoke)" : "");
   }
+  MetricSet m;
+  m.push_back({"io_latency_us", "us", kIoLatencyUs});
 
   // 1. Raw partitioned redo.
   const SyntheticBatch synthetic(raw_records, raw_pages, 512);
-  const int worker_counts[] = {1, 2, 4, 8};
+  m.push_back({"redo.records", "count", static_cast<double>(raw_records)});
+  m.push_back({"redo.distinct_pages", "count",
+               static_cast<double>(raw_pages)});
   ApplyResult apply[4];
   for (int i = 0; i < 4; ++i) {
-    apply[i] = TimeApplyAll(synthetic.batch, worker_counts[i]);
+    const int workers = 1 << i;
+    apply[i] = TimeApplyAll(synthetic.batch, workers);
     if (apply[i].pages_redone != apply[0].pages_redone) {
       std::fprintf(stderr, "FAIL: worker count changed redo work\n");
       return 1;
     }
+    m.push_back({"redo.apply_" + std::to_string(workers) + "w_ms", "ms",
+                 apply[i].secs * 1000.0});
   }
   const double speedup4 = apply[2].secs == 0 ? 0 : apply[0].secs / apply[2].secs;
+  m.push_back({"redo.speedup_4w", "ratio", speedup4});
 
   // 2. End-to-end restart.
   const Artifacts artifacts = BuildLoggedDatabase(commits);
@@ -364,7 +373,14 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(artifacts.commits));
     return 1;
   }
-  const double open_speedup = open4.secs == 0 ? 0 : open1.secs / open4.secs;
+  m.push_back({"open.commits", "count",
+               static_cast<double>(artifacts.commits)});
+  m.push_back({"open.records_redone", "count",
+               static_cast<double>(open4.records_redone)});
+  m.push_back({"open.1w_ms", "ms", open1.secs * 1000.0});
+  m.push_back({"open.4w_ms", "ms", open4.secs * 1000.0});
+  m.push_back({"open.speedup_4w", "ratio",
+               open4.secs == 0 ? 0 : open1.secs / open4.secs});
 
   // 3. Follower catch-up.
   const CatchUp catch_up = TimeCatchUp(artifacts, 4096);
@@ -372,6 +388,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: catch-up lost commits\n");
     return 1;
   }
+  m.push_back({"catchup.log_bytes", "B",
+               static_cast<double>(catch_up.log_bytes)});
+  m.push_back({"catchup.ms", "ms", catch_up.secs * 1000.0});
+  m.push_back({"catchup.mib_per_s", "MiB/s", catch_up.mib_per_sec});
 
   // 4. Restore vs generate.
   const RestoreTiming restore = TimeRestore();
@@ -379,6 +399,9 @@ int main(int argc, char** argv) {
                                    ? 0
                                    : restore.restore_secs /
                                          restore.generate_secs;
+  m.push_back({"snapshot.generate_ms", "ms", restore.generate_secs * 1000.0});
+  m.push_back({"snapshot.restore_ms", "ms", restore.restore_secs * 1000.0});
+  m.push_back({"snapshot.restore_ratio", "ratio", restore_ratio});
 
   // 5. Restart of a checkpointed log.
   const CheckpointedRestart restart =
@@ -394,84 +417,28 @@ int main(int argc, char** argv) {
                  checkpointed_commits);
     return 1;
   }
-  const double restart_us_per_record =
-      restart.records_scanned == 0
-          ? 0
-          : restart.secs * 1e6 / static_cast<double>(restart.records_scanned);
+  m.push_back({"restart.commits", "count",
+               static_cast<double>(checkpointed_commits)});
+  m.push_back({"restart.log_bytes", "B",
+               static_cast<double>(restart.log_bytes)});
+  m.push_back({"restart.records_scanned", "count",
+               static_cast<double>(restart.records_scanned)});
+  m.push_back({"restart.ms", "ms", restart.secs * 1000.0});
+  m.push_back({"restart.us_per_record", "us",
+               restart.records_scanned == 0
+                   ? 0
+                   : restart.secs * 1e6 /
+                         static_cast<double>(restart.records_scanned)});
+  PrintMetrics(m, flags);
 
-  if (json) {
-    std::printf("{\n  \"benchmark\": \"micro_recovery parallel redo\",\n");
-    std::printf("  \"io_latency_us\": %u,\n", kIoLatencyUs);
-    std::printf("  \"redo_records\": %d,\n", raw_records);
-    std::printf("  \"redo_distinct_pages\": %d,\n", raw_pages);
-    for (int i = 0; i < 4; ++i) {
-      std::printf("  \"apply_all_ms_%dw\": %.1f,\n", worker_counts[i],
-                  apply[i].secs * 1000.0);
-    }
-    std::printf("  \"apply_all_speedup_4w\": %.2f,\n", speedup4);
-    std::printf("  \"restart_commits\": %llu,\n",
-                static_cast<unsigned long long>(artifacts.commits));
-    std::printf("  \"restart_records_redone\": %llu,\n",
-                static_cast<unsigned long long>(open4.records_redone));
-    std::printf("  \"open_ms_1w\": %.1f,\n", open1.secs * 1000.0);
-    std::printf("  \"open_ms_4w\": %.1f,\n", open4.secs * 1000.0);
-    std::printf("  \"open_speedup_4w\": %.2f,\n", open_speedup);
-    std::printf("  \"catchup_log_bytes\": %llu,\n",
-                static_cast<unsigned long long>(catch_up.log_bytes));
-    std::printf("  \"catchup_ms\": %.1f,\n", catch_up.secs * 1000.0);
-    std::printf("  \"catchup_mib_per_sec\": %.1f,\n", catch_up.mib_per_sec);
-    std::printf("  \"doc_generate_ms\": %.1f,\n",
-                restore.generate_secs * 1000.0);
-    std::printf("  \"doc_restore_ms\": %.1f,\n",
-                restore.restore_secs * 1000.0);
-    std::printf("  \"restart_log_bytes\": %llu,\n",
-                static_cast<unsigned long long>(restart.log_bytes));
-    std::printf("  \"restart_ms\": %.1f,\n", restart.secs * 1000.0);
-    std::printf("  \"records_scanned\": %llu,\n",
-                static_cast<unsigned long long>(restart.records_scanned));
-    std::printf("  \"restart_us_per_record\": %.2f\n}\n",
-                restart_us_per_record);
-  } else {
-    std::printf("\nraw partitioned redo: %d records over %d pages, "
-                "%u us/io\n",
-                raw_records, raw_pages, kIoLatencyUs);
-    for (int i = 0; i < 4; ++i) {
-      std::printf("  %d worker(s): %7.1f ms  (%.2fx)\n", worker_counts[i],
-                  apply[i].secs * 1000.0,
-                  apply[i].secs == 0 ? 0 : apply[0].secs / apply[i].secs);
-    }
-    std::printf("\nend-to-end restart: %llu commits, %llu records redone\n",
-                static_cast<unsigned long long>(artifacts.commits),
-                static_cast<unsigned long long>(open4.records_redone));
-    std::printf("  1 worker:  %7.1f ms\n", open1.secs * 1000.0);
-    std::printf("  4 workers: %7.1f ms  (%.2fx)\n", open4.secs * 1000.0,
-                open_speedup);
-    std::printf("\nfollower catch-up: %llu log bytes, %llu commits\n",
-                static_cast<unsigned long long>(catch_up.log_bytes),
-                static_cast<unsigned long long>(catch_up.commits_applied));
-    std::printf("  %7.1f ms  (%.1f MiB/s applied)\n", catch_up.secs * 1000.0,
-                catch_up.mib_per_sec);
-    std::printf("\npaper bib document: generate %.1f ms, restore from "
-                "snapshot %.1f ms (%.3fx)\n",
-                restore.generate_secs * 1000.0, restore.restore_secs * 1000.0,
-                restore_ratio);
-    std::printf("\ncheckpointed restart: %d commits, %.1f MiB log, %llu "
-                "records scanned, 0 redone\n",
-                checkpointed_commits,
-                static_cast<double>(restart.log_bytes) / (1024.0 * 1024.0),
-                static_cast<unsigned long long>(restart.records_scanned));
-    std::printf("  %7.1f ms  (%.2f us per scanned record)\n",
-                restart.secs * 1000.0, restart_us_per_record);
-  }
-
-  if (smoke && speedup4 < 2.0) {
+  if (flags.smoke && speedup4 < 2.0) {
     std::fprintf(stderr,
                  "FAIL: 4-worker redo speedup %.2fx < 2x — the partitioned "
                  "scan is not overlapping page I/O\n",
                  speedup4);
     return 1;
   }
-  if (smoke && restore_ratio > 0.05) {
+  if (flags.smoke && restore_ratio > 0.05) {
     std::fprintf(stderr,
                  "FAIL: restoring the bib document takes %.3fx of "
                  "generating it (> 0.05x)\n",

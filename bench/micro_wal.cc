@@ -8,16 +8,21 @@
 //      loop, single-threaded — an upper bound on commit records/s the
 //      log device (here: in-memory image) sustains.
 //
-//   ./bench/micro_wal            full run, human-readable table
-//   ./bench/micro_wal --smoke    quick CI run; exits non-zero if a WAL
-//                                run commits nothing or overhead blows
-//                                past sanity bounds
-//   ./bench/micro_wal --json     machine-readable results
-//                                (committed as BENCH_wal.json)
+//   ./bench/micro_wal            full run, one `name value unit` line
+//                                per metric (ToText)
+//   ./bench/micro_wal --smoke    quick CI run; exits 1 if a WAL run
+//                                commits nothing or overhead blows past
+//                                sanity bounds
+//   ./bench/micro_wal --json     the same metrics as ToJson (committed
+//                                as BENCH_wal.json)
+//
+// Both runs are CLUSTER1 under taDOM3+, isolation repeatable, lock
+// depth 5, and report their whole CollectRunMetrics catalogue, prefixed
+// wal_off. and wal_on.
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <string>
 
 #include "bench_common.h"
 #include "wal/wal.h"
@@ -27,32 +32,22 @@ using namespace xtc::bench;
 
 namespace {
 
-struct WalRunResult {
-  uint64_t committed = 0;
-  double normalized = 0;  // committed tx per 5 paper-minutes
-  double avg_commit_ms = 0;
-  WalStats wal;
-};
-
-WalRunResult RunOnce(WalMode mode, double duration_scale) {
+RunStats RunOnce(WalMode mode, double duration_scale) {
   RunConfig config = Cluster1Config();
   config.protocol = "taDOM3+";
   config.isolation = IsolationLevel::kRepeatable;
   config.lock_depth = 5;
   config.wal = mode;
   config.time_scale *= duration_scale;
-  RunStats stats = MustRun(config);
-  WalRunResult result;
-  result.committed = stats.total_committed();
-  result.normalized = stats.throughput_per_5min();
-  double total_ms = 0;
-  for (const auto& s : stats.per_type) {
-    total_ms += s.avg_duration_ms() * static_cast<double>(s.committed);
+  return MustRun(config);
+}
+
+/// Appends every metric of `stats` under `prefix`.
+void AddRun(MetricSet* out, const std::string& prefix, const RunStats& stats) {
+  for (Metric m : CollectRunMetrics(stats)) {
+    m.name = prefix + m.name;
+    out->push_back(std::move(m));
   }
-  result.avg_commit_ms =
-      result.committed == 0 ? 0 : total_ms / static_cast<double>(result.committed);
-  result.wal = stats.wal;
-  return result;
 }
 
 /// Commit records forced durable per second, single-threaded.
@@ -75,79 +70,48 @@ double RawCommitForceRate(int commits) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
-  const double scale = smoke ? 0.35 : 1.0;
-  const int raw_commits = smoke ? 20000 : 200000;
+  const BenchFlags flags = ParseFlags(argc, argv);
+  const double scale = flags.smoke ? 0.35 : 1.0;
+  const int raw_commits = flags.smoke ? 20000 : 200000;
 
-  if (!json) {
+  if (!flags.json) {
     PrintHeader("micro_wal", "commit overhead of WAL forcing + checkpoints");
   }
 
-  WalRunResult off = RunOnce(WalMode::kDisabled, scale);
-  WalRunResult on = RunOnce(WalMode::kEnabled, scale);
+  const RunStats off = RunOnce(WalMode::kDisabled, scale);
+  const RunStats on = RunOnce(WalMode::kEnabled, scale);
   const double raw_rate = RawCommitForceRate(raw_commits);
 
-  const double slowdown =
-      on.normalized == 0 ? 0 : off.normalized / on.normalized;
+  const double slowdown = on.throughput_per_5min() == 0
+                              ? 0
+                              : off.throughput_per_5min() /
+                                    on.throughput_per_5min();
   const double bytes_per_commit =
       on.wal.commits_logged == 0
           ? 0
           : static_cast<double>(on.wal.bytes_appended) /
                 static_cast<double>(on.wal.commits_logged);
 
-  if (json) {
-    std::printf("{\n  \"benchmark\": \"micro_wal commit overhead\",\n");
-    std::printf("  \"protocol\": \"taDOM3+\",\n");
-    std::printf("  \"isolation\": \"repeatable\",\n");
-    std::printf("  \"wal_off_committed_per_5min\": %.0f,\n", off.normalized);
-    std::printf("  \"wal_on_committed_per_5min\": %.0f,\n", on.normalized);
-    std::printf("  \"slowdown\": %.3f,\n", slowdown);
-    std::printf("  \"wal_off_avg_tx_ms\": %.2f,\n", off.avg_commit_ms);
-    std::printf("  \"wal_on_avg_tx_ms\": %.2f,\n", on.avg_commit_ms);
-    std::printf("  \"wal_records\": %llu,\n",
-                static_cast<unsigned long long>(on.wal.records_appended));
-    std::printf("  \"wal_bytes\": %llu,\n",
-                static_cast<unsigned long long>(on.wal.bytes_appended));
-    std::printf("  \"wal_forced_syncs\": %llu,\n",
-                static_cast<unsigned long long>(on.wal.syncs));
-    std::printf("  \"wal_checkpoints\": %llu,\n",
-                static_cast<unsigned long long>(on.wal.checkpoints_taken));
-    std::printf("  \"log_bytes_per_commit\": %.0f,\n", bytes_per_commit);
-    std::printf("  \"raw_commit_forces_per_sec\": %.0f\n}\n", raw_rate);
-  } else {
-    std::printf("\n%-28s %14s %14s\n", "", "wal off", "wal on");
-    std::printf("%-28s %14llu %14llu\n", "committed tx",
-                static_cast<unsigned long long>(off.committed),
-                static_cast<unsigned long long>(on.committed));
-    std::printf("%-28s %14.0f %14.0f\n", "committed / 5 paper-min",
-                off.normalized, on.normalized);
-    std::printf("%-28s %14.2f %14.2f\n", "avg committed tx ms",
-                off.avg_commit_ms, on.avg_commit_ms);
-    std::printf("\nwal on: %llu records, %llu bytes (%.0f bytes/commit), "
-                "%llu forced syncs, %llu checkpoints\n",
-                static_cast<unsigned long long>(on.wal.records_appended),
-                static_cast<unsigned long long>(on.wal.bytes_appended),
-                bytes_per_commit,
-                static_cast<unsigned long long>(on.wal.syncs),
-                static_cast<unsigned long long>(on.wal.checkpoints_taken));
-    std::printf("throughput slowdown with WAL: %.2fx\n", slowdown);
-    std::printf("raw single-thread commit force rate: %.0f commits/s\n",
-                raw_rate);
-  }
+  MetricSet m;
+  AddRun(&m, "wal_off.", off);
+  AddRun(&m, "wal_on.", on);
+  m.push_back({"slowdown", "ratio", slowdown});
+  m.push_back({"log_bytes_per_commit", "B/commit", bytes_per_commit});
+  m.push_back({"raw_commit_forces_per_s", "1/s", raw_rate});
+  PrintMetrics(m, flags);
 
-  if (smoke) {
+  if (flags.smoke) {
     int failures = 0;
-    if (on.committed == 0) {
+    if (on.total_committed() == 0) {
       std::fprintf(stderr, "FAIL: WAL-enabled run committed nothing\n");
       ++failures;
     }
-    if (on.wal.commits_logged < on.committed) {
+    if (on.wal.commits_logged < on.total_committed()) {
       std::fprintf(stderr,
                    "FAIL: fewer commit records (%llu) than committed tx "
                    "(%llu) — a commit returned before its force\n",
                    static_cast<unsigned long long>(on.wal.commits_logged),
-                   static_cast<unsigned long long>(on.committed));
+                   static_cast<unsigned long long>(on.total_committed()));
       ++failures;
     }
     if (on.wal.flush_failures != 0) {
@@ -157,13 +121,12 @@ int main(int argc, char** argv) {
     // The in-memory log should never make commits an order of magnitude
     // slower; a blow-up here means the force path serializes something
     // it should not (e.g. holding the document lock across the sync).
-    if (off.committed > 50 && slowdown > 10.0) {
+    if (off.total_committed() > 50 && slowdown > 10.0) {
       std::fprintf(stderr, "FAIL: WAL slowdown %.1fx exceeds sanity bound\n",
                    slowdown);
       ++failures;
     }
     if (failures > 0) return 1;
-    std::printf("smoke ok\n");
   }
   return 0;
 }

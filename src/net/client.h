@@ -4,7 +4,7 @@
 // session holding at most one open transaction — exactly the shape of a
 // TaMix worker. RemoteSession wraps both as the TaMixSession the
 // coordinator's worker loop drives (its socket frontend and
-// tools/tamix_client); bench/micro_server uses Client directly.
+// tools/tamix_client); the socket tests also use Client directly.
 //
 // Resilience (all opt-in via ClientOptions):
 //   * Every connect/send/recv is poll-based with a deadline — no call

@@ -15,12 +15,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "net/chaos_proxy.h"
 #include "net/client.h"
@@ -610,6 +612,95 @@ TEST_F(NetServerTest, InFlightTransactionCapRejectsBegin) {
   EXPECT_TRUE(second.Commit().ok());
   ExpectQuiescent();
   EXPECT_GE(server_->stats().admission_rejected, 1u);
+}
+
+/// A RemoteSession that tallies what every Begin answered.
+class TallyingSession : public TaMixSession {
+ public:
+  TallyingSession(uint16_t port, const std::atomic<bool>* stop)
+      : session_("127.0.0.1", port, ClientOptions{}, stop), stop_(stop) {}
+
+  Status Begin(IsolationLevel isolation, int lock_depth,
+               TxType type) override {
+    Status st = session_.Begin(isolation, lock_depth, type);
+    if (st.ok()) {
+      ++admitted;
+    } else if (st.code() == StatusCode::kResourceExhausted) {
+      ++shed;
+    } else if (!stop_->load()) {  // at stop, an unconnected Begin cancels
+      unexpected.push_back(st.ToString());
+    }
+    return st;
+  }
+  TaMixDom& dom() override { return session_.dom(); }
+  StatusOr<uint64_t> Commit(std::string_view payload) override {
+    return session_.Commit(payload);
+  }
+  Status Abort() override { return session_.Abort(); }
+
+  uint64_t admitted = 0;
+  uint64_t shed = 0;
+  std::vector<std::string> unexpected;
+
+ private:
+  RemoteSession session_;
+  const std::atomic<bool>* stop_;
+};
+
+TEST_F(NetServerTest, AdmissionCapHoldsUnderAStampede) {
+  // Twelve zero-think closed-loop TaMix workers against a cap of four:
+  // many Begins race HandleBegin's optimistic increment-and-undo at once.
+  ServerOptions options;
+  options.max_in_flight_tx = 4;
+  StartServer(options);
+
+  RunConfig config;
+  config.time_scale = 1.0 / 100;  // pushback backs off 1 ms
+  config.wait_after_commit = Duration::zero();
+  config.wait_after_operation = Duration::zero();
+  config.max_initial_wait = Duration::zero();
+  MetricsCollector metrics;
+  std::atomic<bool> stop{false};
+  const WorkerShared shared{&config, &info_, &stop, &metrics, nullptr};
+  const TxType kTypes[] = {TxType::kQueryBook, TxType::kChapter,
+                           TxType::kRenameTopic, TxType::kLendAndReturn};
+  std::vector<std::unique_ptr<TallyingSession>> sessions;
+  std::vector<std::thread> workers;
+  for (uint64_t i = 0; i < 12; ++i) {
+    sessions.push_back(
+        std::make_unique<TallyingSession>(server_->port(), &stop));
+    workers.emplace_back([&shared, &kTypes, i, s = sessions.back().get()] {
+      RunTaMixWorker(shared, *s, kTypes[i % 4], i);
+    });
+  }
+  // An engine transaction takes its admission slot before it begins and
+  // gives it back after it ends, so the cap bounds them at every instant.
+  size_t peak = 0;
+  for (const TimePoint end = Now() + Millis(500); Now() < end;) {
+    peak = std::max(peak, tm_->num_active());
+    SleepFor(Micros(200));
+  }
+  stop.store(true);
+  for (auto& w : workers) w.join();
+  EXPECT_LE(peak, options.max_in_flight_tx);
+
+  uint64_t admitted = 0;
+  uint64_t shed = 0;
+  for (const auto& s : sessions) {
+    EXPECT_TRUE(s->unexpected.empty()) << s->unexpected.front();
+    admitted += s->admitted;
+    shed += s->shed;
+  }
+  sessions.clear();  // closes every connection
+  ExpectQuiescent();
+  // Every undo leaves the in-flight count where it found it.
+  EXPECT_TRUE(PollUntil([&] { return server_->stats().active_tx == 0; }));
+  const ServerStats stats = server_->stats();
+  EXPECT_GT(stats.tx_committed, 0u);
+  EXPECT_GT(stats.admission_rejected, 0u);
+  EXPECT_EQ(stats.tx_begun, admitted);
+  EXPECT_EQ(stats.admission_rejected, shed);
+  EXPECT_EQ(stats.protocol_errors, 0u);
 }
 
 TEST_F(NetServerTest, SessionCapClosesExtraConnections) {
@@ -1265,6 +1356,13 @@ TEST(NetCoordinatorTest, SocketFrontendRunsCluster1) {
   auto stats = RunCluster1(config);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_GT(stats->total_committed(), 0u);
+  // Read after Stop: clean clients cause no protocol error, and nothing
+  // is left open.
+  ASSERT_TRUE(stats->net_server.has_value());
+  EXPECT_EQ(stats->net_server->protocol_errors, 0u);
+  EXPECT_EQ(stats->net_server->active_tx, 0u);
+  EXPECT_EQ(stats->net_server->active_sessions, 0u);
+  EXPECT_EQ(stats->net_server->parked_sessions, 0u);
 }
 
 }  // namespace
