@@ -6,18 +6,23 @@
 // overlap, so miss throughput scales near-linearly until the device
 // model (io_latency_us per access) saturates.
 //
-//   ./bench/micro_buffer_pool           full run (1/2/4/8 threads)
-//   ./bench/micro_buffer_pool --smoke   quick CI run; exits non-zero if
-//                                       8-thread scaling < 2x or no I/O
-//                                       overlap was observed
+//   ./bench/micro_buffer_pool           full run (1/2/4/8 threads), one
+//                                       `name value unit` line per metric
+//   ./bench/micro_buffer_pool --smoke   quick CI run; exits 1 if 8-thread
+//                                       scaling < 2x or no I/O overlap
+//                                       was observed
+//   ./bench/micro_buffer_pool --json    the same metrics as ToJson
+//
+// Every mode exits 1 if a fetch fails.
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "storage/buffer_manager.h"
 
 namespace xtc {
@@ -82,44 +87,52 @@ PoolRun RunThreads(int threads, int ops_per_thread, uint32_t pool_pages,
 
 int main(int argc, char** argv) {
   using namespace xtc;
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const int ops = smoke ? 300 : 2000;
+  const bench::BenchFlags flags = bench::ParseFlags(argc, argv);
+  const int ops = flags.smoke ? 300 : 2000;
   const uint32_t kPool = 64;
   const uint32_t kWorkingSet = 512;
   const uint32_t kLatencyUs = 100;
 
-  std::printf("# micro_buffer_pool\n");
-  std::printf("# pool %u pages, working set %u pages, io latency %u us%s\n",
-              kPool, kWorkingSet, kLatencyUs, smoke ? " (smoke)" : "");
-  std::printf("%8s %14s %10s %8s %6s %10s %11s\n", "threads", "fetches/s",
-              "misses", "scaling", "hwm", "coalesced", "writebacks");
-
+  if (!flags.json) {
+    std::printf("# micro_buffer_pool — miss throughput vs. threads%s\n",
+                flags.smoke ? " (smoke)" : "");
+  }
+  MetricSet m;
+  m.push_back({"pool_pages", "count", kPool});
+  m.push_back({"working_set_pages", "count", kWorkingSet});
+  m.push_back({"io_latency_us", "us", kLatencyUs});
+  m.push_back({"ops_per_thread", "count", static_cast<double>(ops)});
   double baseline = 0.0;
   double last_scaling = 0.0;
   uint64_t last_hwm = 0;
-  int total_failures = 0;
+  int failures = 0;
   for (int threads : {1, 2, 4, 8}) {
-    PoolRun run = RunThreads(threads, ops, kPool, kWorkingSet, kLatencyUs);
+    const PoolRun run =
+        RunThreads(threads, ops, kPool, kWorkingSet, kLatencyUs);
     if (threads == 1) baseline = run.fetches_per_sec;
-    const double scaling =
-        baseline > 0 ? run.fetches_per_sec / baseline : 0.0;
-    last_scaling = scaling;
+    last_scaling = baseline > 0 ? run.fetches_per_sec / baseline : 0.0;
     last_hwm = run.io.io_in_flight_hwm;
-    total_failures += run.failures;
-    std::printf("%8d %14.0f %10llu %7.2fx %6llu %10llu %11llu\n", threads,
-                run.fetches_per_sec,
-                static_cast<unsigned long long>(run.misses), scaling,
-                static_cast<unsigned long long>(run.io.io_in_flight_hwm),
-                static_cast<unsigned long long>(run.io.coalesced_fetches),
-                static_cast<unsigned long long>(run.io.eviction_writebacks));
+    failures += run.failures;
+    const std::string prefix = "threads" + std::to_string(threads) + ".";
+    m.push_back({prefix + "fetches_per_s", "1/s", run.fetches_per_sec});
+    m.push_back({prefix + "misses", "count",
+                 static_cast<double>(run.misses)});
+    m.push_back({prefix + "scaling", "ratio", last_scaling});
+    m.push_back({prefix + "io_in_flight_hwm", "count",
+                 static_cast<double>(last_hwm)});
+    m.push_back({prefix + "coalesced_fetches", "count",
+                 static_cast<double>(run.io.coalesced_fetches)});
+    m.push_back({prefix + "eviction_writebacks", "count",
+                 static_cast<double>(run.io.eviction_writebacks)});
   }
+  m.push_back({"failed_fetches", "count", static_cast<double>(failures)});
+  bench::PrintMetrics(m, flags);
 
-  if (total_failures > 0) {
-    std::fprintf(stderr, "FAIL: %d fetches returned errors\n",
-                 total_failures);
+  if (failures > 0) {
+    std::fprintf(stderr, "FAIL: %d fetches returned errors\n", failures);
     return 1;
   }
-  if (smoke && (last_scaling < 2.0 || last_hwm < 2)) {
+  if (flags.smoke && (last_scaling < 2.0 || last_hwm < 2)) {
     std::fprintf(stderr,
                  "FAIL: no I/O overlap (8-thread scaling %.2fx, in-flight "
                  "hwm %llu) — the pool is serializing simulated disk I/O\n",

@@ -1,6 +1,7 @@
 #include "lock/lock_table.h"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <numeric>
 
@@ -16,10 +17,149 @@ bool IsNoOp(const ModeTable& modes, ModeId held, ModeId mode) {
   return conv.result == held && conv.children_mode == kNoMode;
 }
 
+/// Source of LockTable::uid_.
+std::atomic<uint64_t> next_table_uid{1};
+
 }  // namespace
 
+/// One transaction's lock set: a flat vector of entries, their keys in
+/// one arena, and a power-of-two open-addressing index over the vector.
+/// Only the thread driving `owner` touches it (see the file comment);
+/// `owner` and `hits` are atomic so a stale thread cache and GetStats
+/// may read them meanwhile. Aligned so two threads' sets never share a
+/// cache line: every hit writes `hits`.
+class alignas(128) LockTable::TxLocks {
+ public:
+  /// The owner of a pooled set; no transaction may use this id.
+  static constexpr uint64_t kPooled = ~uint64_t{0};
+  /// A set that held more entries than this gives its memory back when
+  /// released instead of keeping it for the next transaction.
+  static constexpr size_t kShrinkAbove = 4096;
+
+  struct Entry {
+    size_t hash;
+    uint32_t key_offset;
+    uint32_t key_size;
+    Resource* resource;
+    uint32_t shard;
+    ModeId long_mode;
+    ModeId effective;
+    bool has_short;
+  };
+
+  std::atomic<uint64_t> owner{kPooled};
+  /// Lock-set hits; the owner is the one writer, so a relaxed load and
+  /// store count without a locked instruction.
+  std::atomic<uint64_t> hits{0};
+
+  std::vector<Entry> entries;
+  /// What ReleaseInShards works through: (shard, resource) per hold.
+  std::vector<std::pair<uint32_t, Resource*>> releases;
+  /// ReleaseInShards' counting-sort buffers, kept with the set.
+  std::vector<uint32_t> shard_end;
+  std::vector<Resource*> grouped;
+
+  void CountHit() {
+    hits.store(hits.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
+  }
+
+  Entry* Find(size_t hash, std::string_view key) {
+    if (slots_.empty()) return nullptr;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const uint32_t slot = slots_[i];
+      if (slot == 0) return nullptr;
+      Entry& e = entries[slot - 1];
+      if (e.hash == hash && KeyOf(e) == key) return &e;
+    }
+  }
+
+  void Add(size_t hash, std::string_view key, uint32_t shard,
+           const Grant& g) {
+    if ((entries.size() + 1) * 2 > slots_.size()) {
+      Reindex(std::max<size_t>(16, slots_.size() * 2));
+    }
+    entries.push_back({hash, static_cast<uint32_t>(keys_.size()),
+                       static_cast<uint32_t>(key.size()), g.resource, shard,
+                       g.long_mode, g.effective, g.has_short});
+    keys_.append(key);
+    Place(entries.size() - 1);
+  }
+
+  /// EndOperation's transition: effective := long, pure-short entries
+  /// dropped. Lists every entry that had a short component in
+  /// `releases`, and compacts the vector, its keys and the index.
+  void DropShorts() {
+    releases.clear();
+    size_t kept = 0;
+    uint32_t key_end = 0;
+    for (Entry e : entries) {
+      if (e.has_short) {
+        releases.emplace_back(e.shard, e.resource);
+        if (e.long_mode == kNoMode) continue;
+        e.effective = e.long_mode;
+        e.has_short = false;
+      }
+      std::memmove(keys_.data() + key_end, keys_.data() + e.key_offset,
+                   e.key_size);
+      e.key_offset = key_end;
+      key_end += e.key_size;
+      entries[kept++] = e;
+    }
+    if (releases.empty()) return;
+    entries.resize(kept);
+    keys_.resize(key_end);
+    Reindex(slots_.size());
+  }
+
+  /// Lists every entry in `releases` and empties the set, keeping its
+  /// capacity.
+  void Clear() {
+    releases.clear();
+    for (const Entry& e : entries) releases.emplace_back(e.shard, e.resource);
+    entries.clear();
+    keys_.clear();
+    std::fill(slots_.begin(), slots_.end(), 0);
+  }
+
+  /// Gives the memory of a set that grew past kShrinkAbove back.
+  void ShrinkIfLarge() {
+    if (entries.capacity() <= kShrinkAbove) return;
+    entries = {};
+    releases = {};
+    grouped = {};
+    keys_ = {};
+    slots_ = {};
+  }
+
+ private:
+  std::string_view KeyOf(const Entry& e) const {
+    return std::string_view(keys_.data() + e.key_offset, e.key_size);
+  }
+
+  void Place(size_t index) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = entries[index].hash & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(index + 1);
+  }
+
+  void Reindex(size_t capacity) {
+    slots_.assign(capacity, 0);
+    for (size_t i = 0; i < entries.size(); ++i) Place(i);
+  }
+
+  std::string keys_;
+  /// Entry index + 1 per slot; 0 is empty. Empty or a power of two, at
+  /// most half full.
+  std::vector<uint32_t> slots_;
+};
+
 LockTable::LockTable(const ModeTable* modes, LockTableOptions options)
-    : modes_(modes), options_(options) {
+    : modes_(modes),
+      options_(options),
+      uid_(next_table_uid.fetch_add(1, std::memory_order_relaxed)) {
   if (options_.shards == 0) options_.shards = 1;
   shards_.reserve(options_.shards);
   tx_shards_.reserve(options_.shards);
@@ -31,24 +171,81 @@ LockTable::LockTable(const ModeTable* modes, LockTableOptions options)
 
 LockTable::~LockTable() = default;
 
-uint32_t LockTable::ShardIndex(std::string_view resource) const {
-  return static_cast<uint32_t>(std::hash<std::string_view>{}(resource) %
-                               shards_.size());
-}
-
 LockTable::TxShard& LockTable::TxShardFor(uint64_t tx) const {
   return *tx_shards_[std::hash<uint64_t>{}(tx) % tx_shards_.size()];
 }
 
+LockTable::SetCache& LockTable::ThreadSetCache() {
+  thread_local SetCache cache;
+  return cache;
+}
+
+LockTable::TxLocks* LockTable::FindSet(uint64_t tx) const {
+  SetCache& cache = ThreadSetCache();
+  if (cache.table == uid_ && cache.tx == tx &&
+      cache.set->owner.load(std::memory_order_relaxed) == tx) {
+    return cache.set;
+  }
+  TxShard& ts = TxShardFor(tx);
+  MutexLock guard(ts.mu);
+  auto it = ts.live.find(tx);
+  if (it == ts.live.end()) return nullptr;
+  cache = {uid_, tx, it->second.get()};
+  return it->second.get();
+}
+
+LockTable::TxLocks* LockTable::OpenSet(uint64_t tx) {
+  XTC_CHECK(tx != TxLocks::kPooled, "transaction id reserved for lock sets");
+  TxShard& ts = TxShardFor(tx);
+  MutexLock guard(ts.mu);
+  std::unique_ptr<TxLocks>& set = ts.live[tx];
+  if (set == nullptr) {
+    if (ts.pool.empty()) {
+      set = std::make_unique<TxLocks>();
+    } else {
+      set = std::move(ts.pool.back());
+      ts.pool.pop_back();
+    }
+    set->owner.store(tx, std::memory_order_relaxed);
+  }
+  ThreadSetCache() = {uid_, tx, set.get()};
+  return set.get();
+}
+
+void LockTable::CloseSet(uint64_t tx) {
+  TxShard& ts = TxShardFor(tx);
+  MutexLock guard(ts.mu);
+  auto it = ts.live.find(tx);
+  TxLocks& set = *it->second;
+  set.owner.store(TxLocks::kPooled, std::memory_order_relaxed);
+  ts.hits += set.hits.load(std::memory_order_relaxed);
+  set.hits.store(0, std::memory_order_relaxed);
+  ts.pool.push_back(std::move(it->second));
+  ts.live.erase(it);
+}
+
 LockTable::Resource* LockTable::GetOrCreate(Shard* shard,
-                                            std::string_view name) {
-  auto it = shard->resources.find(name);
+                                            const ResourceKey& key) {
+  auto it = shard->resources.find(key);
   if (it != shard->resources.end()) return it->second.get();
-  auto r = std::make_unique<Resource>();
-  r->name = std::string(name);
-  Resource* raw = r.get();
-  shard->resources.emplace(raw->name, std::move(r));
-  return raw;
+  if (shard->spare.empty()) {
+    auto r = std::make_unique<Resource>();
+    r->name.assign(key.name);
+    r->hash = key.hash;
+    Resource* raw = r.get();
+    shard->resources.emplace(ResourceKey{raw->name, key.hash}, std::move(r));
+    return raw;
+  }
+  // Re-key an idle resource's node: no allocation, and its holder list
+  // and queue keep their capacity.
+  ResourceMap::node_type node = std::move(shard->spare.back());
+  shard->spare.pop_back();
+  Resource* r = node.mapped().get();
+  r->name.assign(key.name);
+  r->hash = key.hash;
+  node.key() = ResourceKey{r->name, key.hash};
+  shard->resources.insert(std::move(node));
+  return r;
 }
 
 LockTable::Held* LockTable::FindHeld(Resource* r, uint64_t tx) {
@@ -91,8 +288,11 @@ void LockTable::RemoveWaiter(Resource* r, Waiter* w) {
 }
 
 void LockTable::EraseResourceIfIdle(Shard* shard, Resource* r) {
-  if (r->granted.empty() && r->queue.empty()) {
-    shard->resources.erase(r->name);
+  if (!r->granted.empty() || !r->queue.empty()) return;
+  ResourceMap::node_type node =
+      shard->resources.extract(ResourceKey{r->name, r->hash});
+  if (shard->spare.size() < kSpareResources) {
+    shard->spare.push_back(std::move(node));
   }
 }
 
@@ -132,51 +332,45 @@ LockOutcome LockTable::Lock(uint64_t tx, std::string_view resource,
   // promised until commit; with that, the duration bookkeeping the early
   // exit does is moot (a kOperation request is covered at least until
   // the next EndOperation).
-  // A hit touches no resource shard and no fault-injection point (those
-  // model denials of real table requests); GetStats folds the tx-shard
-  // hit counters into requests + immediate_grants.
-  TxShard& ts = TxShardFor(tx);
-  ModeId hit = kNoMode;
-  {
-    MutexLock guard(ts.mu);
-    auto it = ts.sets.find(tx);
-    if (it != ts.sets.end()) {
-      auto e = it->second.find(resource);
-      if (e != it->second.end()) {
-        const LockSetEntry& entry = e->second;
-        if (IsNoOp(*modes_, entry.effective, mode) &&
-            (duration != LockDuration::kCommit ||
-             IsNoOp(*modes_, entry.long_mode, mode))) {
-          ++ts.hits;
-          hit = entry.effective;
-        }
-      }
-    }
-  }
-  if (hit != kNoMode) {
-    ProbeGrant(tx, resource, hit, hit, duration);
-    return {Status::OK(), hit, kNoMode};
+  // A hit takes no mutex and touches no resource shard and no
+  // fault-injection point (those model denials of real table requests);
+  // GetStats folds the sets' hit counters into requests +
+  // immediate_grants.
+  const ResourceKey key{resource, HashKey(resource)};
+  TxLocks* set = FindSet(tx);
+  TxLocks::Entry* entry =
+      set == nullptr ? nullptr : set->Find(key.hash, resource);
+  if (entry != nullptr && IsNoOp(*modes_, entry->effective, mode) &&
+      (duration != LockDuration::kCommit ||
+       entry->long_mode == entry->effective ||
+       IsNoOp(*modes_, entry->long_mode, mode))) {
+    set->CountHit();
+    ProbeGrant(tx, resource, entry->effective, entry->effective, duration);
+    return {Status::OK(), entry->effective, kNoMode};
   }
 
   stats_.Add(&LockTableStats::requests);
-  LockSetEntry granted;
-  LockOutcome out = LockSlow(tx, resource, mode, duration, &granted);
+  Grant granted;
+  LockOutcome out = LockSlow(tx, key, mode, duration, &granted);
   // A denied request changed nothing in the table, so the set stays too.
   if (!out.status.ok()) return out;
-  MutexLock guard(ts.mu);
-  LockSet& set = ts.sets[tx];
-  auto e = set.find(resource);
-  if (e == set.end()) {
-    set.emplace(std::string(resource), granted);
+  // Nothing but this thread touched the set meanwhile, so `entry` is
+  // still the resource's entry.
+  if (entry != nullptr) {
+    entry->long_mode = granted.long_mode;
+    entry->effective = granted.effective;
+    entry->has_short = granted.has_short;
   } else {
-    e->second = granted;
+    if (set == nullptr) set = OpenSet(tx);
+    set->Add(key.hash, resource, ShardIndex(key.hash), granted);
   }
   return out;
 }
 
-LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
+LockOutcome LockTable::LockSlow(uint64_t tx, const ResourceKey& key,
                                 ModeId mode, LockDuration duration,
-                                LockSetEntry* granted) {
+                                Grant* granted) {
+  const std::string_view resource = key.name;
   if (options_.fault_injector != nullptr) {
     // Injection happens before any table state changes: the request is
     // denied exactly as a real timeout/victim denial would be, and the
@@ -196,19 +390,17 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
       return {Status::Deadlock("injected deadlock victim"), kNoMode, kNoMode};
     }
   }
-  const uint32_t shard_index = ShardIndex(resource);
-  Shard& shard = *shards_[shard_index];
+  Shard& shard = *shards_[ShardIndex(key.hash)];
   MutexLock guard(shard.mu);
 
-  Resource* r = GetOrCreate(&shard, resource);
+  Resource* r = GetOrCreate(&shard, key);
   Held* held = FindHeld(r, tx);
   const bool is_conversion = (held != nullptr);
   // Read before any wait: other holders pushed onto r->granted meanwhile
   // may reallocate it and leave `held` dangling.
   const ModeId previous = is_conversion ? held->effective : kNoMode;
   auto grant = [&](const Held& h) {
-    *granted = {r, shard_index, h.long_mode, h.effective,
-                h.short_mode != kNoMode};
+    *granted = {r, h.long_mode, h.effective, h.short_mode != kNoMode};
     ProbeGrant(tx, resource, previous, h.effective, duration);
   };
 
@@ -393,18 +585,21 @@ void LockTable::RecordDeadlock(DeadlockEvent event) {
   if (deadlock_log_.size() > kDeadlockLogCapacity) deadlock_log_.pop_front();
 }
 
-void LockTable::ReleaseInShards(
-    uint64_t tx, const std::vector<std::pair<uint32_t, Resource*>>& holds,
-    bool short_only) {
+void LockTable::ReleaseInShards(uint64_t tx, TxLocks* set,
+                                bool short_only) {
   // Group the holds by shard with a counting sort: shard indexes are
   // small, and a comparison sort's mispredicted branches on ~100 random
-  // keys cost about 4 of the 25 µs a CLUSTER1 commit's release takes
+  // keys cost about 4 of the 25 µs a CLUSTER1 commit's release took
   // (4-vCPU VM). Afterwards shard s's holds are grouped[end[s - 1] ..
-  // end[s]), with end[-1] taken as 0.
-  std::vector<uint32_t> end(shards_.size() + 1, 0);
+  // end[s]), with end[-1] taken as 0. The buffers belong to the set, so
+  // a release allocates nothing once the set has grown.
+  const auto& holds = set->releases;
+  std::vector<uint32_t>& end = set->shard_end;
+  end.assign(shards_.size() + 1, 0);
   for (const auto& h : holds) ++end[h.first + 1];
   std::partial_sum(end.begin(), end.end(), end.begin());
-  std::vector<Resource*> grouped(holds.size());
+  std::vector<Resource*>& grouped = set->grouped;
+  grouped.resize(holds.size());
   for (const auto& [index, r] : holds) grouped[end[index]++] = r;
 
   uint32_t begin = 0;
@@ -438,50 +633,20 @@ void LockTable::EndOperation(uint64_t tx) {
     MutexLock g(graph_mu_);
     if (detector_.IsWaiting(tx)) return;  // parked: the operation goes on
   }
-  // The table's transition, applied to the set first: effective := long,
-  // pure-short holds dropped.
-  std::vector<std::pair<uint32_t, Resource*>> shorts;
-  {
-    TxShard& ts = TxShardFor(tx);
-    MutexLock guard(ts.mu);
-    auto it = ts.sets.find(tx);
-    if (it == ts.sets.end()) return;
-    LockSet& set = it->second;
-    for (auto e = set.begin(); e != set.end();) {
-      LockSetEntry& entry = e->second;
-      if (!entry.has_short) {
-        ++e;
-        continue;
-      }
-      shorts.emplace_back(entry.shard, entry.resource);
-      if (entry.long_mode == kNoMode) {
-        e = set.erase(e);
-        continue;
-      }
-      entry.effective = entry.long_mode;
-      entry.has_short = false;
-      ++e;
-    }
-    if (set.empty()) ts.sets.erase(it);
-  }
-  ReleaseInShards(tx, shorts, /*short_only=*/true);
+  // The table's transition, applied to the set first.
+  TxLocks* set = FindSet(tx);
+  if (set == nullptr) return;
+  set->DropShorts();
+  if (!set->releases.empty()) ReleaseInShards(tx, set, /*short_only=*/true);
 }
 
 void LockTable::ReleaseAll(uint64_t tx) {
-  std::vector<std::pair<uint32_t, Resource*>> holds;
-  {
-    TxShard& ts = TxShardFor(tx);
-    MutexLock guard(ts.mu);
-    auto it = ts.sets.find(tx);
-    if (it != ts.sets.end()) {
-      holds.reserve(it->second.size());
-      for (const auto& [name, entry] : it->second) {
-        holds.emplace_back(entry.shard, entry.resource);
-      }
-      ts.sets.erase(it);
-    }
+  if (TxLocks* set = FindSet(tx); set != nullptr) {
+    set->Clear();
+    ReleaseInShards(tx, set, /*short_only=*/false);
+    set->ShrinkIfLarge();
+    CloseSet(tx);
   }
-  ReleaseInShards(tx, holds, /*short_only=*/false);
   ClearWaitEdges(tx);
   // The transaction is gone; a later run may reuse its id, so the sticky
   // per-tx cancel must not outlive it.
@@ -497,10 +662,10 @@ std::vector<LockTable::HoldSnapshot> LockTable::SnapshotHolds() const {
   std::vector<HoldSnapshot> out;
   for (const auto& shard : shards_) {
     MutexLock guard(shard->mu);
-    for (const auto& [name, r] : shard->resources) {
+    for (const auto& [key, r] : shard->resources) {
       for (const auto& [id, held] : r->granted) {
-        out.push_back(HoldSnapshot{id, name, held.long_mode, held.short_mode,
-                                   held.effective});
+        out.push_back(HoldSnapshot{id, std::string(key.name), held.long_mode,
+                                   held.short_mode, held.effective});
       }
     }
   }
@@ -513,9 +678,10 @@ std::vector<LockTable::HoldSnapshot> LockTable::SnapshotHolds() const {
 }
 
 ModeId LockTable::HeldMode(uint64_t tx, std::string_view resource) const {
-  Shard& shard = ShardFor(resource);
+  const size_t hash = HashKey(resource);
+  Shard& shard = *shards_[ShardIndex(hash)];
   MutexLock guard(shard.mu);
-  auto it = shard.resources.find(resource);
+  auto it = shard.resources.find(ResourceKey{resource, hash});
   if (it == shard.resources.end()) return kNoMode;
   for (const auto& [id, held] : it->second->granted) {
     if (id == tx) return held.effective;
@@ -538,10 +704,8 @@ size_t LockTable::NumWaitingTransactions() const {
 }
 
 size_t LockTable::LocksHeldBy(uint64_t tx) const {
-  TxShard& ts = TxShardFor(tx);
-  MutexLock guard(ts.mu);
-  auto it = ts.sets.find(tx);
-  return it == ts.sets.end() ? 0 : it->second.size();
+  const TxLocks* set = FindSet(tx);
+  return set == nullptr ? 0 : set->entries.size();
 }
 
 LockTableStats LockTable::GetStats() const {
@@ -549,6 +713,9 @@ LockTableStats LockTable::GetStats() const {
   for (const auto& ts : tx_shards_) {
     MutexLock guard(ts->mu);
     s.cache_hits += ts->hits;
+    for (const auto& [tx, set] : ts->live) {
+      s.cache_hits += set->hits.load(std::memory_order_relaxed);
+    }
   }
   // A lock-set hit is an immediately granted request that never reached
   // the global counters.
@@ -568,6 +735,9 @@ void LockTable::ResetStats() {
   for (const auto& ts : tx_shards_) {
     MutexLock guard(ts->mu);
     ts->hits = 0;
+    for (const auto& [tx, set] : ts->live) {
+      set->hits.store(0, std::memory_order_relaxed);
+    }
   }
 }
 

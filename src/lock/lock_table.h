@@ -11,13 +11,14 @@
 //   kOperation — released by EndOperation (short read locks of isolation
 //                level "committed").
 //
-// Scalability: the table is sharded by resource hash; the uncontended
-// fast path touches only one shard mutex. The wait-for graph (deadlock
-// detection) has its own global mutex touched only when a request
-// actually blocks. Blocking requests enqueue FIFO per resource
-// (conversions jump the queue); a cycle check runs on every (re-)block,
-// so deadlocks are detected immediately. The requester that closes a
-// cycle is the victim; it receives kDeadlock and must abort.
+// Scalability: the table is sharded by resource hash; an uncontended
+// request touches only one shard mutex, and a lock-set hit (below) none.
+// The wait-for graph (deadlock detection) has its own global mutex
+// touched only when a request actually blocks. Blocking requests enqueue
+// FIFO per resource (conversions jump the queue); a cycle check runs on
+// every (re-)block, so deadlocks are detected immediately. The requester
+// that closes a cycle is the victim; it receives kDeadlock and must
+// abort.
 //
 // Model-checker mode: a table with LockTableOptions::probe set takes the
 // same blocked-request path — enqueue, blocker scan, wait-for edges,
@@ -31,17 +32,38 @@
 // already holds. LockTable keeps one lock set per transaction — resource
 // -> {Resource*, long_mode, effective, has_short} — as the only record of
 // what that transaction holds; the resource shards keep only the holder
-// lists. The sets are sharded by transaction id, and only the owning
-// transaction's Lock/EndOperation/ReleaseAll change its set, so the set
-// can never go stale and nothing has to invalidate it.
-//  * Lock() answers a request from the set alone when the conversion
-//    matrix proves it a no-op: Convert(effective, mode) == {effective,
-//    kNoMode}, and for kCommit requests the same for long_mode (a short
-//    hold never stands in for a commit lock). Every other request takes
-//    the resource shard; its grant writes the entry. A denied request
-//    changes neither the table nor the set.
-//  * EndOperation and ReleaseAll walk the transaction's own set and lock
-//    only the resource shards it names, each once: O(locks held).
+// lists. A set is a flat vector of entries whose keys live in one arena,
+// with an open-addressing index over it; sets are pooled and reused, so
+// a transaction's requests allocate nothing once its set has grown.
+//  * Ownership rule: only the thread driving a transaction calls Lock,
+//    EndOperation or ReleaseAll (and LocksHeldBy) for it. A transaction
+//    may move to another thread (a server session changing workers) as
+//    long as the hand-off orders its calls by happens-before. Under that
+//    rule the set has one writer at a time and needs no mutex; nothing
+//    else ever reads its entries, so it cannot go stale.
+//  * Finding the set: a one-entry thread_local cache {table uid, tx,
+//    set} answers when the set's atomic owner still equals tx (the uid
+//    is a per-instance counter, never the table's address, which a later
+//    table may reuse). Otherwise the tx-id-sharded registry — TxShard, a
+//    mutex over tx -> set — finds it, and opens a pooled set on a
+//    transaction's first grant.
+//  * Lock() hashes the resource name once; the set probe, ShardIndex and
+//    the shard's resource map all use that hash. It answers a request
+//    from the set alone when the conversion matrix proves it a no-op:
+//    Convert(effective, mode) == {effective, kNoMode}, and for kCommit
+//    requests the same for long_mode (a short hold never stands in for a
+//    commit lock). Such a hit bumps the set's own hit counter and takes
+//    no mutex. Every other request takes the resource shard; its grant
+//    writes the entry. A denied request changes neither table nor set.
+//  * EndOperation compacts the set and rebuilds its index; ReleaseAll
+//    walks the flat array, clears it keeping its capacity, and returns
+//    the set to its registry shard's pool. Both lock only the resource
+//    shards the set names, each once: O(locks held).
+//  * Resources are recycled: a resource left with no holder and no
+//    waiter moves its map node (and its holder and queue capacity) to a
+//    bounded spare list of its shard, and the next new resource there is
+//    re-keyed from it in place. Spare nodes are outside the map, so
+//    NumLockedResources and SnapshotHolds count only held resources.
 //  * Lock order: a tx-shard mutex and a resource-shard mutex are never
 //    held at the same time.
 //
@@ -247,13 +269,19 @@ class LockTable {
   std::vector<HoldSnapshot> SnapshotHolds() const;
   ModeId HeldMode(uint64_t tx, std::string_view resource) const;
   size_t NumLockedResources() const;
-  /// Size of the transaction's lock set: one tx-shard lookup.
+  /// Size of the transaction's lock set. Owner-only, like Lock (see the
+  /// file comment): its callers are the thread driving `tx` and
+  /// single-threaded tests.
   size_t LocksHeldBy(uint64_t tx) const;
   /// Residual wait-for-graph entries (must be 0 when the system is
   /// quiescent — every waiter clears its edges on grant/deadlock/timeout
   /// and ReleaseAll clears the rest).
   size_t NumWaitingTransactions() const;
+  /// Exact, live sets' hits included (each set's counter is summed under
+  /// its registry shard's mutex).
   LockTableStats GetStats() const;
+  /// Zeroes every counter. A hit counted concurrently by a running
+  /// transaction may survive the reset; call it between runs.
   void ResetStats();
 
   /// How many deadlock events the table keeps for analysis (paper §4.2:
@@ -277,61 +305,93 @@ class LockTable {
   };
 
   struct Resource {
+    /// The shard map's key views this name; a recycled Resource is
+    /// re-keyed in place (GetOrCreate).
     std::string name;
+    size_t hash = 0;
     std::vector<std::pair<uint64_t, Held>> granted;
     /// FIFO waiters (conversions at the front). A vector, not a deque:
-    /// queues are short, and an empty std::deque still allocates, which
-    /// every resource pays on creation and release.
+    /// queues are short, and an empty std::deque still allocates.
     std::vector<Waiter*> queue;
   };
 
-  /// Heterogeneous (string_view) lookup so the hot path never builds a
-  /// std::string just to probe a map.
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
+  /// A resource name with its hash, computed once per request.
+  struct ResourceKey {
+    std::string_view name;
+    size_t hash = 0;
+    bool operator==(const ResourceKey& other) const {
+      return name == other.name;
     }
   };
+  struct ResourceKeyHash {
+    size_t operator()(const ResourceKey& key) const { return key.hash; }
+  };
+  using ResourceMap = std::unordered_map<ResourceKey, std::unique_ptr<Resource>,
+                                         ResourceKeyHash>;
+
+  /// Idle map nodes a shard keeps for reuse. A CLUSTER1 commit frees
+  /// about 100 resources over 32 shards and the next one creates about
+  /// as many. In 3 s perfbench runs a bound of 16 still dropped 0.4 % of
+  /// the idle nodes on update-wal (3 threads); at 64, neither c1-local
+  /// nor update-wal dropped one, and past warm-up no resource was
+  /// allocated afresh.
+  static constexpr size_t kSpareResources = 64;
 
   struct Shard {
     mutable Mutex mu;
     std::condition_variable cv;
-    std::unordered_map<std::string, std::unique_ptr<Resource>, StringHash,
-                       std::equal_to<>>
-        resources XTC_GUARDED_BY(mu);
+    ResourceMap resources XTC_GUARDED_BY(mu);
+    /// Nodes of resources that went idle, outside the map (see the file
+    /// comment); at most kSpareResources.
+    std::vector<ResourceMap::node_type> spare XTC_GUARDED_BY(mu);
   };
 
-  /// One lock-set entry: where the hold lives and the components the
-  /// hit condition and the release paths need. `resource` stays valid
-  /// while the entry exists, because a Resource is only erased once it
-  /// has no holders.
-  struct LockSetEntry {
+  /// What a grant leaves in the transaction's lock-set entry.
+  struct Grant {
     Resource* resource = nullptr;
-    uint32_t shard = 0;
     ModeId long_mode = kNoMode;
     ModeId effective = kNoMode;
     bool has_short = false;
   };
 
-  using LockSet = std::unordered_map<std::string, LockSetEntry, StringHash,
-                                     std::equal_to<>>;
+  /// One transaction's lock set (lock_table.cc).
+  class TxLocks;
 
-  /// Lock sets sharded by transaction id: a transaction's lookups all
-  /// land on one shard that other transactions touch only by id-hash
-  /// collision. The hit counter lives here too, under the mutex the hit
-  /// path already holds. Aligned so adjacent shards never share a cache
-  /// line.
+  /// The registry of lock sets, sharded by transaction id, with the pool
+  /// of released sets the shard's transactions reuse. A set lives until
+  /// the table does (a thread cache may still name it). `hits` holds the
+  /// hit counts of sets released since the last ResetStats. Aligned so
+  /// adjacent shards never share a cache line.
   struct alignas(128) TxShard {
     mutable Mutex mu;
-    std::unordered_map<uint64_t, LockSet> sets XTC_GUARDED_BY(mu);
+    std::unordered_map<uint64_t, std::unique_ptr<TxLocks>> live
+        XTC_GUARDED_BY(mu);
+    std::vector<std::unique_ptr<TxLocks>> pool XTC_GUARDED_BY(mu);
     uint64_t hits XTC_GUARDED_BY(mu) = 0;
   };
 
+  /// The thread's one-entry set cache; valid for (uid_, tx) while the
+  /// set's owner is tx.
+  struct SetCache {
+    uint64_t table = 0;
+    uint64_t tx = 0;
+    TxLocks* set = nullptr;
+  };
+  static SetCache& ThreadSetCache();
+
   TxShard& TxShardFor(uint64_t tx) const;
-  uint32_t ShardIndex(std::string_view resource) const;
-  Shard& ShardFor(std::string_view resource) const {
-    return *shards_[ShardIndex(resource)];
+  /// The transaction's live set, or nullptr. Owner-only.
+  TxLocks* FindSet(uint64_t tx) const;
+  /// FindSet, opening a pooled (or new) set when there is none.
+  TxLocks* OpenSet(uint64_t tx);
+  /// Returns the transaction's emptied set to the pool.
+  void CloseSet(uint64_t tx);
+
+  static size_t HashKey(std::string_view resource) {
+    return std::hash<std::string_view>{}(resource);
+  }
+  uint32_t ShardIndex(size_t hash) const {
+    return static_cast<uint32_t>(hash % shards_.size());
   }
 
   /// True when CancelWaiters() fired or `tx` is individually cancelled.
@@ -340,14 +400,13 @@ class LockTable {
   void WakeAllShards();
 
   /// The resource-shard path of Lock() (everything after the lock-set
-  /// probe). On a grant, fills *granted with the new lock-set entry.
-  LockOutcome LockSlow(uint64_t tx, std::string_view resource, ModeId mode,
-                       LockDuration duration, LockSetEntry* granted);
-  /// Drops the transaction's grant on each named resource — or, with
-  /// `short_only`, its short component — locking each shard once.
-  void ReleaseInShards(
-      uint64_t tx, const std::vector<std::pair<uint32_t, Resource*>>& holds,
-      bool short_only);
+  /// probe). On a grant, fills *granted for the lock-set entry.
+  LockOutcome LockSlow(uint64_t tx, const ResourceKey& key, ModeId mode,
+                       LockDuration duration, Grant* granted);
+  /// Drops the transaction's grant on each resource in the set's
+  /// `releases` list — or, with `short_only`, its short component —
+  /// locking each shard once.
+  void ReleaseInShards(uint64_t tx, TxLocks* set, bool short_only);
 
   /// Drops the transaction's wait-for edges. Takes graph_mu_, consistent
   /// with the shard-then-graph lock order.
@@ -365,7 +424,7 @@ class LockTable {
   // The following require the shard mutex (Resource objects themselves
   // are only reachable through Shard::resources, so helpers that take a
   // bare Resource* inherit the caller's shard lock).
-  static Resource* GetOrCreate(Shard* shard, std::string_view name)
+  static Resource* GetOrCreate(Shard* shard, const ResourceKey& key)
       XTC_REQUIRES(shard->mu);
   static Held* FindHeld(Resource* r, uint64_t tx);
   bool CompatibleWithHolders(const Resource& r, uint64_t tx,
@@ -382,6 +441,8 @@ class LockTable {
 
   const ModeTable* modes_;
   LockTableOptions options_;
+  /// Distinguishes this table in the thread set caches.
+  const uint64_t uid_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<TxShard>> tx_shards_;
 
@@ -404,7 +465,7 @@ class LockTable {
   std::unordered_set<uint64_t> cancelled_txs_ XTC_GUARDED_BY(cancel_mu_);
 
   // Statistics: bumped in place (relaxed) from any thread. cache_hits
-  // stays zero here; GetStats folds in the tx-shard hit counters.
+  // stays zero here; GetStats adds the sets' and tx shards' hit counts.
   RelaxedStats<LockTableStats> stats_;
 };
 

@@ -1,11 +1,13 @@
 // Lock table tests: grants, conflicts, conversions, durations, blocking,
-// deadlock detection, timeouts.
+// deadlock detection, timeouts, and the lock sets' ownership rules.
 
 #include "lock/lock_table.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -493,6 +495,160 @@ TEST_F(LockSetTest, ResetStatsClearsHitCounter) {
       stats, [](const char* name, const char*, uint64_t v) {
         EXPECT_EQ(v, 0u) << name;
       });
+}
+
+/// The lock set's ownership rules (lock_table.h): a set is found through
+/// a one-entry thread cache or the tx-id-sharded registry, must never
+/// answer for another transaction or another table, and follows its
+/// transaction from thread to thread.
+class LockSetOwnershipTest : public LockTableTest {
+ protected:
+  uint64_t Hits() const { return table_->GetStats().cache_hits; }
+};
+
+TEST_F(LockSetOwnershipTest, TxIdsInOneRegistryShardKeepSeparateSets) {
+  const uint64_t a = 1;
+  const uint64_t b = a + LockTableOptions{}.shards;  // same registry shard
+  ASSERT_TRUE(table_->Lock(a, "r", s_, LockDuration::kCommit).status.ok());
+  ASSERT_TRUE(table_->Lock(b, "q", s_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(table_->LocksHeldBy(a), 1u);
+  EXPECT_EQ(table_->LocksHeldBy(b), 1u);
+  // b holds nothing on "r": its request reaches the shard.
+  ASSERT_TRUE(table_->Lock(b, "r", is_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(Hits(), 0u);
+  EXPECT_EQ(table_->HeldMode(b, "r"), is_);
+  EXPECT_EQ(table_->HeldMode(a, "r"), s_);
+  ASSERT_TRUE(table_->Lock(a, "r", is_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(Hits(), 1u);
+  table_->ReleaseAll(a);
+  EXPECT_EQ(table_->LocksHeldBy(a), 0u);
+  EXPECT_EQ(table_->LocksHeldBy(b), 2u);
+  EXPECT_EQ(table_->HeldMode(b, "q"), s_);
+  table_->ReleaseAll(b);
+  EXPECT_EQ(table_->NumLockedResources(), 0u);
+}
+
+TEST_F(LockSetOwnershipTest, OneThreadInterleavesTwoTransactions) {
+  // A server worker serving two sessions alternates between their
+  // transactions request by request; each answer must come from the
+  // requesting transaction's own set.
+  ASSERT_TRUE(table_->Lock(1, "r", s_, LockDuration::kCommit).status.ok());
+  ASSERT_TRUE(table_->Lock(2, "q", x_, LockDuration::kCommit).status.ok());
+  ASSERT_TRUE(table_->Lock(1, "r", is_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(Hits(), 1u);
+  ASSERT_TRUE(table_->Lock(2, "r", is_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(Hits(), 1u);
+  EXPECT_EQ(table_->HeldMode(2, "r"), is_);
+  ASSERT_TRUE(table_->Lock(1, "p", ix_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(Hits(), 1u);
+  ASSERT_TRUE(table_->Lock(2, "q", s_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(Hits(), 2u);
+  EXPECT_EQ(table_->HeldMode(2, "q"), x_);
+  ASSERT_TRUE(table_->Lock(1, "p", is_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(Hits(), 3u);
+  EXPECT_EQ(table_->HeldMode(1, "p"), ix_);
+  EXPECT_EQ(table_->HeldMode(2, "p"), kNoMode);
+  EXPECT_EQ(table_->LocksHeldBy(1), 2u);
+  EXPECT_EQ(table_->LocksHeldBy(2), 2u);
+  table_->ReleaseAll(2);
+  EXPECT_EQ(table_->LocksHeldBy(1), 2u);
+  table_->ReleaseAll(1);
+  EXPECT_EQ(table_->NumLockedResources(), 0u);
+}
+
+TEST_F(LockSetOwnershipTest, TablesOnOneThreadDoNotShareTheCache) {
+  LockTable other(&modes_);
+  ASSERT_TRUE(table_->Lock(1, "r", s_, LockDuration::kCommit).status.ok());
+  ASSERT_TRUE(table_->Lock(1, "r", s_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(Hits(), 1u);
+  // Same thread, same transaction id, other table: not a hit.
+  ASSERT_TRUE(other.Lock(1, "r", s_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(other.GetStats().cache_hits, 0u);
+  EXPECT_EQ(other.HeldMode(1, "r"), s_);
+  EXPECT_EQ(other.NumLockedResources(), 1u);
+  other.ReleaseAll(1);
+  table_->ReleaseAll(1);
+
+  // A table built where a destroyed one lived must not answer from the
+  // old table's set either.
+  alignas(LockTable) unsigned char storage[sizeof(LockTable)];
+  auto* first = new (storage) LockTable(&modes_);
+  ASSERT_TRUE(first->Lock(7, "r", x_, LockDuration::kCommit).status.ok());
+  ASSERT_TRUE(first->Lock(7, "r", x_, LockDuration::kCommit).status.ok());
+  first->~LockTable();
+  auto* second = new (storage) LockTable(&modes_);
+  ASSERT_TRUE(second->Lock(7, "r", s_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(second->GetStats().cache_hits, 0u);
+  EXPECT_EQ(second->HeldMode(7, "r"), s_);
+  second->ReleaseAll(7);
+  second->~LockTable();
+}
+
+TEST_F(LockSetOwnershipTest, SetFollowsItsTransactionToAnotherThread) {
+  const uint64_t tx = 1;
+  const uint64_t neighbour = tx + LockTableOptions{}.shards;
+  ASSERT_TRUE(table_->Lock(tx, "a", s_, LockDuration::kCommit).status.ok());
+  ASSERT_TRUE(table_->Lock(tx, "a", s_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(Hits(), 1u);
+  // The hand-off: the join orders this thread's calls before the
+  // worker's. The worker continues the transaction from the same set,
+  // releases it, and then a transaction of the same registry shard
+  // reuses the pooled set and takes "a".
+  std::thread worker([&] {
+    EXPECT_TRUE(table_->Lock(tx, "b", s_, LockDuration::kCommit).status.ok());
+    EXPECT_TRUE(table_->Lock(tx, "a", is_, LockDuration::kCommit).status.ok());
+    EXPECT_EQ(table_->LocksHeldBy(tx), 2u);
+    table_->ReleaseAll(tx);
+    EXPECT_TRUE(
+        table_->Lock(neighbour, "a", s_, LockDuration::kCommit).status.ok());
+  });
+  worker.join();
+  EXPECT_EQ(Hits(), 2u);
+  // This thread reuses the id: its first request reaches a shard, even
+  // though its cache still names the set that now serves `neighbour`.
+  EXPECT_EQ(table_->LocksHeldBy(tx), 0u);
+  ASSERT_TRUE(table_->Lock(tx, "a", s_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(Hits(), 2u);
+  EXPECT_EQ(table_->HeldMode(tx, "a"), s_);
+  EXPECT_EQ(table_->LocksHeldBy(tx), 1u);
+  table_->ReleaseAll(tx);
+  EXPECT_EQ(table_->HeldMode(neighbour, "a"), s_);
+  table_->ReleaseAll(neighbour);
+  EXPECT_EQ(table_->NumLockedResources(), 0u);
+}
+
+TEST_F(LockSetOwnershipTest, RecycledResourcesAreReKeyedAndNotCounted) {
+  // One shard, so every resource reuses the node the last one left.
+  LockTableOptions options;
+  options.shards = 1;
+  LockTable t(&modes_, options);
+  const std::string longer(40, 'L');  // past any short-string buffer
+  ASSERT_TRUE(t.Lock(1, "s", s_, LockDuration::kCommit).status.ok());
+  t.ReleaseAll(1);
+  EXPECT_EQ(t.NumLockedResources(), 0u);
+  ASSERT_TRUE(t.Lock(2, longer, x_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(t.HeldMode(2, longer), x_);
+  EXPECT_EQ(t.HeldMode(2, "s"), kNoMode);
+  EXPECT_EQ(t.NumLockedResources(), 1u);
+  t.ReleaseAll(2);
+  ASSERT_TRUE(t.Lock(3, "r", s_, LockDuration::kCommit).status.ok());
+  ASSERT_TRUE(t.Lock(4, "r", is_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(t.HeldMode(3, "r"), s_);
+  EXPECT_EQ(t.HeldMode(4, "r"), is_);
+  EXPECT_EQ(t.HeldMode(3, longer), kNoMode);
+  const std::vector<LockTable::HoldSnapshot> holds = t.SnapshotHolds();
+  ASSERT_EQ(holds.size(), 2u);
+  EXPECT_EQ(holds[0].resource, "r");
+  EXPECT_EQ(holds[1].resource, "r");
+  // A request on the longer name again: a fresh resource, not the one
+  // re-keyed to "r".
+  ASSERT_TRUE(t.Lock(3, longer, s_, LockDuration::kCommit).status.ok());
+  EXPECT_EQ(t.NumLockedResources(), 2u);
+  t.ReleaseAll(3);
+  t.ReleaseAll(4);
+  EXPECT_EQ(t.NumLockedResources(), 0u);
+  EXPECT_TRUE(t.SnapshotHolds().empty());
+  EXPECT_EQ(t.HeldMode(3, "r"), kNoMode);
 }
 
 TEST_F(LockTableTest, AsymmetricCompatibilityRespected) {
